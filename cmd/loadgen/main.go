@@ -33,8 +33,9 @@
 // the backend's tier counters (gets/puts/local hits/remote bytes).
 //
 // -check turns the run into a smoke test: any transport/5xx-class
-// failure, or a malformed /metrics snapshot, exits nonzero (429s are
-// expected backpressure, not failures).
+// failure, a point that completed zero ok requests, or a malformed
+// /metrics snapshot exits nonzero (429s are expected backpressure, not
+// failures).
 package main
 
 import (
@@ -69,7 +70,7 @@ func main() {
 		measure  = flag.Uint64("measure", 20000, "measured µops per request")
 		grid     = flag.Int("grid", 8, "distinct sweep cells (ROB sizes) per client loop")
 		bulk     = flag.Int("bulk", 0, "cells per POST /v1/runs batch (0 or 1: per-request POST /v1/run)")
-		check    = flag.Bool("check", false, "smoke mode: exit 1 on any failure or malformed /metrics snapshot")
+		check    = flag.Bool("check", false, "smoke mode: exit 1 on any failure, a point with zero ok results, or a malformed /metrics snapshot")
 	)
 	rf := cliflags.RegisterRunnerFlags(flag.CommandLine, cliflags.WithoutBackend())
 	flag.Parse()
@@ -83,11 +84,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	if spec, err := rf.Store.Spec(); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	} else if spec != "" {
-		os.Exit(runStoreLoad(spec, rf.Store.Options(), clients, *duration, *grid, *check))
+	if spec := rf.StoreSpec(); spec != "" {
+		os.Exit(runStoreLoad(spec, rf.StoreOptions(), clients, *duration, *grid, *check))
 	}
 
 	reqs := buildSweep(*bench, *warmup, *measure, *grid)
@@ -109,14 +107,10 @@ func main() {
 		os.Exit(130)
 	}
 
-	failed := 0
-	for _, r := range rows {
-		failed += r.failed
-	}
 	if *check {
-		switch {
-		case failed > 0:
-			fmt.Fprintf(os.Stderr, "loadgen: smoke check FAILED: %d request failures (429 rejections excluded)\n", failed)
+		switch err := smokeVerdict(rows); {
+		case err != nil:
+			fmt.Fprintf(os.Stderr, "loadgen: smoke check FAILED: %v\n", err)
 			os.Exit(1)
 		case snapErr != nil:
 			fmt.Fprintf(os.Stderr, "loadgen: smoke check FAILED: /metrics snapshot: %v\n", snapErr)
@@ -163,13 +157,9 @@ func runStoreLoad(spec string, opts []objstore.Option, clients []int, d time.Dur
 		fmt.Fprintln(os.Stderr, "loadgen: interrupted")
 		return 130
 	}
-	failed := 0
-	for _, r := range rows {
-		failed += r.failed
-	}
 	if check {
-		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: store smoke check FAILED: %d op failures\n", failed)
+		if err := smokeVerdict(rows); err != nil {
+			fmt.Fprintf(os.Stderr, "loadgen: store smoke check FAILED: %v\n", err)
 			return 1
 		}
 		fmt.Println("loadgen: store smoke check passed: zero failures")
@@ -248,6 +238,27 @@ func runStorePoint(ctx context.Context, b objstore.Backend, c int, d time.Durati
 		fmt.Fprintf(os.Stderr, "loadgen: store point %d: %d failures, first: %v\n", c, r.failed, r.firstErr)
 	}
 	return r
+}
+
+// smokeVerdict is -check's verdict over the saturation rows. Any failed
+// operation fails it (429 rejections are not failures), and so does a
+// point that completed zero ok operations — every call shed, or nothing
+// attempted at all — because such a point checked nothing.
+func smokeVerdict(rows []row) error {
+	failed, idle := 0, 0
+	for _, r := range rows {
+		failed += r.failed
+		if r.ok == 0 {
+			idle++
+		}
+	}
+	switch {
+	case failed > 0:
+		return fmt.Errorf("%d failed operations", failed)
+	case idle > 0:
+		return fmt.Errorf("%d of %d points completed zero ok operations", idle, len(rows))
+	}
+	return nil
 }
 
 // parsePoints parses the -points list.

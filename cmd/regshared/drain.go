@@ -46,15 +46,11 @@ func runDrain(runner *sim.Runner, store *sim.Store, rf *cliflags.Flags, dc drain
 		return err
 	}
 
-	storeSpec, err := rf.Store.Spec()
+	leaseSpec, err := fleet.LeaseSpec(rf.StoreSpec())
 	if err != nil {
 		return err
 	}
-	leaseSpec, err := fleet.LeaseSpec(storeSpec)
-	if err != nil {
-		return err
-	}
-	leases, err := objstore.New(leaseSpec, rf.Store.Options()...)
+	leases, err := objstore.New(leaseSpec, rf.StoreOptions()...)
 	if err != nil {
 		return err
 	}

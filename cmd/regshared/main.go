@@ -56,6 +56,7 @@
 //	regshared -addr :8347 -store fs:/var/lib/regshared
 //	regshared -addr :8347 -store s3://simstore/grid -s3-endpoint http://minio:9000
 //	regshared -addr :8347 -backend pool:8 -max-inflight 16 -max-queue 256
+//	regshared -addr 127.0.0.1:0 -store mem:   # any free port; the startup log line names it
 //	regshared -simver          # print the store envelope version and exit
 //	regshared -store fs:DIR -manifest       # print the store manifest summary and exit
 //	regshared -store fs:DIR -sync http://peer:8347   # reconcile with a peer and exit
@@ -73,6 +74,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -117,7 +119,7 @@ func main() {
 			os.Exit(1)
 		}
 		if store == nil {
-			fmt.Fprintln(os.Stderr, "regshared: -manifest and -sync need a -store (or deprecated -cachedir)")
+			fmt.Fprintln(os.Stderr, "regshared: -manifest and -sync need a -store")
 			os.Exit(1)
 		}
 		if *manifest {
@@ -150,10 +152,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if _, ok := b.Backend.(*dispatch.HTTP); ok {
-		fmt.Fprintln(os.Stderr, "regshared: an http backend is not allowed here (known: local | pool:N | batched:...)")
-		os.Exit(1)
-	}
 	defer b.Close()
 
 	var workerOpts []sim.Option
@@ -182,7 +180,6 @@ func main() {
 		dispatch.WithAdmission(*maxInflight, *maxQueue),
 		dispatch.WithRecent(*recent))
 	srv := &http.Server{
-		Addr:    *addr,
 		Handler: service.Handler(),
 		// Slowloris guard: a client gets 10s to deliver its headers, so
 		// one slow-header connection cannot hold an accept slot forever.
@@ -217,8 +214,15 @@ func main() {
 		}
 	}()
 
-	log.Printf("regshared: serving on %s (backend %s, store %s)", *addr, backendSpec, storeDesc(b.Store))
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	// Listen before logging, so the startup line names the bound
+	// address: with -addr 127.0.0.1:0 it is how a caller learns the port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	log.Printf("regshared: serving on %s (backend %s, store %s)", ln.Addr(), backendSpec, storeDesc(b.Store))
+	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -15,8 +15,7 @@
 // notably the baseline, which every grid cell compares against — run
 // exactly once, and -store persists results in the sharded
 // content-addressed store (fs:DIR, mem:, or s3://bucket/prefix) shared
-// with every other command. The -cachedir flag remains as a deprecated
-// alias for -store fs:DIR.
+// with every other command.
 //
 // Usage:
 //

@@ -45,9 +45,11 @@ var scope = map[string]bool{
 	"repro/internal/sim":         true,
 	"repro/internal/scenario":    true,
 	"repro/internal/dispatch":    true,
+	"repro/internal/fleet":       true,
+	"repro/internal/workloads":   true,
 	"repro/internal/experiments": true,
 	"repro/internal/objstore":    true,
-	"repro/internal/storeflag":   true,
+	"repro/internal/cliflags":    true,
 }
 
 func inScope(path string) bool {

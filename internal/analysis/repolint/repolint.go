@@ -7,7 +7,6 @@ package repolint
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/ctxfirst"
-	"repro/internal/analysis/depshim"
 	"repro/internal/analysis/errtaxonomy"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/nodeterm"
@@ -18,7 +17,6 @@ import (
 // Analyzers is the full repolint suite, in stable reporting order.
 var Analyzers = []*analysis.Analyzer{
 	ctxfirst.Analyzer,
-	depshim.Analyzer,
 	errtaxonomy.Analyzer,
 	hotalloc.Analyzer,
 	nodeterm.Analyzer,

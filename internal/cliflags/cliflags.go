@@ -1,9 +1,8 @@
 // Package cliflags registers the runner flag set every simulation
-// command shares — -backend, -simver, and (via internal/storeflag)
-// -store, -cachedir, -s3-endpoint and -store-cache — and resolves it
-// into the execution backend and result store a runner is built from.
-// Centralizing the registration keeps the flag names, help strings and
-// deprecation behavior identical across cmd/sweep, cmd/bench,
+// command shares — -backend, -simver, -store, -s3-endpoint and
+// -store-cache — and resolves it into the execution backend and result
+// store a runner is built from. Centralizing the registration keeps the
+// flag names and help strings identical across cmd/sweep, cmd/bench,
 // cmd/regshared, cmd/loadgen, cmd/regsim, cmd/paperfigs and
 // cmd/storagecost: a flag contract change lands in one place.
 //
@@ -31,8 +30,8 @@ import (
 	"io"
 
 	"repro/internal/dispatch"
+	"repro/internal/objstore"
 	"repro/internal/sim"
-	"repro/internal/storeflag"
 )
 
 // defaultBackendHelp documents the -backend values most commands
@@ -63,12 +62,11 @@ func WithoutBackend() Option {
 // Flags holds the registered runner flags until the command parses and
 // resolves them.
 type Flags struct {
-	backend *string
-	simver  *bool
-	// Store exposes the underlying store flag holder for commands that
-	// need the raw spec or objstore options (cmd/loadgen drives store
-	// load directly from the spec).
-	Store *storeflag.Flags
+	backend   *string
+	simver    *bool
+	store     *string
+	endpoint  *string
+	cacheTier *string
 }
 
 // RegisterRunnerFlags installs the shared runner flags on fs and
@@ -78,7 +76,11 @@ func RegisterRunnerFlags(fs *flag.FlagSet, opts ...Option) *Flags {
 	for _, o := range opts {
 		o(&c)
 	}
-	f := &Flags{Store: storeflag.Register(fs)}
+	f := &Flags{
+		store:     fs.String("store", "", "result store spec: fs:DIR | mem: | s3://bucket/prefix (empty: storage off)"),
+		endpoint:  fs.String("s3-endpoint", "", "override the s3 endpoint URL for -store s3:// (MinIO / fake server; default AWS_ENDPOINT_URL or the AWS regional endpoint)"),
+		cacheTier: fs.String("store-cache", "", "local read-through cache directory for a remote -store (s3 misses fill it; ignored for fs:/mem:)"),
+	}
 	if !c.noBackend {
 		f.backend = fs.String("backend", "local", c.backendHelp)
 	}
@@ -106,9 +108,29 @@ func (f *Flags) PrintVersion(w io.Writer) bool {
 	return true
 }
 
+// StoreSpec returns the parsed -store value. An empty spec means
+// storage off.
+func (f *Flags) StoreSpec() string { return *f.store }
+
+// StoreOptions returns the objstore options -s3-endpoint and
+// -store-cache imply, for commands that open a backend from StoreSpec
+// themselves.
+func (f *Flags) StoreOptions() []objstore.Option {
+	var opts []objstore.Option
+	if *f.endpoint != "" {
+		opts = append(opts, objstore.WithEndpoint(*f.endpoint))
+	}
+	if *f.cacheTier != "" {
+		opts = append(opts, objstore.WithLocalCache(*f.cacheTier))
+	}
+	return opts
+}
+
 // OpenStore resolves the store flags to a store. A nil store with a nil
 // error means storage off.
-func (f *Flags) OpenStore() (*sim.Store, error) { return f.Store.Open() }
+func (f *Flags) OpenStore() (*sim.Store, error) {
+	return sim.OpenStore(f.StoreSpec(), f.StoreOptions()...)
+}
 
 // Built is the resolved runner material: the execution backend (nil
 // when registered WithoutBackend) and the result store (nil when

@@ -2,27 +2,38 @@ package cliflags
 
 import (
 	"flag"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestSharedRegistration: one call registers the whole shared contract
-// — backend, simver and the four store flags.
+// registered lists the flag names RegisterRunnerFlags installed on fs.
+func registered(fs *flag.FlagSet) []string {
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	sort.Strings(names)
+	return names
+}
+
+// TestSharedRegistration: one call registers exactly the shared
+// contract — backend, simver and the three store flags — and nothing
+// else.
 func TestSharedRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	RegisterRunnerFlags(fs)
-	for _, name := range []string{"backend", "simver", "store", "cachedir", "s3-endpoint", "store-cache"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s not registered", name)
-		}
+	want := []string{"backend", "s3-endpoint", "simver", "store", "store-cache"}
+	if got := registered(fs); !reflect.DeepEqual(got, want) {
+		t.Errorf("registered flags %v, want %v", got, want)
 	}
 
 	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
 	f2 := RegisterRunnerFlags(fs2, WithoutBackend())
-	if fs2.Lookup("backend") != nil {
-		t.Error("WithoutBackend still registered -backend")
+	want = []string{"s3-endpoint", "simver", "store", "store-cache"}
+	if got := registered(fs2); !reflect.DeepEqual(got, want) {
+		t.Errorf("WithoutBackend registered flags %v, want %v", got, want)
 	}
 	if f2.BackendSpec() != "" {
 		t.Error("BackendSpec nonempty without a backend flag")
@@ -61,15 +72,65 @@ func TestPrintVersion(t *testing.T) {
 	}
 }
 
-// TestBuild: local backend + fs store resolve into runner options; a
-// bad store spec fails without leaking the backend.
-func TestBuild(t *testing.T) {
+// parse registers the runner flags on a fresh set and parses args.
+func parse(t *testing.T, args ...string) *Flags {
+	t.Helper()
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := RegisterRunnerFlags(fs)
-	if err := fs.Parse([]string{"-store", "fs:" + t.TempDir()}); err != nil {
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.Build()
+	return f
+}
+
+// TestStoreSpecPassesThrough: StoreSpec returns every -store value
+// unchanged, the empty storage-off spec included.
+func TestStoreSpecPassesThrough(t *testing.T) {
+	for _, spec := range []string{"", "fs:/tmp/x", "mem:", "s3://bucket/prefix"} {
+		if got := parse(t, "-store", spec).StoreSpec(); got != spec {
+			t.Errorf("-store %q: StoreSpec() = %q", spec, got)
+		}
+	}
+}
+
+// TestStoreOpenResolvesBackends: fs:, mem: and s3:// open (the s3 knobs
+// reach the backend through StoreOptions), no -store means storage off,
+// and a bad spec surfaces the objstore error.
+func TestStoreOpenResolvesBackends(t *testing.T) {
+	t.Setenv("AWS_ACCESS_KEY_ID", "test")
+	t.Setenv("AWS_SECRET_ACCESS_KEY", "testsecret")
+	cacheDir := t.TempDir()
+	for _, tc := range []struct {
+		args      []string
+		wantStore string // substring of the opened store's Spec
+	}{
+		{[]string{"-store", "fs:" + t.TempDir()}, "fs:"},
+		{[]string{"-store", "mem:"}, "mem:"},
+		{[]string{"-store", "s3://bucket/prefix", "-s3-endpoint", "http://127.0.0.1:9", "-store-cache", cacheDir},
+			"+cache:" + cacheDir},
+	} {
+		s, err := parse(t, tc.args...).OpenStore()
+		if err != nil {
+			t.Fatalf("OpenStore(%v): %v", tc.args, err)
+		}
+		if s == nil || !strings.Contains(s.Spec(), tc.wantStore) {
+			t.Fatalf("OpenStore(%v) = %v, want spec containing %q", tc.args, s, tc.wantStore)
+		}
+		s.Close()
+	}
+
+	if s, err := parse(t).OpenStore(); s != nil || err != nil {
+		t.Fatalf("OpenStore() with no flags = (%v, %v), want (nil, nil)", s, err)
+	}
+	if _, err := parse(t, "-store", "gopher://nope").OpenStore(); err == nil {
+		t.Fatal("bad -store spec did not error")
+	}
+}
+
+// TestBuild: the local backend and the -store store resolve into runner
+// options; a bad store spec fails without leaking the backend.
+func TestBuild(t *testing.T) {
+	b, err := parse(t, "-store", "fs:"+t.TempDir()).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,19 +138,22 @@ func TestBuild(t *testing.T) {
 	if b.Backend == nil || b.Store == nil {
 		t.Fatalf("build incomplete: %+v", b)
 	}
-	if len(b.RunnerOptions()) == 0 {
-		t.Fatal("no runner options from a backend+store build")
-	}
-	if sim.New(b.RunnerOptions()...) == nil {
+	if len(b.RunnerOptions()) == 0 || sim.New(b.RunnerOptions()...) == nil {
 		t.Fatal("options do not build a runner")
 	}
 
-	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
-	f2 := RegisterRunnerFlags(fs2)
-	if err := fs2.Parse([]string{"-store", "gopher://nope"}); err != nil {
+	// Storage off: a backend and no store.
+	off, err := parse(t).Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f2.Build(); err == nil {
+	defer off.Close()
+	if off.Backend == nil || off.Store != nil {
+		t.Fatalf("storage-off build: %+v", off)
+	}
+
+	if bad, err := parse(t, "-store", "gopher://nope").Build(); err == nil {
+		bad.Close()
 		t.Fatal("bad store spec accepted")
 	}
 

@@ -70,7 +70,7 @@ func TestPoolWorkerCrashRetries(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	dir := t.TempDir()
-	runner := sim.New(append(Options(p), sim.WithCacheDir(dir))...)
+	runner := sim.New(append(Options(p), sim.WithStore(sim.NewStore(dir)))...)
 
 	// Big enough that the kill below is guaranteed to land mid-request
 	// (~1s of simulation at the measured cycles/sec).

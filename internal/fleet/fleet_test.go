@@ -121,7 +121,7 @@ func TestDrainSingleHostAndResume(t *testing.T) {
 	dir := t.TempDir()
 	leases := objstore.NewMem()
 
-	sum, err := Drain(bg, m, sim.New(sim.WithCacheDir(dir), sim.WithWorkers(2)), leases,
+	sum, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2)), leases,
 		Config{Host: "a", ShardCells: 2, Sleep: fastSleep})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestDrainSingleHostAndResume(t *testing.T) {
 
 	// Crash-resume shape: leases lost, store kept. Everything is a store
 	// hit; nothing re-simulates.
-	sum2, err := Drain(bg, m, sim.New(sim.WithCacheDir(dir), sim.WithWorkers(2)), objstore.NewMem(),
+	sum2, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2)), objstore.NewMem(),
 		Config{Host: "a", ShardCells: 2, Sleep: fastSleep})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestDrainSingleHostAndResume(t *testing.T) {
 	}
 
 	// Same leases again: every shard reads done, no claims taken.
-	sum3, err := Drain(bg, m, sim.New(sim.WithCacheDir(dir), sim.WithWorkers(2)), leases,
+	sum3, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2)), leases,
 		Config{Host: "b", ShardCells: 2, Sleep: fastSleep})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestDrainTwoHostsByteIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int, host string) {
 			defer wg.Done()
-			r := sim.New(sim.WithCacheDir(dir), sim.WithWorkers(2))
+			r := sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2))
 			sums[i], errs[i] = Drain(bg, m, r, leases, cfg(host))
 		}(i, host)
 	}
@@ -227,12 +227,12 @@ func TestDrainDisjointRanges(t *testing.T) {
 	m := expandFleet(t)
 	dir := t.TempDir()
 	leases := objstore.NewMem()
-	a, err := Drain(bg, m, sim.New(sim.WithCacheDir(dir), sim.WithWorkers(2)), leases,
+	a, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2)), leases,
 		Config{Host: "a", ShardCells: 2, Cells: Range{0, 4}, Sleep: fastSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Drain(bg, m, sim.New(sim.WithCacheDir(dir), sim.WithWorkers(2)), leases,
+	b, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2)), leases,
 		Config{Host: "b", ShardCells: 2, Cells: Range{4, 8}, Sleep: fastSleep})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestDrainStaleTakeover(t *testing.T) {
 	plant(0, Claim{Holder: "dead", Epoch: 1, Gen: 7})
 	plant(1, Claim{Holder: "peer", Epoch: 3, Gen: 2, Done: true})
 
-	sum, err := Drain(bg, m, sim.New(sim.WithCacheDir(t.TempDir()), sim.WithWorkers(2)), leases,
+	sum, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(t.TempDir())), sim.WithWorkers(2)), leases,
 		Config{Host: "b", ShardCells: 2, StalePolls: 3, Sleep: fastSleep})
 	if err != nil {
 		t.Fatal(err)

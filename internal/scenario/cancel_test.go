@@ -28,7 +28,7 @@ func TestCancelMidGridLeavesStoreConsistent(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	completed := 0
-	r1 := sim.New(sim.WithCacheDir(dir))
+	r1 := sim.New(sim.WithStore(sim.NewStore(dir)))
 	_, err := m.Run(ctx, r1, func(ev sim.Event) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -61,7 +61,7 @@ func TestCancelMidGridLeavesStoreConsistent(t *testing.T) {
 	// Resume with a fresh context on the same store: the completed
 	// prefix is served from disk, the rest simulates, and the report is
 	// bit-identical to an uninterrupted control run.
-	r2 := sim.New(sim.WithCacheDir(dir))
+	r2 := sim.New(sim.WithStore(sim.NewStore(dir)))
 	resumed, err := s.MustExpand(Overrides{}).Run(context.Background(), r2, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,7 @@ import (
 )
 
 // auditedPackages are the directories whose exported identifiers must
-// all carry doc comments — the packages this repo's docs pass gates (CI
-// runs this test in the docs job).
+// all carry doc comments — the packages this repo's docs pass gates.
 var auditedPackages = []string{".", "../sim"}
 
 // TestExportedIdentifiersDocumented fails on any exported top-level

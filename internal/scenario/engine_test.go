@@ -140,7 +140,7 @@ func TestHundredCellGridThroughStore(t *testing.T) {
 		t.Fatalf("got %d deduplicated requests, want %d", len(m.Requests), want)
 	}
 
-	r1 := sim.New(sim.WithCacheDir(dir))
+	r1 := sim.New(sim.WithStore(sim.NewStore(dir)))
 	rep1, err := m.Run(context.Background(), r1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestHundredCellGridThroughStore(t *testing.T) {
 		t.Fatalf("store holds %d entries after the run, want %d", got, len(m.Requests))
 	}
 
-	r2 := sim.New(sim.WithCacheDir(dir))
+	r2 := sim.New(sim.WithStore(sim.NewStore(dir)))
 	rep2, err := s.MustExpand(Overrides{}).Run(context.Background(), r2, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestWithExecutorReplacesExecution(t *testing.T) {
 		return Simulate(ctx, req)
 	}
 	dir := t.TempDir()
-	r := New(WithExecutor(exec), WithCacheDir(dir))
+	r := New(WithExecutor(exec), WithStore(NewStore(dir)))
 
 	req := quickReq("gzip")
 	var ev Event
@@ -41,7 +41,7 @@ func TestWithExecutorReplacesExecution(t *testing.T) {
 	failing := func(ctx context.Context, req Request) (*Result, error) {
 		return nil, errors.New("must not execute: the store has this result")
 	}
-	r2 := New(WithExecutor(failing), WithCacheDir(dir))
+	r2 := New(WithExecutor(failing), WithStore(NewStore(dir)))
 	if _, err := r2.Run(bg, req); err != nil {
 		t.Fatal(err)
 	}

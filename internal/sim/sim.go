@@ -137,20 +137,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithCacheDir enables the filesystem-backed result store under dir
-// (see Store). An empty dir leaves the store off.
-//
-// Deprecated: WithCacheDir predates the pluggable storage seam; new
-// code should open a store from its -store spec (OpenStore / the
-// internal/storeflag block) and pass it via WithStore.
-func WithCacheDir(dir string) Option {
-	return func(r *Runner) {
-		if dir != "" {
-			r.store = NewStore(dir)
-		}
-	}
-}
-
 // WithStore attaches an existing on-disk result store to the Runner.
 func WithStore(s *Store) Option {
 	return func(r *Runner) { r.store = s }

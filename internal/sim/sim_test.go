@@ -94,14 +94,14 @@ func TestKeyDistinguishesRequests(t *testing.T) {
 // the result instead of simulating.
 func TestDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	r1 := New(WithCacheDir(dir))
+	r1 := New(WithStore(NewStore(dir)))
 	want := r1.MustRun(bg, quickReq("crafty"))
 	files, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cache dir files = %v, err = %v", files, err)
 	}
 
-	r2 := New(WithCacheDir(dir))
+	r2 := New(WithStore(NewStore(dir)))
 	got := r2.MustRun(bg, quickReq("crafty"))
 	if c := r2.Counters(); c.Simulated != 0 || c.DiskHits != 1 {
 		t.Fatalf("second runner did not load from disk: %+v", c)
@@ -115,13 +115,13 @@ func TestDiskRoundTrip(t *testing.T) {
 // simulation instead of failing or returning garbage.
 func TestDiskCacheIgnoresCorruptFile(t *testing.T) {
 	dir := t.TempDir()
-	r1 := New(WithCacheDir(dir))
+	r1 := New(WithStore(NewStore(dir)))
 	r1.MustRun(bg, quickReq("crafty"))
 	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.json"))
 	if err := os.WriteFile(files[0], []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r2 := New(WithCacheDir(dir))
+	r2 := New(WithStore(NewStore(dir)))
 	r2.MustRun(bg, quickReq("crafty"))
 	if c := r2.Counters(); c.Simulated != 1 || c.DiskHits != 0 {
 		t.Fatalf("corrupt cache entry not re-simulated: %+v", c)

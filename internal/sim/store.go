@@ -17,8 +17,8 @@ import (
 const storeSchema = "rs1"
 
 // Store is the sharded, content-addressed result store behind the
-// -store flag (and the deprecated WithCacheDir). It is a thin envelope-validation
-// layer over a pluggable objstore.Backend — the local filesystem, an
+// -store flag. It is a thin envelope-validation layer over a
+// pluggable objstore.Backend — the local filesystem, an
 // in-process map, or an s3/MinIO bucket shared by a whole fleet — and
 // one store (or one shared bucket) can serve many concurrent processes
 // and grids of many thousands of cells:

@@ -30,7 +30,7 @@ func streamReqs(n int) []Request {
 // dir SourceStore.
 func TestStreamEventsAndProvenance(t *testing.T) {
 	dir := t.TempDir()
-	r := New(WithCacheDir(dir))
+	r := New(WithStore(NewStore(dir)))
 	reqs := streamReqs(4)
 
 	var events []Event
@@ -75,7 +75,7 @@ func TestStreamEventsAndProvenance(t *testing.T) {
 	}
 
 	// Fresh runner, same store dir: on-disk provenance.
-	r2 := New(WithCacheDir(dir))
+	r2 := New(WithStore(NewStore(dir)))
 	_, err = r2.Stream(bg, reqs, func(ev Event) {
 		if ev.Source != SourceStore {
 			t.Errorf("stored request %d has provenance %v, want store", ev.Index, ev.Source)
@@ -186,7 +186,7 @@ func TestDeadlineExceededTaxonomy(t *testing.T) {
 // uninterrupted control run bit for bit.
 func TestCancelMidSimulationDoesNotPoisonStores(t *testing.T) {
 	dir := t.TempDir()
-	r := New(WithCacheDir(dir))
+	r := New(WithStore(NewStore(dir)))
 	req := quickReq("crafty")
 	req.Measure = 5_000_000 // long enough that the cancel lands mid-loop
 

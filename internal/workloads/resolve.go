@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -259,16 +260,12 @@ func canonicalGenName(g *Generator, point map[string]float64) string {
 	return b.String()
 }
 
-// catalogTables is the memoized index over Catalog(): name lookup,
-// name lists and the named groups, computed once. The group-table
-// memoization is what makes the deprecated Group/Names shims (and the
-// new Members surface) zero-alloc per call.
+// catalogTables is the memoized index over Catalog(): name lookup, the
+// name list and the named groups, computed once. The group-table
+// memoization is what makes Members zero-alloc per call.
 type catalogTables struct {
 	byName     map[string]Spec
 	names      []string
-	intNames   []string
-	fpNames    []string
-	groups     map[string][]string
 	members    map[string][]Spec
 	groupNames []string
 }
@@ -278,33 +275,28 @@ var tables = sync.OnceValue(func() *catalogTables {
 	specs := Catalog()
 	t := &catalogTables{
 		byName:     make(map[string]Spec, len(specs)),
-		groups:     make(map[string][]string, 4),
-		members:    make(map[string][]Spec, 4),
 		groupNames: []string{"all", "int", "fp", "branch-hostile"},
 	}
-	var hostile []string
+	var ints, fps, hostile []Spec
 	for _, s := range specs {
 		t.byName[s.Name] = s
 		t.names = append(t.names, s.Name)
 		if s.FP {
-			t.fpNames = append(t.fpNames, s.Name)
+			fps = append(fps, s)
 		} else {
-			t.intNames = append(t.intNames, s.Name)
+			ints = append(ints, s)
 		}
 		if s.HardBranchPct >= 0.4 {
-			hostile = append(hostile, s.Name)
+			hostile = append(hostile, s)
 		}
 	}
-	t.groups["all"] = t.names
-	t.groups["int"] = t.intNames
-	t.groups["fp"] = t.fpNames
-	t.groups["branch-hostile"] = hostile
-	for name, members := range t.groups {
-		specs := make([]Spec, len(members))
-		for i, n := range members {
-			specs[i] = t.byName[n]
-		}
-		t.members[name] = specs
+	// Clipped, so a caller's append copies instead of writing into the
+	// shared tables.
+	t.members = map[string][]Spec{
+		"all":            specs,
+		"int":            slices.Clip(ints),
+		"fp":             slices.Clip(fps),
+		"branch-hostile": slices.Clip(hostile),
 	}
 	return t
 })

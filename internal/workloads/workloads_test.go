@@ -12,8 +12,10 @@ func TestCatalogShape(t *testing.T) {
 	if len(specs) != 36 {
 		t.Fatalf("catalog has %d benchmarks, want 36 (18 INT + 18 FP, §5.2)", len(specs))
 	}
-	if len(IntNames()) != 18 || len(FPNames()) != 18 {
-		t.Fatalf("suite split %d/%d, want 18/18", len(IntNames()), len(FPNames()))
+	ints, _ := Members("int")
+	fps, _ := Members("fp")
+	if len(ints) != 18 || len(fps) != 18 {
+		t.Fatalf("suite split %d/%d, want 18/18", len(ints), len(fps))
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
@@ -24,15 +26,20 @@ func TestCatalogShape(t *testing.T) {
 	}
 	// The benchmarks the paper's discussion leans on must exist.
 	for _, n := range []string{"crafty", "vortex", "namd", "astar", "hmmer", "wupwise", "applu", "mgrid", "gamess", "gromacs", "bzip"} {
-		if _, err := ByName(n); err != nil {
+		if _, err := Resolve(n); err != nil {
 			t.Errorf("missing paper benchmark %q", n)
 		}
 	}
 }
 
+// TestByNameUnknown: the catalog's by-name index rejects a name it does
+// not hold, through Resolve and through CanonicalName's fast path.
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("not-a-benchmark"); err == nil {
-		t.Fatal("unknown name accepted")
+	if _, err := Resolve("not-a-benchmark"); err == nil {
+		t.Fatal("Resolve accepted an unknown name")
+	}
+	if _, err := CanonicalName("not-a-benchmark"); err == nil {
+		t.Fatal("CanonicalName accepted an unknown name")
 	}
 }
 
@@ -80,7 +87,7 @@ func TestAllBenchmarksExecute(t *testing.T) {
 // TestDeterminism: building and executing twice must produce identical
 // streams (the reproducibility requirement).
 func TestDeterminism(t *testing.T) {
-	s, _ := ByName("gcc")
+	s, _ := Resolve("gcc")
 	e1 := program.NewExecutor(Build(s))
 	e2 := program.NewExecutor(Build(s))
 	var a, b isa.Uop
@@ -96,7 +103,7 @@ func TestDeterminism(t *testing.T) {
 // TestBranchOutcomeDiversity: hard-branch benchmarks must have both taken
 // and not-taken outcomes at data-dependent sites.
 func TestBranchOutcomeDiversity(t *testing.T) {
-	s, _ := ByName("gobmk") // HardBranchPct 0.5
+	s, _ := Resolve("gobmk") // HardBranchPct 0.5
 	p := Build(s)
 	e := program.NewExecutor(p)
 	var u isa.Uop
@@ -128,7 +135,7 @@ func TestBranchOutcomeDiversity(t *testing.T) {
 // contain them (the quota system's guarantee).
 func TestPatternSites(t *testing.T) {
 	for _, name := range []string{"hmmer", "gamess", "gromacs", "bzip", "wupwise", "applu"} {
-		s, _ := ByName(name)
+		s, _ := Resolve(name)
 		p := Build(s)
 		var fdLoads, trapLoads int
 		for pc := p.Entry(); pc < p.Entry()+uint64(p.NumInsts()*4)+64; pc += 4 {
@@ -155,7 +162,7 @@ func TestPatternSites(t *testing.T) {
 // TestMoveWidthMix: the x86_64 story needs non-eliminable (8/16-bit)
 // moves in the stream of move-heavy benchmarks.
 func TestMoveWidthMix(t *testing.T) {
-	s, _ := ByName("vortex")
+	s, _ := Resolve("vortex")
 	e := program.NewExecutor(Build(s))
 	var u isa.Uop
 	widths := map[uint8]int{}
