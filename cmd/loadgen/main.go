@@ -11,18 +11,9 @@
 // hint. After the last point, the service's GET /metrics snapshot is
 // fetched and summarized.
 //
-// -bulk B switches the wire from POST /v1/run to the batch endpoint:
-// each loop iteration sends B sweep cells as one POST /v1/runs call.
-// Accounting stays per item — every cell in a batch counts ok,
-// rejected or failed individually (in-band per-item 429s are how the
-// admission gate sheds bulk load), so the ok/rejected/failed columns
-// compare directly against the per-request curve; only the wire
-// round-trip count changes.
-//
 // Usage:
 //
 //	loadgen -url http://localhost:8347 -points 1,2,4,8,16 -duration 5s
-//	loadgen -url http://localhost:8347 -points 1,2,4 -duration 5s -bulk 8
 //	loadgen -url http://localhost:8347 -points 4 -duration 2s -check
 //	loadgen -store s3://simstore/grid -s3-endpoint http://127.0.0.1:9000 -points 1,4 -duration 2s
 //
@@ -69,7 +60,6 @@ func main() {
 		warmup   = flag.Uint64("warmup", 200, "warmup µops per request")
 		measure  = flag.Uint64("measure", 20000, "measured µops per request")
 		grid     = flag.Int("grid", 8, "distinct sweep cells (ROB sizes) per client loop")
-		bulk     = flag.Int("bulk", 0, "cells per POST /v1/runs batch (0 or 1: per-request POST /v1/run)")
 		check    = flag.Bool("check", false, "smoke mode: exit 1 on any failure, a point with zero ok results, or a malformed /metrics snapshot")
 	)
 	rf := cliflags.RegisterRunnerFlags(flag.CommandLine, cliflags.WithoutBackend())
@@ -93,7 +83,7 @@ func main() {
 	ctx := sim.SignalContext()
 	var rows []row
 	for _, c := range clients {
-		r := runPoint(ctx, *url, c, *duration, reqs, *bulk)
+		r := runPoint(ctx, *url, c, *duration, reqs)
 		rows = append(rows, r)
 		if ctx.Err() != nil {
 			break
@@ -295,7 +285,6 @@ func buildSweep(bench string, warmup, measure uint64, n int) []sim.Request {
 // row is one offered-load point's aggregate.
 type row struct {
 	clients   int
-	bulk      int
 	elapsed   time.Duration
 	attempted int
 	ok        int
@@ -315,9 +304,8 @@ type clientResult struct {
 }
 
 // runPoint drives one offered-load point: c concurrent clients looping
-// over the sweep for d, each iteration one POST /v1/run — or, with
-// bulk > 1, one POST /v1/runs carrying bulk cells.
-func runPoint(ctx context.Context, url string, c int, d time.Duration, reqs []sim.Request, bulk int) row {
+// over the sweep for d, each iteration one POST /v1/run.
+func runPoint(ctx context.Context, url string, c int, d time.Duration, reqs []sim.Request) row {
 	results := make([]clientResult, c)
 	start := time.Now()
 	deadline := start.Add(d)
@@ -330,20 +318,8 @@ func runPoint(ctx context.Context, url string, c int, d time.Duration, reqs []si
 			h.SetClientID(fmt.Sprintf("loadgen-%d", id))
 			defer h.Close()
 			cr := &results[id]
-			for i := id; time.Now().Before(deadline) && ctx.Err() == nil; {
-				if bulk > 1 {
-					chunk := make([]sim.Request, bulk)
-					for j := range bulk {
-						chunk[j] = reqs[(i+j)%len(reqs)]
-					}
-					i += bulk
-					if !runBatch(ctx, h, chunk, cr) {
-						return
-					}
-					continue
-				}
+			for i := id; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
 				req := reqs[i%len(reqs)]
-				i++
 				t0 := time.Now()
 				res, err := h.Execute(ctx, req)
 				lat := time.Since(t0)
@@ -368,7 +344,7 @@ func runPoint(ctx context.Context, url string, c int, d time.Duration, reqs []si
 	}
 	wg.Wait()
 
-	r := row{clients: c, bulk: bulk, elapsed: time.Since(start)}
+	r := row{clients: c, elapsed: time.Since(start)}
 	var lats []time.Duration
 	for i := range results {
 		cr := &results[i]
@@ -389,53 +365,6 @@ func runPoint(ctx context.Context, url string, c int, d time.Duration, reqs []si
 		fmt.Fprintf(os.Stderr, "loadgen: point %d: %d failures, first: %v\n", c, r.failed, r.firstErr)
 	}
 	return r
-}
-
-// runBatch sends one bulk batch and books every item individually, so
-// the curve's ok/rejected/failed columns mean the same thing they mean
-// per-request. Each item is charged the batch's wall latency — the
-// latency a caller of that cell actually observed. Returns false when
-// the run is canceled.
-func runBatch(ctx context.Context, h *dispatch.HTTP, chunk []sim.Request, cr *clientResult) bool {
-	t0 := time.Now()
-	items, err := h.ExecuteBatch(ctx, chunk)
-	lat := time.Since(t0)
-	if err != nil {
-		if errors.Is(err, sim.ErrCanceled) {
-			return false
-		}
-		// A whole-batch transport failure failed every cell in it.
-		cr.failed += len(chunk)
-		if cr.firstErr == nil {
-			cr.firstErr = err
-		}
-		return true
-	}
-	backoff := time.Duration(0)
-	for _, it := range items {
-		switch {
-		case it.Err == nil:
-			cr.ok++
-			cr.cycles += it.Res.S.Cycles
-			cr.lats = append(cr.lats, lat)
-		case errors.Is(it.Err, dispatch.ErrOverloaded):
-			cr.rejected++
-			backoff = max(backoff, overloadBackoff(it.Err))
-		case errors.Is(it.Err, sim.ErrCanceled):
-			return false
-		default:
-			cr.failed++
-			if cr.firstErr == nil {
-				cr.firstErr = it.Err
-			}
-		}
-	}
-	// One backoff per batch, sized by the worst per-item hint: the
-	// shed items all came from the same gate snapshot.
-	if backoff > 0 {
-		sleepCtx(ctx, backoff)
-	}
-	return true
 }
 
 // overloadBackoff sizes the 429 backoff from the error's Retry-After
@@ -473,20 +402,15 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 // printTable renders the saturation table (markdown, which reads fine
 // raw and pastes straight into docs/BENCH.md).
 func printTable(w *os.File, rows []row) {
-	fmt.Fprintln(w, "| clients | bulk | offered cells/s | ok cells/s | rejected/s | p50 ms | p99 ms | delivered Mcycles/s |")
-	fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|---:|---:|")
+	fmt.Fprintln(w, "| clients | offered cells/s | ok cells/s | rejected/s | p50 ms | p99 ms | delivered Mcycles/s |")
+	fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|---:|")
 	for _, r := range rows {
 		secs := r.elapsed.Seconds()
 		if secs <= 0 {
 			secs = 1e-9
 		}
-		mode := "-"
-		if r.bulk > 1 {
-			mode = strconv.Itoa(r.bulk)
-		}
-		fmt.Fprintf(w, "| %d | %s | %.1f | %.1f | %.1f | %.2f | %.2f | %.2f |\n",
+		fmt.Fprintf(w, "| %d | %.1f | %.1f | %.1f | %.2f | %.2f | %.2f |\n",
 			r.clients,
-			mode,
 			float64(r.attempted)/secs,
 			float64(r.ok)/secs,
 			float64(r.rejected)/secs,

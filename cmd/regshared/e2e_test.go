@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -14,15 +13,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/fleet"
 )
 
 // TestEndToEnd builds regshared, sweep, loadgen and fakes3 and drives
 // the real binaries through the command paths only a multi-process run
-// exercises: a pool-backed service under loadgen, two federating hosts,
-// two drain processes racing on one fs: lease area, and the s3 store
-// against the fake. Properties the in-process tests already pin are
+// exercises: a pool-backed service under loadgen, two drain processes
+// racing on one fs: lease area, and the s3 store against the fake. Properties the in-process tests already pin are
 // left to them.
 func TestEndToEnd(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -49,36 +46,10 @@ func TestEndToEnd(t *testing.T) {
 		url := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0",
 			"-store", "fs:"+t.TempDir(), "-backend", "pool:2", "-max-inflight", "4", "-max-queue", "16")
 		run(t, loadgen, "-url", url, "-points", "2,4", "-duration", "1s", "-check")
-		run(t, loadgen, "-url", url, "-points", "2,4", "-duration", "1s", "-bulk", "4", "-check")
 		// A point that completes no request checks nothing, even when
 		// the service already served others.
 		if out, err := output(loadgen, "-url", url, "-points", "2", "-duration", "1ns", "-check"); err == nil {
 			t.Errorf("loadgen -check passed a point with zero ok requests:\n%s", out)
-		}
-	})
-
-	t.Run("federation", func(t *testing.T) {
-		storeA := "fs:" + t.TempDir()
-		urlA := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0", "-store", storeA)
-		urlB := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0", "-store", "fs:"+t.TempDir())
-		// Same scenario, different measure lengths: the store keys cover
-		// the whole request, so the two warm stores are disjoint.
-		run(t, sweep, "-scenario", "ddt", "-bench", "crafty", "-warmup", "200", "-measure", "1500", "-backend", urlA)
-		run(t, sweep, "-scenario", "ddt", "-bench", "crafty", "-warmup", "200", "-measure", "1600", "-backend", urlB)
-
-		run(t, regshared, "-store", storeA, "-sync", urlB)
-		rootA, _ := printedManifest(t, run(t, regshared, "-store", storeA, "-manifest"))
-		h := dispatch.NewHTTP(urlB)
-		defer h.Close()
-		peer, err := h.Manifest(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rootA != peer.Root {
-			t.Errorf("after -sync host A's root %s, peer serves %s", rootA, peer.Root)
-		}
-		if out := run(t, regshared, "-store", storeA, "-sync", urlB); !strings.HasPrefix(out, "in sync") {
-			t.Errorf("second -sync was not a no-op:\n%s", out)
 		}
 	})
 

@@ -6,23 +6,12 @@
 // Endpoints:
 //
 //	POST /v1/run              one sim.Request in, one sim.Result out
-//	POST /v1/runs             a batch of requests in, per-item results or
-//	                          typed errors out (one HTTP round trip; 429
-//	                          shedding is per item, in band)
 //	POST /v1/stream           {"requests":[...]} in, an NDJSON stream of
 //	                          completion events out (mirrors sim.Stream),
 //	                          sealed by a {"done":true,"events":N} trailer
 //	GET  /v1/results/{key}    a completed result straight from the sharded
-//	                          on-disk store, addressed by sim.Key
-//	GET  /v1/manifest         the store's Merkle manifest summary (root
-//	                          hash, height, entry count)
-//	GET  /v1/manifest/node    one manifest tree node by ?path= ('0'/'1'
-//	                          bits from the root), for the sync diff walk
-//	GET  /v1/manifest/shard/{shard}  one shard's entry names and digests
-//	GET  /v1/store/{name}     one raw store envelope by entry name
-//	POST /v1/sync             envelopes pushed by a peer; each is
-//	                          validated (schema, simulator version,
-//	                          key-derived name) before landing in the store
+//	                          on-disk store, addressed by sim.Key of the
+//	                          canonical request
 //	GET  /metrics             service counters, queue/in-flight gauges,
 //	                          store hit rate, per-endpoint p50/p99
 //	GET  /v1/requests/recent  the last-N requests' stage-stamped metrics
@@ -39,17 +28,14 @@
 // service answers 429 with a Retry-After hint instead of queueing
 // unboundedly. cmd/loadgen drives the saturation curve.
 //
-// Two hosts running regshared with their own -store federate
-// through the manifest: `regshared -store fs:DIR -sync URL` walks the
-// peer's Merkle tree (O(log shards) hash exchanges), transfers only
-// the envelopes one side is missing — pulls and pushes — and exits.
-//
-// N hosts sharing ONE -store bucket instead drain a fleet-scale grid
-// cooperatively: `regshared -store fs:DIR -drain fleet-grid` leases
-// contiguous cell shards via claim objects in the bucket's lease area
-// (see internal/fleet), simulates its share, and exits with a drain
-// summary — resumable, exactly-once across hosts, with the store's
-// Merkle manifest as the single source of truth.
+// Hosts share results through one -store bucket (a shared fs:
+// directory, or s3:// with -store-cache as a local read tier): every
+// host's runner reads and writes the same entries. N such hosts drain a
+// fleet-scale grid cooperatively: `regshared -store fs:DIR -drain
+// fleet-grid` leases contiguous cell shards via claim objects in the
+// bucket's lease area (see internal/fleet), simulates its share, and
+// exits with a drain summary — resumable, exactly-once across hosts,
+// with the store's Merkle manifest as the single source of truth.
 //
 // Usage:
 //
@@ -59,7 +45,6 @@
 //	regshared -addr 127.0.0.1:0 -store mem:   # any free port; the startup log line names it
 //	regshared -simver          # print the store envelope version and exit
 //	regshared -store fs:DIR -manifest       # print the store manifest summary and exit
-//	regshared -store fs:DIR -sync http://peer:8347   # reconcile with a peer and exit
 //	regshared -store fs:DIR -drain fleet-grid -host a   # drain one grid as a fleet host
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight requests
@@ -94,7 +79,6 @@ func main() {
 		maxQueue    = flag.Int("max-queue", 1024, "admission: max queued requests before 429 + Retry-After (negative: no queue, reject beyond -max-inflight)")
 		recent      = flag.Int("recent", 256, "size of the /v1/requests/recent ring buffer")
 		manifest    = flag.Bool("manifest", false, "print the -store store's Merkle manifest summary and exit")
-		syncURL     = flag.String("sync", "", "reconcile the -store store with the regshared at this URL, print the transfer stats, and exit")
 
 		drainSpec  = flag.String("drain", "", "drain a scenario's grid as one fleet host and exit: a builtin name or .scenario path (needs a shared fs:/s3:// -store)")
 		host       = flag.String("host", "", "-drain: this host's name in lease claims (default hostname.pid)")
@@ -106,30 +90,23 @@ func main() {
 		measure    = flag.Uint64("measure", 0, "-drain: override the scenario's measured µops")
 	)
 	rf := cliflags.RegisterRunnerFlags(flag.CommandLine,
-		cliflags.WithBackendHelp("execution backend: local | pool:N | batched:local | batched:pool:N"))
+		cliflags.WithBackendHelp("execution backend: local | pool:N"))
 	flag.Parse()
 
 	if rf.PrintVersion(os.Stdout) {
 		return
 	}
-	if *manifest || *syncURL != "" {
+	if *manifest {
 		store, err := rf.OpenStore()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		if store == nil {
-			fmt.Fprintln(os.Stderr, "regshared: -manifest and -sync need a -store")
+			fmt.Fprintln(os.Stderr, "regshared: -manifest needs a -store")
 			os.Exit(1)
 		}
-		if *manifest {
-			if err := printManifest(store); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runSync(store, *syncURL); err != nil {
+		if err := printManifest(store); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -140,11 +117,11 @@ func main() {
 	if strings.Contains(backendSpec, "http://") || strings.Contains(backendSpec, "https://") {
 		// A service proxying to a service invites request loops — most
 		// treacherously to itself, where every /v1/run would re-enter
-		// /v1/run until sockets run out (batched: wrapping does not make
-		// that safe, hence the spec check rather than a type check).
-		// Chain by pointing clients at the upstream service instead; the
-		// same holds for a drain host.
-		fmt.Fprintln(os.Stderr, "regshared: an http backend is not allowed here (known: local | pool:N | batched:...)")
+		// /v1/run until sockets run out. The spec is checked before
+		// rf.Build opens the backend and the store, so a refused
+		// invocation touches neither. Chain by pointing clients at the
+		// upstream service instead; the same holds for a drain host.
+		fmt.Fprintln(os.Stderr, "regshared: an http backend is not allowed here (known: local | pool:N)")
 		os.Exit(1)
 	}
 	b, err := rf.Build()
@@ -237,8 +214,8 @@ func storeDesc(store *sim.Store) string {
 	return store.Spec()
 }
 
-// printManifest prints the local store's Merkle manifest summary —
-// what a peer would see from GET /v1/manifest.
+// printManifest prints the store's Merkle manifest summary: hosts
+// sharing one bucket print the same root.
 func printManifest(store *sim.Store) error {
 	m, err := store.Manifest(sim.SignalContext())
 	if err != nil {
@@ -249,29 +226,5 @@ func printManifest(store *sim.Store) error {
 	fmt.Printf("root:        %s\n", m.Root)
 	fmt.Printf("height:      %d (%d shards)\n", m.Height, sim.ShardCount)
 	fmt.Printf("entries:     %d\n", m.Entries)
-	return nil
-}
-
-// runSync reconciles the local store with the regshared at url and
-// prints the transfer stats.
-func runSync(store *sim.Store, url string) error {
-	h := dispatch.NewHTTP(url)
-	defer h.Close()
-	st, err := h.Sync(sim.SignalContext(), store)
-	if err != nil {
-		return err
-	}
-	if st.InSync {
-		fmt.Printf("in sync with %s (1 hash exchange, nothing transferred)\n", url)
-		return nil
-	}
-	fmt.Printf("synced with %s: %d shards differed, %d hash exchanges\n", url, st.ShardsDiffer, st.HashExchanges)
-	fmt.Printf("pulled: %d (%d rejected locally)\n", st.Pulled, st.PullRejected)
-	fmt.Printf("pushed: %d (%d rejected by the peer)\n", st.Pushed, st.PushRejected)
-	m, err := store.Manifest(sim.SignalContext())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("root:   %s (%d entries)\n", m.Root, m.Entries)
 	return nil
 }

@@ -56,24 +56,10 @@ type Backend interface {
 //	"" or "local"        the in-process backend
 //	"pool:N"             N worker subprocesses (N >= 1)
 //	"http://addr[:port]" the regshared service at addr (https too)
-//	"batched:<spec>"     a size+deadline Batcher over any of the above,
-//	                     coalescing concurrent requests into one worker
-//	                     frame / one bulk POST /v1/runs call per batch
 func New(spec string) (Backend, error) {
 	switch {
 	case spec == "" || spec == "local":
 		return Local{}, nil
-	case strings.HasPrefix(spec, "batched:"):
-		inner, err := New(strings.TrimPrefix(spec, "batched:"))
-		if err != nil {
-			return nil, err
-		}
-		bulk, ok := inner.(BulkBackend)
-		if !ok {
-			inner.Close()
-			return nil, fmt.Errorf("dispatch: backend %q cannot batch", spec)
-		}
-		return NewBatcher(bulk, 0, 0), nil
 	case strings.HasPrefix(spec, "pool:"):
 		n, err := strconv.Atoi(strings.TrimPrefix(spec, "pool:"))
 		if err != nil || n < 1 {
@@ -94,9 +80,6 @@ func New(spec string) (Backend, error) {
 // the client just needs enough requests in flight to keep a large
 // remote pool fed — a local GOMAXPROCS gate on a laptop would idle a
 // 64-worker service.
-// A Batcher needs the most width of all: its batches only fill when
-// BatchSize requests are in flight per unit of underlying concurrency,
-// so its width is the underlying backend's width times the batch size.
 func Options(b Backend) []sim.Option {
 	opts := []sim.Option{sim.WithExecutor(b.Execute)}
 	if w := width(b); w > 0 {
@@ -113,12 +96,6 @@ func width(b Backend) int {
 		return be.Size()
 	case *HTTP:
 		return max(16, 4*runtime.GOMAXPROCS(0))
-	case *Batcher:
-		w := width(be.be)
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		return be.size * w
 	}
 	return 0
 }
@@ -131,19 +108,6 @@ type Local struct{}
 // Execute runs req on this process.
 func (Local) Execute(ctx context.Context, req sim.Request) (*sim.Result, error) {
 	return sim.Simulate(ctx, req)
-}
-
-// ExecuteBatch runs the batch in-process, sequentially — there is no
-// wire to amortize, so the batch is just a loop with per-item outcomes.
-// It exists so `batched:local` exercises the whole batching path with
-// zero transport, which is what the property tests pin.
-func (Local) ExecuteBatch(ctx context.Context, reqs []sim.Request) ([]BatchItem, error) {
-	items := make([]BatchItem, len(reqs))
-	for i := range reqs {
-		res, err := sim.Simulate(ctx, reqs[i])
-		items[i] = BatchItem{Res: res, Err: err}
-	}
-	return items, nil
 }
 
 // Close is a no-op: Local holds no resources.

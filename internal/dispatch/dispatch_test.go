@@ -28,6 +28,8 @@ func TestNewParsesBackendSpecs(t *testing.T) {
 		{spec: "pool:", wantErr: true},
 		{spec: "tcp://example", wantErr: true},
 		{spec: "remote", wantErr: true},
+		{spec: "batched:local", wantErr: true},
+		{spec: "batched:pool:2", wantErr: true},
 	}
 	for _, c := range cases {
 		b, err := New(c.spec)

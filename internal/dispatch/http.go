@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -115,61 +116,6 @@ func (h *HTTP) Execute(ctx context.Context, req sim.Request) (*sim.Result, error
 	return &res, nil
 }
 
-// ExecuteBatch runs a coalesced batch as one POST /v1/runs call and
-// reconstructs per-item typed outcomes. An in-band 429 item keeps its
-// Retry-After hint (RetryAfter works on it), so shedding behaves like
-// the unbatched path. Only a transport-level failure — connection,
-// simver skew, a non-200 status — fails the call as a whole.
-func (h *HTTP) ExecuteBatch(ctx context.Context, reqs []sim.Request) ([]BatchItem, error) {
-	body, err := json.Marshal(bulkRequest{Requests: reqs})
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: encoding request batch: %w", err)
-	}
-	hreq, err := h.newRequest(ctx, http.MethodPost, "/v1/runs", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	resp, err := h.client.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, canceledErr("batch", ctxCause(ctx))
-		}
-		return nil, fmt.Errorf("dispatch: %s: %w", h.base, err)
-	}
-	defer resp.Body.Close()
-	if err := h.checkSimver(resp); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeHTTPError(resp)
-	}
-	var br bulkResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, fmt.Errorf("dispatch: decoding bulk response from %s: %w", h.base, err)
-	}
-	if len(br.Items) != len(reqs) {
-		return nil, fmt.Errorf("dispatch: %s answered %d items for %d requests", h.base, len(br.Items), len(reqs))
-	}
-	items := make([]BatchItem, len(reqs))
-	for i := range br.Items {
-		bi := &br.Items[i]
-		switch {
-		case bi.Error != "":
-			ierr := wireError(bi.Kind, bi.Error)
-			if bi.RetryAfterSec > 0 && errors.Is(ierr, ErrOverloaded) {
-				ierr = &overloadError{msg: bi.Error, retryAfter: time.Duration(bi.RetryAfterSec) * time.Second}
-			}
-			items[i] = BatchItem{Err: ierr}
-		case bi.Result == nil:
-			items[i] = BatchItem{Err: errors.New("dispatch: bulk item carries neither result nor error")}
-		default:
-			items[i] = BatchItem{Res: bi.Result}
-		}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return items, nil
-}
-
 // StreamEvent is the client-side form of one /v1/stream completion
 // event: the wire event with its (kind, message) error pair already
 // reconstructed into the typed taxonomy.
@@ -257,9 +203,12 @@ func (h *HTTP) Stream(ctx context.Context, reqs []sim.Request, sink func(StreamE
 }
 
 // Result fetches a stored result by key from GET /v1/results/{key}.
-// A miss returns an error wrapping ErrNotFound.
+// key is sim.Key of the canonical request: the service's runner stores
+// a gen: workload under workloads.CanonicalName, so a result run as
+// "gen:chase?nodes=4096&seed=3" is fetched by the key of
+// "gen:chase?seed=3". A miss returns an error wrapping ErrNotFound.
 func (h *HTTP) Result(ctx context.Context, key string) (*sim.Result, error) {
-	hreq, err := h.newRequest(ctx, http.MethodGet, "/v1/results/"+key, nil)
+	hreq, err := h.newRequest(ctx, http.MethodGet, "/v1/results/"+url.PathEscape(key), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -45,39 +42,12 @@ func backendGrid(t *testing.T) *scenario.Spec {
 	return s
 }
 
-// countingMux wraps a service handler and counts requests per
-// "METHOD /path" — the request-count assertions of the conformance
-// suite hang off it.
-type countingMux struct {
-	inner http.Handler
-
-	mu     sync.Mutex
-	counts map[string]int
-}
-
-func (c *countingMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	c.counts[r.Method+" "+r.URL.Path]++
-	c.mu.Unlock()
-	c.inner.ServeHTTP(w, r)
-}
-
-func (c *countingMux) count(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[key]
-}
-
 // TestBackendsBitIdentical is the cross-backend conformance suite: one
-// 112-cell scenario run through the local, pool:4, http, batched-pool
-// and batched-http (bulk POST /v1/runs) backends produces byte-identical
-// RunReports. Everything above the Executor — validation, dedup,
-// aggregation — is shared, and the simulator is deterministic, so any
-// byte of divergence means a backend corrupted, re-ordered or lossily
-// re-encoded a result. The bulk path additionally must coalesce: with
-// every cell in flight at once, the 112 cells may cost at most
-// ceil(112/batchSize) POST /v1/runs calls and exactly zero POST /v1/run
-// calls.
+// 112-cell scenario run through the local, pool:4 and http backends
+// produces byte-identical RunReports. Everything above the Executor —
+// validation, dedup, aggregation — is shared, and the simulator is
+// deterministic, so any byte of divergence means a backend corrupted,
+// re-ordered or lossily re-encoded a result.
 func TestBackendsBitIdentical(t *testing.T) {
 	spec := backendGrid(t)
 	matrix := spec.MustExpand(scenario.Overrides{})
@@ -113,46 +83,15 @@ func TestBackendsBitIdentical(t *testing.T) {
 	defer h.Close()
 	viaHTTP := run(sim.New(Options(h)...))
 
-	// Batched pool: coalesced stdin frames, per-item outcomes.
-	bpool := NewBatcher(NewPool(4), 16, time.Second)
-	defer bpool.Close()
-	viaPoolBatch := run(sim.New(Options(bpool)...))
-
-	// Batched HTTP: bulk POST /v1/runs behind a counting middleware.
-	// Workers are sized so the whole grid is in flight at once, which is
-	// what makes the batch-count bound exact rather than best-effort.
-	counter := &countingMux{inner: NewService(sim.New(), nil).Handler(), counts: map[string]int{}}
-	bulkServer := httptest.NewServer(counter)
-	defer bulkServer.Close()
-	bh := NewBatcher(NewHTTP(bulkServer.URL), 16, 2*time.Second)
-	defer bh.Close()
-	viaBulk := run(sim.New(sim.WithExecutor(bh.Execute), sim.WithWorkers(len(matrix.Requests))))
-
 	for _, c := range []struct {
 		name string
 		got  []byte
 	}{
 		{"pool:4", viaPool},
 		{"http", viaHTTP},
-		{"batched pool:4", viaPoolBatch},
-		{"batched http (bulk)", viaBulk},
 	} {
 		if string(c.got) != string(local) {
 			t.Errorf("%s report differs from the local report", c.name)
 		}
-	}
-
-	if n := counter.count("POST /v1/run"); n != 0 {
-		t.Errorf("bulk run issued %d POST /v1/run calls, want 0 (everything should coalesce)", n)
-	}
-	// The wire workload is the deduplicated request list (the 112 cells
-	// plus their one shared baseline), not the cell count.
-	reqs := len(matrix.Requests)
-	maxBulk := (reqs + bh.BatchSize() - 1) / bh.BatchSize()
-	if n := counter.count("POST /v1/runs"); n == 0 || n > maxBulk {
-		t.Errorf("bulk run issued %d POST /v1/runs calls, want 1..%d", n, maxBulk)
-	}
-	if st := bh.Stats(); st.Items != reqs {
-		t.Errorf("batcher dispatched %d items, want %d", st.Items, reqs)
 	}
 }

@@ -62,23 +62,16 @@ type RequestMetrics struct {
 	Events int `json:"events,omitempty"`
 }
 
-// Endpoint indices for the fixed per-endpoint histogram set. A bulk
-// POST /v1/runs accounts per item under "runs" — one track per member —
-// so its latency and shedding stats line up with the same workload sent
-// as individual /v1/run calls.
+// Endpoint indices for the fixed per-endpoint histogram set.
 const (
 	epRun = iota
 	epStream
 	epResults
-	epRuns
-	epManifest
-	epStore
-	epSync
 	numEndpoints
 )
 
 // endpointNames maps endpoint indices to their wire names.
-var endpointNames = [numEndpoints]string{"run", "stream", "results", "runs", "manifest", "store", "sync"}
+var endpointNames = [numEndpoints]string{"run", "stream", "results"}
 
 // histBuckets is the fixed bucket count: bucket b covers latencies in
 // [1µs·2^(b-1), 1µs·2^b), so 32 buckets reach ~35 minutes.
@@ -179,20 +172,6 @@ type MetricsSnapshot struct {
 	CyclesDelivered uint64  `json:"cycles_delivered"`
 	CyclesPerSec    float64 `json:"cycles_per_sec"`
 
-	// Bulk batching counters: POST /v1/runs calls, the items they
-	// carried (the wire-amplification ratio is items/batches), and the
-	// largest batch seen.
-	BulkBatches  uint64 `json:"bulk_batches,omitempty"`
-	BulkItems    uint64 `json:"bulk_items,omitempty"`
-	BulkMaxBatch int    `json:"bulk_max_batch,omitempty"`
-
-	// Federation counters: envelopes accepted and refused by
-	// POST /v1/sync, and raw envelopes served to syncing peers from
-	// GET /v1/store/{name}.
-	SyncStored   uint64 `json:"sync_stored,omitempty"`
-	SyncRejected uint64 `json:"sync_rejected,omitempty"`
-	SyncServed   uint64 `json:"sync_served,omitempty"`
-
 	// Store-tier counters (see objstore.TierStats): backend operations
 	// the result store performed, and — for remote backends with a
 	// read-through cache — how reads split between the local tier and
@@ -228,12 +207,6 @@ type metrics struct {
 	errored         uint64
 	rejected        uint64
 	cyclesDelivered uint64
-	bulkBatches     uint64
-	bulkItems       uint64
-	bulkMaxBatch    int
-	syncStored      uint64
-	syncRejected    uint64
-	syncServed      uint64
 	hists           [numEndpoints]histogram
 	ring            []RequestMetrics
 	ringNext        int
@@ -316,27 +289,6 @@ func (m *metrics) finish(t *track, status int, cycles uint64) {
 	m.ringNext = (m.ringNext + 1) % m.recentN
 }
 
-// bulk records one POST /v1/runs batch of n items.
-func (m *metrics) bulk(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bulkBatches++
-	m.bulkItems += uint64(n)
-	if n > m.bulkMaxBatch {
-		m.bulkMaxBatch = n
-	}
-}
-
-// sync credits one POST /v1/sync push (stored + rejected envelopes) or
-// raw envelopes served to a syncing peer.
-func (m *metrics) sync(stored, rejected, served uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.syncStored += stored
-	m.syncRejected += rejected
-	m.syncServed += served
-}
-
 // snapshot assembles the /metrics response from the aggregator, the
 // runner's provenance counters, the admission queue depth and the
 // store's backend tier counters.
@@ -357,12 +309,6 @@ func (m *metrics) snapshot(ctr sim.Counters, queueDepth int, tier objstore.TierS
 		MemHits:          ctr.MemHits,
 		StoreHits:        ctr.DiskHits,
 		CyclesDelivered:  m.cyclesDelivered,
-		BulkBatches:      m.bulkBatches,
-		BulkItems:        m.bulkItems,
-		BulkMaxBatch:     m.bulkMaxBatch,
-		SyncStored:       m.syncStored,
-		SyncRejected:     m.syncRejected,
-		SyncServed:       m.syncServed,
 		StoreGets:        tier.Gets,
 		StorePuts:        tier.Puts,
 		StoreLists:       tier.Lists,

@@ -1,16 +1,13 @@
 package dispatch
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/objstore"
 	"repro/internal/sim"
@@ -21,25 +18,12 @@ import (
 // and stores the operator configured — over the execution endpoints
 //
 //	POST /v1/run           one sim.Request in, one sim.Result out
-//	POST /v1/runs          {"requests":[...]} in, per-item outcomes out
-//	                       in one response — the bulk form the client
-//	                       Batcher coalesces into; admission, metrics
-//	                       and 429 shedding are accounted per item, so
-//	                       a batched workload sheds like the same
-//	                       workload sent as individual /v1/run calls
 //	POST /v1/stream        {"requests":[...]} in, NDJSON completion
 //	                       events out, mirroring sim.Stream, closed by
 //	                       a {"done":true,"events":N} trailer
 //	GET  /v1/results/{key} a completed result straight from the sharded
-//	                       on-disk store, by sim.Key
-//
-// the federation endpoints (see sim.Manifest and HTTP.Sync)
-//
-//	GET  /v1/manifest               the store's Merkle root summary
-//	GET  /v1/manifest/node?path=…   one tree node with its child hashes
-//	GET  /v1/manifest/shard/{shard} one leaf's entry list
-//	GET  /v1/store/{name}           one raw envelope, verbatim bytes
-//	POST /v1/sync                   accept missing envelopes from a peer
+//	                       on-disk store, by sim.Key of the canonical
+//	                       request
 //
 // and the observability endpoints
 //
@@ -116,14 +100,8 @@ func NewService(runner *sim.Runner, store *sim.Store, opts ...ServiceOption) *Se
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/runs", s.handleRuns)
 	mux.HandleFunc("POST /v1/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
-	mux.HandleFunc("GET /v1/manifest", s.handleManifest)
-	mux.HandleFunc("GET /v1/manifest/node", s.handleManifestNode)
-	mux.HandleFunc("GET /v1/manifest/shard/{shard}", s.handleShard)
-	mux.HandleFunc("GET /v1/store/{name}", s.handleStoreEntry)
-	mux.HandleFunc("POST /v1/sync", s.handleSync)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/requests/recent", s.handleRecent)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -254,69 +232,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.met.finish(t, http.StatusOK, ev.Res.S.Cycles)
 }
 
-// handleRuns executes a coalesced batch — the bulk form POST /v1/run
-// clients batch into — and answers per-item outcomes in one response.
-// Each item runs through admission and the metrics layer as its own
-// track (endpoint "runs"): a batch of 40 against a service with 8 slots
-// sheds exactly like 40 individual /v1/run calls would, except the
-// 429s travel in-band as items with RetryAfterSec instead of per-call
-// statuses. The response itself is 200 whenever the batch was readable;
-// item failures are data, not transport errors, so one poisoned item
-// can never fail its siblings.
-func (s *Service) handleRuns(w http.ResponseWriter, r *http.Request) {
-	var body bulkRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&body); err != nil {
-		t := s.met.accept(epRuns, clientID(r))
-		writeError(w, http.StatusBadRequest, kindBadConfig, fmt.Sprintf("decoding request body: %v", err))
-		s.met.finish(t, http.StatusBadRequest, 0)
-		return
-	}
-	client := clientID(r)
-	items := make([]bulkItem, len(body.Requests))
-	var wg sync.WaitGroup
-	for i := range body.Requests {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			items[i] = s.runOne(r.Context(), client, body.Requests[i])
-		}()
-	}
-	wg.Wait()
-	s.met.bulk(len(items))
-	writeJSON(w, bulkResponse{Items: items})
-}
-
-// runOne runs one bulk item through the same admission/metrics/runner
-// path an individual /v1/run takes, returning its wire outcome.
-func (s *Service) runOne(ctx context.Context, client string, req sim.Request) bulkItem {
-	t := s.met.accept(epRuns, client)
-	t.rm.Bench = req.Bench
-	s.met.queued(t)
-	if err := s.adm.acquire(ctx, client); err != nil {
-		status := http.StatusServiceUnavailable
-		it := bulkItem{Error: err.Error(), Kind: errorKind(err)}
-		if errors.Is(err, ErrOverloaded) {
-			status = http.StatusTooManyRequests
-			it.RetryAfterSec = s.adm.retryAfter()
-		}
-		s.met.finish(t, status, 0)
-		return it
-	}
-	defer s.adm.release()
-	s.met.dispatched(t)
-	var ev sim.Event
-	_, err := s.runner.Stream(ctx, []sim.Request{req}, func(e sim.Event) { ev = e })
-	if err != nil {
-		s.met.settled(t, "")
-		s.met.finish(t, statusFor(err), 0)
-		return bulkItem{Error: err.Error(), Kind: errorKind(err)}
-	}
-	t.rm.Key = ev.Key
-	s.met.settled(t, ev.Source.String())
-	s.met.finish(t, http.StatusOK, ev.Res.S.Cycles)
-	return bulkItem{Result: ev.Res}
-}
-
 // handleStream executes a batch, streaming one NDJSON event per request
 // as it settles — the wire mirror of sim.Stream — and closes a complete
 // stream with the {"done":true,"events":N} trailer. Per-request
@@ -378,8 +293,10 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.met.finish(t, http.StatusOK, cycles)
 }
 
-// handleResult serves a stored result by its sim.Key. A miss is 404
-// with kind "not_found" — an un-run key is a plain miss, not a fault.
+// handleResult serves a stored result by its sim.Key — the key of the
+// canonical request, since the runner stores gen: workloads under
+// workloads.CanonicalName. A miss is 404 with kind "not_found" — an
+// un-run key is a plain miss, not a fault.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	t := s.met.accept(epResults, clientID(r))
 	key := r.PathValue("key")
@@ -398,145 +315,6 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.met.settled(t, sim.SourceStore.String())
 	writeJSON(w, res)
 	s.met.finish(t, http.StatusOK, res.S.Cycles)
-}
-
-// storeOr404 writes the no-store refusal and returns false when the
-// service has no result store to federate.
-func (s *Service) storeOr404(w http.ResponseWriter, t *track) bool {
-	if s.store != nil {
-		return true
-	}
-	writeError(w, http.StatusNotFound, kindNotFound, "no result store configured")
-	s.met.finish(t, http.StatusNotFound, 0)
-	return false
-}
-
-// handleManifest serves the store's Merkle summary: root, entry count
-// and tree shape, deliberately without the 256 leaf digests — peers
-// that agree on the root are done after this one exchange, and peers
-// that disagree descend via /v1/manifest/node.
-func (s *Service) handleManifest(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epManifest, clientID(r))
-	if !s.storeOr404(w, t) {
-		return
-	}
-	m, err := s.store.Manifest(r.Context())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, kindInternal, err.Error())
-		s.met.finish(t, http.StatusInternalServerError, 0)
-		return
-	}
-	writeJSON(w, ManifestSummary{
-		Schema:     m.Schema,
-		SimVersion: m.SimVersion,
-		Root:       m.Root,
-		Height:     m.Height,
-		Entries:    m.Entries,
-	})
-	s.met.finish(t, http.StatusOK, 0)
-}
-
-// handleManifestNode serves one Merkle tree node by its root-to-node
-// path (?path=0110…, empty for the root): the hash plus, for interior
-// nodes, the two child hashes a diff walk compares to pick which half
-// to descend into.
-func (s *Service) handleManifestNode(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epManifest, clientID(r))
-	if !s.storeOr404(w, t) {
-		return
-	}
-	m, err := s.store.Manifest(r.Context())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, kindInternal, err.Error())
-		s.met.finish(t, http.StatusInternalServerError, 0)
-		return
-	}
-	node, err := m.Node(r.URL.Query().Get("path"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, kindBadConfig, err.Error())
-		s.met.finish(t, http.StatusBadRequest, 0)
-		return
-	}
-	writeJSON(w, node)
-	s.met.finish(t, http.StatusOK, 0)
-}
-
-// handleShard serves one Merkle leaf's entry list — names and content
-// digests — so a peer can compute exactly which envelopes it is
-// missing from a shard the walk found to differ.
-func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epManifest, clientID(r))
-	if !s.storeOr404(w, t) {
-		return
-	}
-	shard := r.PathValue("shard")
-	entries, err := s.store.ShardList(r.Context(), shard)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, kindBadConfig, err.Error())
-		s.met.finish(t, http.StatusBadRequest, 0)
-		return
-	}
-	writeJSON(w, shardListing{Shard: shard, Entries: entries})
-	s.met.finish(t, http.StatusOK, 0)
-}
-
-// handleStoreEntry serves one envelope's raw bytes, verbatim — the
-// transfer unit of a sync. Verbatim matters: the envelope's content
-// digest appears in the sender's manifest, and only unmodified bytes
-// let the receiver's store converge to the same leaf digest.
-func (s *Service) handleStoreEntry(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epStore, clientID(r))
-	if !s.storeOr404(w, t) {
-		return
-	}
-	name := r.PathValue("name")
-	data, err := s.store.ReadRaw(r.Context(), name)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		writeError(w, http.StatusNotFound, kindNotFound, fmt.Sprintf("no store entry %s", name))
-		s.met.finish(t, http.StatusNotFound, 0)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, kindBadConfig, err.Error())
-		s.met.finish(t, http.StatusBadRequest, 0)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
-	s.met.sync(0, 0, 1)
-	s.met.finish(t, http.StatusOK, 0)
-}
-
-// handleSync accepts envelopes a peer decided this host is missing.
-// Every envelope is re-validated and re-addressed by the store itself
-// (sim.Store.PutRaw): foreign simulator versions, alien schemas and
-// malformed bytes are refused per envelope — counted, not fatal — so
-// one bad envelope cannot abort a sync or poison the store.
-func (s *Service) handleSync(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epSync, clientID(r))
-	if !s.storeOr404(w, t) {
-		return
-	}
-	var push syncPush
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&push); err != nil {
-		writeError(w, http.StatusBadRequest, kindBadConfig, fmt.Sprintf("decoding sync body: %v", err))
-		s.met.finish(t, http.StatusBadRequest, 0)
-		return
-	}
-	var reply syncReply
-	for _, env := range push.Envelopes {
-		if _, err := s.store.PutRaw(r.Context(), env); err != nil {
-			reply.Rejected++
-			if len(reply.Errors) < 8 {
-				reply.Errors = append(reply.Errors, err.Error())
-			}
-			continue
-		}
-		reply.Stored++
-	}
-	s.met.sync(uint64(reply.Stored), uint64(reply.Rejected), 0)
-	writeJSON(w, reply)
-	s.met.finish(t, http.StatusOK, 0)
 }
 
 // handleMetrics serves the service counters snapshot.

@@ -9,6 +9,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -27,39 +31,132 @@ func newTestService(t *testing.T) (*httptest.Server, *sim.Store) {
 
 // TestServiceRunRoundTrip: POST /v1/run executes and returns the same
 // result an in-process run produces, and the result lands in the store
-// where GET /v1/results/{key} serves it back.
+// where GET /v1/results/{key} serves it back, to the Go client and to a
+// raw GET alike. The gen: input's key carries a '?', which must reach
+// the service as part of the path, not start a query string.
 func TestServiceRunRoundTrip(t *testing.T) {
 	ts, _ := newTestService(t)
-	req := smallReq("crafty", 3000)
-	want, err := sim.Simulate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	h := NewHTTP(ts.URL)
 	defer h.Close()
-	got, err := h.Execute(context.Background(), req)
+	for _, bench := range []string{"crafty", "gen:spill?depth=4"} {
+		req := smallReq(bench, 3000)
+		want, err := sim.Simulate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.Execute(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", bench, err)
+		}
+		if !resultsEqual(t, got, want) {
+			t.Fatalf("%s: service result differs from in-process result", bench)
+		}
+
+		key := sim.Key(req)
+		fetched, err := h.Result(context.Background(), key)
+		if err != nil {
+			t.Fatalf("%s: client Result: %v", bench, err)
+		}
+		if !resultsEqual(t, fetched, want) {
+			t.Fatalf("%s: stored result fetched by the client differs", bench)
+		}
+		resp, err := http.Get(ts.URL + "/v1/results/" + url.PathEscape(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stored sim.Result
+		err = json.NewDecoder(resp.Body).Decode(&stored)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: GET /v1/results: %s", bench, resp.Status)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsEqual(t, &stored, want) {
+			t.Fatalf("%s: stored result served over the wire differs", bench)
+		}
+	}
+}
+
+// TestRemovedRoutesStayClosed: the batch and store-federation routes
+// are gone. Each answers 404 or 405 — including a push of a real
+// envelope with its result edited — and none of them changes the store:
+// the only HTTP path that writes to it is the runner storing its own
+// simulations.
+func TestRemovedRoutesStayClosed(t *testing.T) {
+	ts, store := newTestService(t)
+	ctx := context.Background()
+	h := NewHTTP(ts.URL)
+	defer h.Close()
+	req := smallReq("crafty", 3000)
+	want, err := h.Execute(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resultsEqual(t, got, want) {
-		t.Fatal("service result differs from in-process result")
+	key := sim.Key(req)
+	before, err := store.Manifest(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/results/" + sim.Key(req))
+	raw, err := os.ReadFile(store.Path(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/results: %s", resp.Status)
-	}
-	var stored sim.Result
-	if err := json.NewDecoder(resp.Body).Decode(&stored); err != nil {
+	var env map[string]any
+	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
 	}
-	if !resultsEqual(t, &stored, want) {
-		t.Fatal("stored result served over the wire differs")
+	env["result"].(map[string]any)["IPC"] = 99.0
+	forged, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncBody, err := json.Marshal(map[string]any{"envelopes": []json.RawMessage{forged}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runsBody, err := json.Marshal(map[string]any{"requests": []sim.Request{smallReq("crafty", 3100)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.TrimSuffix(filepath.Base(store.Path(key)), ".json")
+
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPost, "/v1/runs", runsBody},
+		{http.MethodPost, "/v1/sync", syncBody},
+		{http.MethodGet, "/v1/store/" + name, nil},
+		{http.MethodGet, "/v1/manifest", nil},
+		{http.MethodGet, "/v1/manifest/node?path=0", nil},
+		{http.MethodGet, "/v1/manifest/shard/" + name[:2], nil},
+	} {
+		hreq, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: got %s, want 404 or 405", c.method, c.path, resp.Status)
+		}
+	}
+
+	after, err := store.Manifest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Root != before.Root {
+		t.Errorf("store root moved from %s to %s", before.Root, after.Root)
+	}
+	if res, ok := store.Load(ctx, key); !ok || !resultsEqual(t, res, want) {
+		t.Errorf("stored result for %s changed (ok=%v)", key, ok)
 	}
 }
 

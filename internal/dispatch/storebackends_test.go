@@ -4,8 +4,7 @@ package dispatch
 // mem: and s3:// backends must be indistinguishable — byte-identical
 // envelopes, equal Merkle roots — and a fleet sharing one s3 bucket
 // must behave as one store: the second host serves the first host's
-// results without simulating, and pairwise /v1/sync between them is a
-// no-op.
+// results without simulating, and both hosts see one manifest root.
 
 import (
 	"bytes"
@@ -23,46 +22,46 @@ import (
 )
 
 // fakeBucket starts the in-process S3 fake and returns a -store style
-// opener bound to it: each call builds a fresh client Store over the
+// opener bound to it: each call builds a fresh client backend over the
 // same bucket.
-func fakeBucket(t *testing.T, bucket string) func(opts ...objstore.Option) *sim.Store {
+func fakeBucket(t *testing.T, bucket string) func(opts ...objstore.Option) objstore.Backend {
 	t.Helper()
 	creds := sigv4.Credentials{AccessKeyID: "AKIDFLEET", SecretAccessKey: "fleet-secret"}
 	ts := httptest.NewServer(s3test.New(bucket, creds, "us-east-1"))
 	t.Cleanup(ts.Close)
-	return func(opts ...objstore.Option) *sim.Store {
+	return func(opts ...objstore.Option) objstore.Backend {
 		t.Helper()
 		opts = append([]objstore.Option{
 			objstore.WithEndpoint(ts.URL),
 			objstore.WithCredentials(creds.AccessKeyID, creds.SecretAccessKey),
 			objstore.WithRegion("us-east-1"),
 		}, opts...)
-		s, err := sim.OpenStore("s3://"+bucket+"/grid", opts...)
+		b, err := objstore.New("s3://"+bucket+"/grid", opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
-		return s
+		t.Cleanup(func() { b.Close() })
+		return b
 	}
 }
 
-// storeDump reads every raw envelope out of a store, keyed by entry
-// name.
-func storeDump(t *testing.T, s *sim.Store) map[string][]byte {
+// storeDump reads every raw envelope out of a store's backend, keyed by
+// entry name.
+func storeDump(t *testing.T, b objstore.Backend) map[string][]byte {
 	t.Helper()
 	ctx := context.Background()
 	out := map[string][]byte{}
 	for i := 0; i < sim.ShardCount; i++ {
-		les, err := s.ShardList(ctx, fmt.Sprintf("%02x", i))
+		objs, err := b.List(ctx, fmt.Sprintf("%02x", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, le := range les {
-			data, err := s.ReadRaw(ctx, le.Name)
+		for _, obj := range objs {
+			data, err := b.Get(ctx, obj.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[le.Name] = data
+			out[obj.Name] = data
 		}
 	}
 	return out
@@ -73,24 +72,20 @@ func storeDump(t *testing.T, s *sim.Store) map[string][]byte {
 // checks the three stores end up indistinguishable: same report bytes,
 // same entry count, byte-identical envelopes entry-for-entry, equal
 // Merkle roots. This is the property that makes an s3 bucket, an fs
-// host and a mem worker interchangeable members of one federation.
+// host and a mem worker interchangeable homes for one fleet's results.
 func TestStoresByteIdenticalAcrossBackends(t *testing.T) {
 	spec := backendGrid(t)
 	ctx := context.Background()
 	openS3 := fakeBucket(t, "identical")
 
-	stores := map[string]*sim.Store{}
-	if fsStore, err := sim.OpenStore("fs:" + t.TempDir()); err != nil {
-		t.Fatal(err)
-	} else {
-		stores["fs"] = fsStore
+	backends := map[string]objstore.Backend{"s3": openS3()}
+	for name, storeSpec := range map[string]string{"fs": "fs:" + t.TempDir(), "mem": "mem:"} {
+		b, err := objstore.New(storeSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[name] = b
 	}
-	if memStore, err := sim.OpenStore("mem:"); err != nil {
-		t.Fatal(err)
-	} else {
-		stores["mem"] = memStore
-	}
-	stores["s3"] = openS3()
 
 	type outcome struct {
 		report []byte
@@ -99,7 +94,7 @@ func TestStoresByteIdenticalAcrossBackends(t *testing.T) {
 	}
 	results := map[string]outcome{}
 	for _, name := range []string{"fs", "mem", "s3"} {
-		s := stores[name]
+		s := sim.NewStoreWith(backends[name])
 		rep, err := spec.MustExpand(scenario.Overrides{}).Run(ctx, sim.New(sim.WithStore(s)), nil)
 		if err != nil {
 			t.Fatalf("%s run: %v", name, err)
@@ -112,7 +107,7 @@ func TestStoresByteIdenticalAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s manifest: %v", name, err)
 		}
-		results[name] = outcome{report: data, root: m.Root, dump: storeDump(t, s)}
+		results[name] = outcome{report: data, root: m.Root, dump: storeDump(t, backends[name])}
 	}
 
 	base := results["fs"]
@@ -141,15 +136,14 @@ func TestStoresByteIdenticalAcrossBackends(t *testing.T) {
 // TestSharedBucketServesFleet is the fleet acceptance: two hosts with
 // independent runners share one s3 bucket. Host A simulates the grid;
 // host B then runs the same grid and must serve every cell from the
-// shared store — zero simulations — and a /v1/sync between the two
-// hosts must recognize the stores as identical after one hash exchange
-// with zero envelope transfers.
+// shared store — zero simulations — and both hosts must compute the
+// same manifest root over the bucket.
 func TestSharedBucketServesFleet(t *testing.T) {
 	spec := backendGrid(t)
 	ctx := context.Background()
 	openS3 := fakeBucket(t, "fleet")
 
-	storeA := openS3()
+	storeA := sim.NewStoreWith(openS3())
 	runnerA := sim.New(sim.WithStore(storeA))
 	repA, err := spec.MustExpand(scenario.Overrides{}).Run(ctx, runnerA, nil)
 	if err != nil {
@@ -161,7 +155,7 @@ func TestSharedBucketServesFleet(t *testing.T) {
 
 	// Host B runs the production fleet shape: the shared bucket behind a
 	// read-through local cache tier.
-	storeB := openS3(objstore.WithLocalCache(t.TempDir()))
+	storeB := sim.NewStoreWith(openS3(objstore.WithLocalCache(t.TempDir())))
 	runnerB := sim.New(sim.WithStore(storeB))
 	repB, err := spec.MustExpand(scenario.Overrides{}).Run(ctx, runnerB, nil)
 	if err != nil {
@@ -180,78 +174,17 @@ func TestSharedBucketServesFleet(t *testing.T) {
 		t.Fatalf("host B tier stats %+v: expected remote gets serving the grid", ts)
 	}
 
-	// Pairwise sync across the shared bucket is a no-op: same store,
-	// same root, nothing to transfer.
-	srv, counter := syncService(t, storeB)
-	h := NewHTTP(srv.URL)
-	defer h.Close()
-	st, err := h.Sync(ctx, storeA)
+	// One bucket is one store: the cache tier in front of host B must
+	// not change what its manifest describes.
+	ma, err := storeA.Manifest(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.InSync || st.HashExchanges != 1 || st.Pulled != 0 || st.Pushed != 0 {
-		t.Fatalf("shared-bucket sync %+v: want in-sync after one hash exchange with zero transfers", st)
-	}
-	if n := counter.countPrefix("GET /v1/store/"); n != 0 {
-		t.Errorf("shared-bucket sync fetched %d envelopes, want 0", n)
-	}
-	if n := counter.countPrefix("PUT /v1/store/"); n != 0 {
-		t.Errorf("shared-bucket sync pushed %d envelopes, want 0", n)
-	}
-}
-
-// TestSyncConvergesAcrossBackends reconciles an fs host against an
-// s3-backed host over /v1/sync: disjoint extras flow both ways and the
-// two stores — different backends, different machines in production —
-// converge to one Merkle root.
-func TestSyncConvergesAcrossBackends(t *testing.T) {
-	ctx := context.Background()
-	common := []string{"c-1", "c-2", "c-3"}
-	fsOnly := []string{"fs-only-1", "fs-only-2", "fs-only-3"}
-	s3Only := []string{"s3-only-1", "s3-only-2"}
-
-	fsStore := sim.NewStore(t.TempDir())
-	warmStore(t, fsStore, append(append([]string{}, common...), fsOnly...)...)
-	s3Store := fakeBucket(t, "converge")()
-	warmStore(t, s3Store, append(append([]string{}, common...), s3Only...)...)
-
-	ts, _ := syncService(t, s3Store)
-	h := NewHTTP(ts.URL)
-	defer h.Close()
-
-	st, err := h.Sync(ctx, fsStore)
+	mb, err := storeB.Manifest(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pulled != len(s3Only) || st.Pushed != len(fsOnly) || st.PullRejected != 0 || st.PushRejected != 0 {
-		t.Fatalf("fs<->s3 sync %+v: want pulled %d, pushed %d, no rejections", st, len(s3Only), len(fsOnly))
-	}
-
-	fm, err := fsStore.Manifest(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := s3Store.Manifest(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fm.Root != sm.Root {
-		t.Fatalf("roots did not converge: fs %s, s3 %s", fm.Root, sm.Root)
-	}
-	for _, k := range append(append(append([]string{}, common...), fsOnly...), s3Only...) {
-		if res, ok := fsStore.Load(ctx, k); !ok || res.Bench != k {
-			t.Fatalf("key %q not loadable from the fs store after sync", k)
-		}
-		if res, ok := s3Store.Load(ctx, k); !ok || res.Bench != k {
-			t.Fatalf("key %q not loadable from the s3 store after sync", k)
-		}
-	}
-
-	st2, err := h.Sync(ctx, fsStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.InSync || st2.Pulled != 0 || st2.Pushed != 0 {
-		t.Fatalf("second fs<->s3 sync %+v: want in-sync with zero transfers", st2)
+	if ma.Root != mb.Root {
+		t.Fatalf("hosts sharing one bucket compute different roots: A %s, B %s", ma.Root, mb.Root)
 	}
 }

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -120,112 +119,21 @@ func ctxCause(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// workerRequest is one stdin frame to a pool worker. Exactly one of
-// Req and Reqs is meaningful: a single request frame carries Req, a
-// batch frame (from the Batcher's coalesced flush) carries Reqs and is
-// answered with per-item Items.
+// workerRequest is one stdin frame to a pool worker: one request.
 //
 //repro:wire
 type workerRequest struct {
-	ID   uint64        `json:"id"`
-	Req  sim.Request   `json:"req"`
-	Reqs []sim.Request `json:"reqs,omitempty"`
+	ID  uint64      `json:"id"`
+	Req sim.Request `json:"req"`
 }
 
-// workerResponse is one stdout frame from a pool worker. For a single
-// request, exactly one of Result and Err is set; for a batch frame,
-// Items aligns 1:1 with the request's Reqs.
+// workerResponse is one stdout frame from a pool worker: exactly one of
+// Result and Err is set.
 //
 //repro:wire
 type workerResponse struct {
-	ID     uint64       `json:"id"`
-	Result *sim.Result  `json:"result,omitempty"`
-	Err    string       `json:"error,omitempty"`
-	Kind   string       `json:"error_kind,omitempty"`
-	Items  []workerItem `json:"items,omitempty"`
-}
-
-// workerItem is one request's outcome inside a batch frame: exactly one
-// of Result and Err is set, so one poisoned item travels as data while
-// its siblings carry results.
-//
-//repro:wire
-type workerItem struct {
+	ID     uint64      `json:"id"`
 	Result *sim.Result `json:"result,omitempty"`
 	Err    string      `json:"error,omitempty"`
 	Kind   string      `json:"error_kind,omitempty"`
-}
-
-// bulkRequest is the POST /v1/runs body: one wire frame for a whole
-// coalesced batch.
-//
-//repro:wire
-type bulkRequest struct {
-	Requests []sim.Request `json:"requests"`
-}
-
-// bulkItem is one request's outcome inside a POST /v1/runs response.
-// Exactly one of Result and Error is set; RetryAfterSec carries the
-// admission hint a single /v1/run would have sent as a Retry-After
-// header, since a bulk response has one header for many outcomes.
-//
-//repro:wire
-type bulkItem struct {
-	Result        *sim.Result `json:"result,omitempty"`
-	Error         string      `json:"error,omitempty"`
-	Kind          string      `json:"error_kind,omitempty"`
-	RetryAfterSec int         `json:"retry_after_sec,omitempty"`
-}
-
-// bulkResponse is the POST /v1/runs response: per-item outcomes aligned
-// 1:1 with the request batch.
-//
-//repro:wire
-type bulkResponse struct {
-	Items []bulkItem `json:"items"`
-}
-
-// ManifestSummary is the GET /v1/manifest response: the store's Merkle
-// root and counters WITHOUT the 256 leaf digests. Shipping only the
-// root is what makes the sync walk O(log n): two agreeing hosts
-// exchange one hash, and disagreeing hosts descend the tree via
-// /v1/manifest/node instead of diffing full digest lists.
-//
-//repro:wire
-type ManifestSummary struct {
-	Schema     string `json:"schema"`
-	SimVersion string `json:"sim_version"`
-	Root       string `json:"root"`
-	Height     int    `json:"height"`
-	Entries    int    `json:"entries"`
-}
-
-// shardListing is the GET /v1/manifest/shard/{shard} response: one
-// Merkle leaf's preimage, exchanged only for shards a diff walk found
-// to differ.
-//
-//repro:wire
-type shardListing struct {
-	Shard   string           `json:"shard"`
-	Entries []sim.ShardEntry `json:"entries"`
-}
-
-// syncPush is the POST /v1/sync body: raw store envelopes, verbatim
-// bytes — the receiver validates and re-addresses each one itself
-// (sim.Store.PutRaw), so a peer cannot plant entries under wrong names.
-//
-//repro:wire
-type syncPush struct {
-	Envelopes []json.RawMessage `json:"envelopes"`
-}
-
-// syncReply reports what a sync push did: envelopes stored, envelopes
-// refused (foreign schema or simulator version, malformed bytes), and
-// the first few refusal messages for diagnosis.
-//
-//repro:wire
-type syncReply struct {
-	Stored   int      `json:"stored"`
-	Rejected int      `json:"rejected"`
-	Errors   []string `json:"errors,omitempty"`
 }

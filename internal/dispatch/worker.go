@@ -34,11 +34,10 @@ func MaybeWorker() {
 
 // ServeWorker runs the pool worker loop: decode one workerRequest frame
 // at a time from r, execute it in-process, encode the workerResponse to
-// w. A frame carries either one request or a coalesced batch (Reqs),
-// answered with per-item outcomes. Returns nil on EOF (the pool closed
-// our stdin: a graceful shutdown). The loop is deliberately one frame
-// at a time — the pool owns scheduling, and one crashed simulation must
-// take down nothing but its own process.
+// w. Returns nil on EOF (the pool closed our stdin: a graceful
+// shutdown). The loop is deliberately one frame at a time — the pool
+// owns scheduling, and one crashed simulation must take down nothing
+// but its own process.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	dec := json.NewDecoder(r)
 	enc := json.NewEncoder(w)
@@ -51,27 +50,12 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 			return fmt.Errorf("decoding request frame: %w", err)
 		}
 		resp := workerResponse{ID: fr.ID}
-		if len(fr.Reqs) > 0 {
-			// Batch frame: execute every item, carrying each item's
-			// typed error in-band so one bad request cannot fail its
-			// siblings.
-			resp.Items = make([]workerItem, len(fr.Reqs))
-			for i := range fr.Reqs {
-				res, err := sim.Simulate(context.Background(), fr.Reqs[i])
-				if err != nil {
-					resp.Items[i] = workerItem{Err: err.Error(), Kind: errorKind(err)}
-				} else {
-					resp.Items[i] = workerItem{Result: res}
-				}
-			}
+		res, err := sim.Simulate(context.Background(), fr.Req)
+		if err != nil {
+			resp.Err = err.Error()
+			resp.Kind = errorKind(err)
 		} else {
-			res, err := sim.Simulate(context.Background(), fr.Req)
-			if err != nil {
-				resp.Err = err.Error()
-				resp.Kind = errorKind(err)
-			} else {
-				resp.Result = res
-			}
+			resp.Result = res
 		}
 		if err := enc.Encode(resp); err != nil {
 			return fmt.Errorf("encoding response frame: %w", err)

@@ -51,8 +51,8 @@ type Backend interface {
 	Put(ctx context.Context, name string, data []byte) error
 
 	// PutIfAbsent writes the entry only if it does not exist,
-	// returning whether this call stored it. Synced entries use it so
-	// a peer can never clobber locally-computed bytes.
+	// returning whether this call stored it. Fleet lease claims use it
+	// so exactly one host wins a shard.
 	PutIfAbsent(ctx context.Context, name string, data []byte) (bool, error)
 
 	// Stat reports the entry without fetching its bytes. A missing

@@ -10,9 +10,9 @@ import (
 // read-through cache: reads try the local tier first and fill it on a
 // remote hit; writes go to the remote (the source of truth) and fill
 // the local tier on the way back. List and Generation always consult
-// the remote, so manifests and syncs describe the bucket, not the
-// cache — the local tier is an invisible latency shortcut, maintained
-// under the invariant local ⊆ remote.
+// the remote, so manifests describe the bucket, not the cache — the
+// local tier is an invisible latency shortcut, maintained under the
+// invariant local ⊆ remote.
 type cacheTier struct {
 	local  *FS
 	remote Backend

@@ -3,7 +3,7 @@ package objstore_test
 // The backend conformance suite: every Backend implementation — fs,
 // mem, s3 against the in-process fake, and s3 behind the read-through
 // cache tier — must satisfy the same contract, because sim.Store and
-// the /v1/sync protocol are written against the interface, not any
+// the fleet's lease area are written against the interface, not any
 // one implementation. Each subtest runs against a fresh backend of
 // each flavor.
 
@@ -418,17 +418,16 @@ func TestConformanceEnvelopeRoundTrip(t *testing.T) {
 			}
 			entries := map[string][]byte{}
 			for i := 0; i < sim.ShardCount; i++ {
-				shard := fmt.Sprintf("%02x", i)
-				les, err := s.ShardList(bg, shard)
+				objs, err := b.List(bg, fmt.Sprintf("%02x", i))
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, le := range les {
-					data, err := s.ReadRaw(bg, le.Name)
+				for _, obj := range objs {
+					data, err := b.Get(bg, obj.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					entries[le.Name] = data
+					entries[obj.Name] = data
 				}
 			}
 			results[f.name] = stored{root: m.Root, entries: entries}

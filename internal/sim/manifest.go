@@ -1,31 +1,21 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"strconv"
 )
 
 // The Merkle manifest over the sharded content-addressed store: a
-// versioned tree whose 256 leaves are shard digests, so two hosts can
-// decide whether their stores agree by comparing one root hash, and —
-// when they disagree — find the differing shards by walking down the
-// tree exchanging O(log n) hashes instead of full entry lists. The
-// manifest is computed over the raw envelope bytes on disk: envelopes
-// are written deterministically (MarshalIndent of a fixed header plus
-// the Result), so two stores holding the same results under the same
-// simulator version are byte-identical and hash to the same root.
-//
-// internal/dispatch serves the tree over GET /v1/manifest (summary),
-// GET /v1/manifest/node (one tree node with its child hashes) and
-// GET /v1/manifest/shard/{shard} (one leaf's entry list), and accepts
-// missing envelopes over POST /v1/sync; HTTP.Sync is the client-side
-// diff walk.
+// versioned tree whose 256 leaves are shard digests, so two stores —
+// or two hosts reading one shared bucket — agree exactly when their
+// roots are equal. The manifest is computed over the raw envelope
+// bytes on disk: envelopes are written deterministically
+// (MarshalIndent of a fixed header plus the Result), so two stores
+// holding the same results under the same simulator version are
+// byte-identical and hash to the same root. A fleet drain, regshared
+// -manifest and the cross-backend tests compare stores by that root.
 
 // ManifestSchema tags the manifest wire layout. Bump it when the tree
 // shape or digest recipe changes incompatibly.
@@ -40,22 +30,8 @@ const ShardCount = 256
 // crosses ManifestHeight levels.
 const ManifestHeight = 8
 
-// ShardEntry names one store file inside a manifest leaf: the entry's
-// file stem (the 64-hex SHA-256 of its sim.Key) and the SHA-256 of the
-// file's raw bytes. Name addresses the entry; Digest changes whenever
-// the envelope's content does.
-//
-//repro:wire
-type ShardEntry struct {
-	Name   string `json:"name"`
-	Digest string `json:"digest"`
-}
-
 // Manifest is one store's full Merkle state: the 256 leaf (shard)
-// digests in shard order plus the root they hash up to. Interior nodes
-// are derived on demand (see Node), so only the leaves travel when a
-// whole manifest is exchanged; the summary endpoints ship just the
-// root.
+// digests in shard order plus the root they hash up to.
 //
 //repro:wire
 type Manifest struct {
@@ -65,20 +41,6 @@ type Manifest struct {
 	Height     int      `json:"height"`
 	Entries    int      `json:"entries"`
 	Shards     []string `json:"shards"`
-}
-
-// ManifestNode is one node of the Merkle tree, addressed by its
-// root-to-node path as a string of '0'/'1' branch choices (empty =
-// root). Interior nodes carry their two child hashes — which is what
-// lets a diff walk descend one level per exchange — and leaves carry
-// the shard directory name their digest summarizes.
-//
-//repro:wire
-type ManifestNode struct {
-	Path     string   `json:"path"`
-	Hash     string   `json:"hash"`
-	Children []string `json:"children,omitempty"`
-	Shard    string   `json:"shard,omitempty"`
 }
 
 // shardName returns the shard directory name for shard index i.
@@ -113,102 +75,13 @@ func merkleRoot(shards []string) string {
 	return level[0]
 }
 
-// isHex reports whether s is exactly n lowercase-hex characters.
-func isHex(s string, n int) bool {
-	if len(s) != n {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// Node derives the tree node at path: '0' descends left (lower shard
-// indices), '1' right; the empty path is the root. Interior nodes
-// return both child hashes; a full-height path returns the leaf with
-// its shard name.
-func (m *Manifest) Node(path string) (ManifestNode, error) {
-	if len(m.Shards) != ShardCount {
-		return ManifestNode{}, fmt.Errorf("sim: manifest has %d shard digests, want %d", len(m.Shards), ShardCount)
-	}
-	if len(path) > ManifestHeight {
-		return ManifestNode{}, fmt.Errorf("sim: manifest path %q longer than the tree height %d", path, ManifestHeight)
-	}
-	idx := 0
-	for i := 0; i < len(path); i++ {
-		switch path[i] {
-		case '0':
-			idx = idx * 2
-		case '1':
-			idx = idx*2 + 1
-		default:
-			return ManifestNode{}, fmt.Errorf("sim: manifest path %q: want only '0' and '1'", path)
-		}
-	}
-	if len(path) == ManifestHeight {
-		return ManifestNode{Path: path, Hash: m.Shards[idx], Shard: shardName(idx)}, nil
-	}
-	left := m.subtree(idx*2, len(path)+1)
-	right := m.subtree(idx*2+1, len(path)+1)
-	return ManifestNode{Path: path, Hash: hashPair(left, right), Children: []string{left, right}}, nil
-}
-
-// subtree computes the hash of the node at (index idx, depth) by
-// folding its leaf range.
-func (m *Manifest) subtree(idx, depth int) string {
-	width := 1 << (ManifestHeight - depth)
-	lo := idx * width
-	if width == 1 {
-		return m.Shards[lo]
-	}
-	return merkleRoot(m.Shards[lo : lo+width])
-}
-
-// DecodeManifest parses and validates a full manifest: the schema and
-// tree shape must match this code's, every shard digest must be a
-// 64-hex string, and the root must equal the recomputation from the
-// leaves — a manifest whose root disagrees with its own shards is
-// corrupt or forged and must not steer a sync walk.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("sim: decoding manifest: %w", err)
-	}
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("sim: manifest schema %q, want %q", m.Schema, ManifestSchema)
-	}
-	if m.Height != ManifestHeight {
-		return nil, fmt.Errorf("sim: manifest height %d, want %d", m.Height, ManifestHeight)
-	}
-	if len(m.Shards) != ShardCount {
-		return nil, fmt.Errorf("sim: manifest has %d shard digests, want %d", len(m.Shards), ShardCount)
-	}
-	for i, d := range m.Shards {
-		if !isHex(d, 64) {
-			return nil, fmt.Errorf("sim: manifest shard %s digest %q is not 64-hex", shardName(i), d)
-		}
-	}
-	if m.Entries < 0 {
-		return nil, fmt.Errorf("sim: manifest entry count %d is negative", m.Entries)
-	}
-	if root := merkleRoot(m.Shards); m.Root != root {
-		return nil, fmt.Errorf("sim: manifest root %q does not match its shard digests (want %q)", m.Root, root)
-	}
-	return &m, nil
-}
-
 // Manifest computes the store's current Merkle manifest. Shard digests
 // are cached per shard and revalidated against the backend's generation
 // token, so the first call scans the whole store and later calls
 // re-read only shards that changed — including changes made by other
-// processes sharing the backend, which is what lets a long-running
-// service answer manifest walks cheaply while a sync pushes entries
-// underneath it. Backends without generation tokens (s3) re-list every
-// time, but per-entry ETag caching still avoids re-fetching bytes.
+// processes sharing the backend, such as fleet hosts draining into one
+// bucket. Backends without generation tokens (s3) re-list every time,
+// but per-entry ETag caching still avoids re-fetching bytes.
 func (s *Store) Manifest(ctx context.Context) (*Manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,99 +97,16 @@ func (s *Store) Manifest(ctx context.Context) (*Manifest, error) {
 			return nil, err
 		}
 		m.Shards[i] = digest
-		m.Entries += len(entries)
+		m.Entries += entries
 	}
 	m.Root = merkleRoot(m.Shards)
 	return m, nil
 }
 
-// ShardList returns the entries of one shard (by its two-hex name),
-// sorted by entry name — one Merkle leaf's preimage, which is what two
-// hosts exchange for the few shards a diff walk found to differ.
-func (s *Store) ShardList(ctx context.Context, shard string) ([]ShardEntry, error) {
-	if !isHex(shard, 2) {
-		return nil, fmt.Errorf("sim: bad shard name %q: want two hex characters", shard)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, _, err := s.shardStateLocked(ctx, shard)
-	if err != nil {
-		return nil, err
-	}
-	return append([]ShardEntry(nil), entries...), nil
-}
-
-// ReadRaw returns the raw envelope bytes of the entry named name (the
-// 64-hex key digest), exactly as stored — the transfer unit of a sync.
-// A missing entry returns an error wrapping fs.ErrNotExist.
-func (s *Store) ReadRaw(ctx context.Context, name string) ([]byte, error) {
-	if !isHex(name, 64) {
-		return nil, fmt.Errorf("sim: bad entry name %q: want 64 hex characters", name)
-	}
-	data, err := s.backend.Get(ctx, name)
-	if err != nil {
-		return nil, fmt.Errorf("sim: reading store entry %s: %w", name, err)
-	}
-	return data, nil
-}
-
-// PutRaw stores one envelope received from a peer after validating its
-// integrity: the bytes must parse as a store envelope of this store's
-// schema and this process's simulator version, and must carry a
-// completed result under a key whose digest determines — and therefore
-// proves — the entry's name. The accepted envelope is re-encoded in the
-// same canonical form Put writes, so the stored bytes — and with them
-// the shard digests and the Merkle root — do not depend on how the
-// transport formatted the JSON in flight. The validated name is
-// returned.
-//
-// The write is conditional: a peer's entry never clobbers an existing
-// one (first writer wins, and with canonical encoding the bytes are
-// identical anyway). If an existing entry's bytes genuinely differ —
-// which means one side is corrupt — the validated peer copy replaces
-// it, so repeated syncs converge on one root instead of disagreeing
-// forever.
-func (s *Store) PutRaw(ctx context.Context, data []byte) (string, error) {
-	var e envelope
-	if err := json.Unmarshal(data, &e); err != nil {
-		return "", fmt.Errorf("sim: sync envelope does not parse: %w", err)
-	}
-	if e.Schema != storeSchema {
-		return "", fmt.Errorf("sim: sync envelope schema %q, want %q", e.Schema, storeSchema)
-	}
-	if e.SimVersion != cacheVersion() {
-		return "", fmt.Errorf("sim: sync envelope from simulator version %q, this process is %q: refusing foreign results", e.SimVersion, cacheVersion())
-	}
-	if e.Key == "" || e.Result == nil {
-		return "", errors.New("sim: sync envelope carries no key or no result")
-	}
-	canonical, err := json.MarshalIndent(e, "", " ")
-	if err != nil {
-		return "", err
-	}
-	name := entryName(e.Key)
-	stored, err := s.backend.PutIfAbsent(ctx, name, canonical)
-	if err != nil {
-		return "", err
-	}
-	if !stored {
-		existing, err := s.backend.Get(ctx, name)
-		if err != nil || !bytes.Equal(existing, canonical) {
-			if err := s.backend.Put(ctx, name, canonical); err != nil {
-				return "", err
-			}
-		} else {
-			return name, nil // identical bytes already present
-		}
-	}
-	s.invalidate(name[:2])
-	return name, nil
-}
-
-// shardStateLocked returns one shard's sorted entry list and digest,
-// served from the per-shard cache when the backend's generation token
-// for the shard is unchanged since the cached scan. Callers hold s.mu.
-func (s *Store) shardStateLocked(ctx context.Context, shard string) ([]ShardEntry, string, error) {
+// shardStateLocked returns one shard's entry count and digest, served
+// from the per-shard cache when the backend's generation token for the
+// shard is unchanged since the cached scan. Callers hold s.mu.
+func (s *Store) shardStateLocked(ctx context.Context, shard string) (int, string, error) {
 	// Read the generation before listing: a write landing mid-scan moves
 	// the token past this value, so the next Manifest call rescans —
 	// conservative, never stale.
@@ -327,15 +117,15 @@ func (s *Store) shardStateLocked(ctx context.Context, shard string) ([]ShardEntr
 	}
 	objs, err := s.backend.List(ctx, shard)
 	if err != nil {
-		return nil, "", fmt.Errorf("sim: listing shard %s: %w", shard, err)
+		return 0, "", fmt.Errorf("sim: listing shard %s: %w", shard, err)
 	}
 	if len(objs) == 0 {
 		// An absent shard and an empty one are deliberately
 		// indistinguishable.
 		s.cacheShard(shard, &shardCache{gen: gen, genOK: genOK, digest: emptyShardDigest(), valid: true})
-		return nil, emptyShardDigest(), nil
+		return 0, emptyShardDigest(), nil
 	}
-	entries := make([]ShardEntry, 0, len(objs))
+	entries := 0
 	digests := make(map[string]entryDigest, len(objs))
 	h := sha256.New()
 	for _, obj := range objs { // List returns name-sorted entries
@@ -355,10 +145,9 @@ func (s *Store) shardStateLocked(ctx context.Context, shard string) ([]ShardEntr
 			d := sha256.Sum256(data)
 			digest = hex.EncodeToString(d[:])
 		}
-		e := ShardEntry{Name: obj.Name, Digest: digest}
-		entries = append(entries, e)
+		entries++
 		digests[obj.Name] = entryDigest{etag: obj.ETag, digest: digest}
-		h.Write([]byte(e.Name + " " + e.Digest + "\n"))
+		h.Write([]byte(obj.Name + " " + digest + "\n"))
 	}
 	digest := hex.EncodeToString(h.Sum(nil))
 	s.cacheShard(shard, &shardCache{gen: gen, genOK: genOK, digest: digest, entries: entries, digests: digests, valid: true})
@@ -380,17 +169,4 @@ func (s *Store) invalidate(shard string) {
 		c.valid = false
 	}
 	s.mu.Unlock()
-}
-
-// ParseShardIndex converts a shard directory name back to its index —
-// the inverse of the naming the manifest leaves use.
-func ParseShardIndex(shard string) (int, error) {
-	if !isHex(shard, 2) {
-		return 0, fmt.Errorf("sim: bad shard name %q: want two hex characters", shard)
-	}
-	n, err := strconv.ParseInt(shard, 16, 32)
-	if err != nil {
-		return 0, fmt.Errorf("sim: bad shard name %q: %w", shard, err)
-	}
-	return int(n), nil
 }

@@ -58,7 +58,7 @@ type shardCache struct {
 	gen     string
 	genOK   bool
 	digest  string
-	entries []ShardEntry
+	entries int
 	// digests caches entry digests by name, validated by the ETag the
 	// backend reported when the digest was computed — what lets a
 	// hint-less backend (s3) skip per-entry fetches on rescan.
