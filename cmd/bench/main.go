@@ -9,7 +9,7 @@
 //	bench -quick -o /tmp/smoke.json       # 3-point CI smoke subset
 //	bench -o BENCH_2.json -baseline BENCH_1.json   # embed speedup
 //	bench -quick -baseline BENCH_2.json -gate 0.90 # CI regression gate
-//	bench -backend pool:4                 # measure delivered pool throughput
+//	bench -backend http://host:8347       # measure delivered service throughput
 //
 // The workload set, machine configuration and run lengths are pinned in
 // internal/sim so reports from different PRs are comparable; -quick
@@ -21,10 +21,10 @@
 //
 // The default measurement drives the core directly — no runner layers
 // between the wall clock and the cycle loop. -backend instead times
-// requests through a dispatch backend (worker pool, regshared service),
-// measuring *delivered* throughput including framing or network
-// overhead; such reports record the backend so they are never mistaken
-// for simulator-speed data points.
+// requests through a dispatch backend (the regshared service),
+// measuring *delivered* throughput including network overhead; such
+// reports record the backend so they are never mistaken for
+// simulator-speed data points.
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 )
 
 func main() {
-	dispatch.MaybeWorker()
 	var (
 		quick    = flag.Bool("quick", false, "run the 3-point smoke subset")
 		out      = flag.String("o", "", "write the JSON report to this file")
@@ -50,7 +49,7 @@ func main() {
 		list     = flag.Bool("list", false, "print the pinned points and exit")
 	)
 	rf := cliflags.RegisterRunnerFlags(flag.CommandLine,
-		cliflags.WithBackendHelp("execution backend: local | pool:N | http://addr (non-local reports measure delivered backend throughput)"))
+		cliflags.WithBackendHelp("execution backend: local | http://addr (non-local reports measure delivered backend throughput)"))
 	flag.Parse()
 	backendSpec := rf.BackendSpec()
 

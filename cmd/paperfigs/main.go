@@ -16,7 +16,7 @@
 //	paperfigs -scenario my.scenario      # or a spec file
 //	paperfigs -measure 300000 # longer runs
 //	paperfigs -store fs:.simcache  # reuse simulations across invocations
-//	paperfigs -backend pool:8      # crash-isolated worker subprocesses
+//	paperfigs -backend http://host:8347  # farm out to a regshared service
 package main
 
 import (
@@ -28,14 +28,12 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
-	"repro/internal/dispatch"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 func main() {
-	dispatch.MaybeWorker()
 	var (
 		exp     = flag.String("exp", "all", "experiment: table1|fig4|fig5a|fig5b|fig6a|fig6b|fig6c|fig7|ddt|storeonly|cwidth|ports|rob512|singlebit|disthist|trackers|storage|all")
 		scen    = flag.String("scenario", "", "run one scenario instead: a builtin name or a .scenario file path")

@@ -46,11 +46,7 @@ func runDrain(runner *sim.Runner, store *sim.Store, rf *cliflags.Flags, dc drain
 		return err
 	}
 
-	leaseSpec, err := fleet.LeaseSpec(rf.StoreSpec())
-	if err != nil {
-		return err
-	}
-	leases, err := objstore.New(leaseSpec, rf.StoreOptions()...)
+	leaseSpec, leases, err := openLeases(rf)
 	if err != nil {
 		return err
 	}
@@ -94,6 +90,20 @@ func runDrain(runner *sim.Runner, store *sim.Store, rf *cliflags.Flags, dc drain
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sum)
+}
+
+// openLeases opens the lease area inside the -store bucket. It honors
+// -s3-endpoint but never -store-cache: claims are mutable (peers bump
+// their generation tokens and mark shards done), and a read-through
+// cache would serve this host its first read of every claim forever, so
+// a live peer would look stale and get its shard seized.
+func openLeases(rf *cliflags.Flags) (string, *objstore.Metered, error) {
+	spec, err := fleet.LeaseSpec(rf.StoreSpec())
+	if err != nil {
+		return "", nil, err
+	}
+	leases, err := objstore.New(spec, append(rf.StoreOptions(), objstore.WithLocalCache(""))...)
+	return spec, leases, err
 }
 
 // parseCellRange parses the -cells LO:HI argument.

@@ -18,9 +18,9 @@ import (
 
 // TestEndToEnd builds regshared, sweep, loadgen and fakes3 and drives
 // the real binaries through the command paths only a multi-process run
-// exercises: a pool-backed service under loadgen, two drain processes
-// racing on one fs: lease area, and the s3 store against the fake. Properties the in-process tests already pin are
-// left to them.
+// exercises: a service under loadgen, two drain processes racing on one
+// fs: lease area, and the s3 store against the fake. Properties the
+// in-process tests already pin are left to them.
 func TestEndToEnd(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -44,7 +44,7 @@ func TestEndToEnd(t *testing.T) {
 
 	t.Run("service", func(t *testing.T) {
 		url := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0",
-			"-store", "fs:"+t.TempDir(), "-backend", "pool:2", "-max-inflight", "4", "-max-queue", "16")
+			"-store", "fs:"+t.TempDir(), "-max-inflight", "4", "-max-queue", "16")
 		run(t, loadgen, "-url", url, "-points", "2,4", "-duration", "1s", "-check")
 		// A point that completes no request checks nothing, even when
 		// the service already served others.
@@ -147,9 +147,6 @@ func serve(t *testing.T, marker, path string, args ...string) string {
 	w := &addrWriter{marker: marker, addr: make(chan string, 1)}
 	cmd := exec.Command(path, args...)
 	cmd.Stdout, cmd.Stderr = w, w
-	// A pool backend's workers inherit the output pipe and exit on their
-	// own once the server is gone; bound the wait for them.
-	cmd.WaitDelay = 10 * time.Second
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@
 // All requests flow through one shared sim.Runner, so concurrent
 // clients asking for the same cell share a single simulation, and
 // -store persists every completed result in the store /v1/results
-// serves from. The execution backend is itself pluggable: `-backend
-// pool:N` farms the simulations out to N crash-isolated worker
-// subprocesses instead of running them in the server process.
+// serves from. Simulations run in the server process; a configuration
+// that faults the simulator fails its own request (422, error kind
+// "sim_fault") and the service keeps serving.
 //
 // Execution requests pass a bounded admission gate (-max-inflight,
 // -max-queue) with per-client fair dequeue; beyond both bounds the
@@ -41,7 +41,7 @@
 //
 //	regshared -addr :8347 -store fs:/var/lib/regshared
 //	regshared -addr :8347 -store s3://simstore/grid -s3-endpoint http://minio:9000
-//	regshared -addr :8347 -backend pool:8 -max-inflight 16 -max-queue 256
+//	regshared -addr :8347 -max-inflight 16 -max-queue 256
 //	regshared -addr 127.0.0.1:0 -store mem:   # any free port; the startup log line names it
 //	regshared -simver          # print the store envelope version and exit
 //	regshared -store fs:DIR -manifest       # print the store manifest summary and exit
@@ -62,7 +62,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
@@ -71,10 +70,9 @@ import (
 )
 
 func main() {
-	dispatch.MaybeWorker()
 	var (
 		addr        = flag.String("addr", ":8347", "listen address")
-		workers     = flag.Int("workers", 0, "cap the runner's concurrent simulations (0: GOMAXPROCS, or the pool size)")
+		workers     = flag.Int("workers", 0, "cap the runner's concurrent simulations (0: GOMAXPROCS)")
 		maxInflight = flag.Int("max-inflight", 0, "admission: max concurrently executing requests (0: 4×GOMAXPROCS, min 16)")
 		maxQueue    = flag.Int("max-queue", 1024, "admission: max queued requests before 429 + Retry-After (negative: no queue, reject beyond -max-inflight)")
 		recent      = flag.Int("recent", 256, "size of the /v1/requests/recent ring buffer")
@@ -89,8 +87,7 @@ func main() {
 		warmup     = flag.Uint64("warmup", 0, "-drain: override the scenario's warmup µops (explicit 0 = no warmup)")
 		measure    = flag.Uint64("measure", 0, "-drain: override the scenario's measured µops")
 	)
-	rf := cliflags.RegisterRunnerFlags(flag.CommandLine,
-		cliflags.WithBackendHelp("execution backend: local | pool:N"))
+	rf := cliflags.RegisterRunnerFlags(flag.CommandLine, cliflags.WithoutBackend())
 	flag.Parse()
 
 	if rf.PrintVersion(os.Stdout) {
@@ -113,17 +110,6 @@ func main() {
 		return
 	}
 
-	backendSpec := rf.BackendSpec()
-	if strings.Contains(backendSpec, "http://") || strings.Contains(backendSpec, "https://") {
-		// A service proxying to a service invites request loops — most
-		// treacherously to itself, where every /v1/run would re-enter
-		// /v1/run until sockets run out. The spec is checked before
-		// rf.Build opens the backend and the store, so a refused
-		// invocation touches neither. Chain by pointing clients at the
-		// upstream service instead; the same holds for a drain host.
-		fmt.Fprintln(os.Stderr, "regshared: an http backend is not allowed here (known: local | pool:N)")
-		os.Exit(1)
-	}
 	b, err := rf.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -198,7 +184,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	log.Printf("regshared: serving on %s (backend %s, store %s)", ln.Addr(), backendSpec, storeDesc(b.Store))
+	log.Printf("regshared: serving on %s (store %s)", ln.Addr(), storeDesc(b.Store))
 	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

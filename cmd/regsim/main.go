@@ -5,10 +5,10 @@
 // pipeline.
 //
 // -json emits the run's full sim.Result as one JSON object on stdout —
-// the same value a dispatch pool worker or the regshared service would
-// return for the request — which makes regsim scriptable as a worker
-// smoke-check: run it on a prospective worker machine and diff the
-// object against a known-good host.
+// the same value the regshared service would return for the request —
+// which makes regsim scriptable as a host smoke-check: run it on a
+// prospective fleet machine and diff the object against a known-good
+// host.
 //
 // Usage:
 //

@@ -26,7 +26,6 @@
 //	sweep -list                       # list the committed scenarios
 //	sweep -store fs:.simcache         # persist results between runs
 //	sweep -store s3://simstore/grid   # share one bucket across a fleet
-//	sweep -backend pool:8             # crash-isolated worker subprocesses
 //	sweep -backend http://host:8347   # farm out to a regshared service
 package main
 
@@ -38,7 +37,6 @@ import (
 	"os"
 
 	"repro/internal/cliflags"
-	"repro/internal/dispatch"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -53,7 +51,6 @@ func exitCanceled(err error) {
 }
 
 func main() {
-	dispatch.MaybeWorker()
 	var (
 		kind     = flag.String("kind", "", "paper sweep kind: isrb|rob|stlf (shorthand for -scenario sweep-<kind>)")
 		name     = flag.String("scenario", "", "builtin scenario name (see -list)")

@@ -1,5 +1,5 @@
 // Package wirecheck guards the serialized boundaries: the dispatch
-// wire protocol (workerRequest/workerResponse, wireEvent), the result
+// wire protocol (wireEvent, streamTrailer), the result
 // store envelope and the report types all round-trip through
 // encoding/json, and their field layout is a compatibility contract.
 // A struct opts in with

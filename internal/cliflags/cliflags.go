@@ -18,10 +18,12 @@
 //	defer b.Close()
 //	runner := sim.New(b.RunnerOptions()...)
 //
-// Commands with no execution backend (pure store consumers like
-// cmd/storagecost) register with WithoutBackend; commands that need the
-// raw spec for their own construction rules (cmd/bench's store/backend
-// interaction checks) read BackendSpec and OpenStore à la carte.
+// Commands that never choose an execution backend (pure store
+// consumers like cmd/storagecost, and cmd/regshared, which always
+// executes in-process) register with WithoutBackend; commands that
+// need the raw spec for their own construction rules (cmd/bench's
+// store/backend interaction checks) read BackendSpec and OpenStore à
+// la carte.
 package cliflags
 
 import (
@@ -34,9 +36,8 @@ import (
 	"repro/internal/sim"
 )
 
-// defaultBackendHelp documents the -backend values most commands
-// accept. regshared overrides it (an http backend is refused there).
-const defaultBackendHelp = "execution backend: local | pool:N | http://addr"
+// defaultBackendHelp documents the -backend values commands accept.
+const defaultBackendHelp = "execution backend: local | http://addr"
 
 // config collects the registration options.
 type config struct {
@@ -54,7 +55,7 @@ func WithBackendHelp(help string) Option {
 }
 
 // WithoutBackend skips the -backend flag for commands that never
-// execute through a dispatch backend.
+// choose an execution backend.
 func WithoutBackend() Option {
 	return func(c *config) { c.noBackend = true }
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/refcount"
 	"repro/internal/smb"
 	"repro/internal/storesets"
+	"repro/internal/tage"
 )
 
 // TrackerKind selects the register reference counting scheme.
@@ -206,23 +207,91 @@ func ExecLatency(u *isa.Uop) uint64 {
 	}
 }
 
+// Caps on every value that sizes an allocation in New or in a
+// constructor it calls. A configuration arrives from outside the
+// program (a regshared request, a scenario file, a gen: grid), and a
+// simulator panic is recovered into a per-request error, but a fatal
+// out-of-memory is not: these bound what one configuration can make the
+// process allocate. Each sits far above every committed configuration;
+// a machine with every value at its cap allocates well under 256 MiB.
+const (
+	maxWindow         = 8192    // ROB, IQ, LQ and SQ entries
+	maxPhysRegs       = 16384   // physical registers per class
+	maxCheckpoints    = 1024    // in-flight branch checkpoints
+	maxFPMulDiv       = 64      // FP multiply/divide units (one busy timer each)
+	maxTrackerEntries = 4096    // ISRB, MIT and RDA entries
+	maxCounterBits    = 8       // ISRB counter width: refcount.NewISRB asserts 1..8, and 0 selects 3
+	maxTableEntries   = 1 << 16 // BTB, RAS, SSIT, LFST and stride-prefetcher entries
+	maxDDTEntries     = 1 << 18 // SMB Data Dependency Table entries
+	maxLogEntries     = 16      // log2 size of each branch TAGE table
+	maxCacheKB        = 16384   // per cache level
+	maxWays           = 64      // cache and BTB associativity
+	maxMSHRs          = 1024    // per cache level
+	maxPrefDegree     = 64      // prefetches issued per trigger
+	maxDRAMBanks      = 1024    // DRAM ranks × banks per rank
+)
+
 // Check reports whether the configuration names a machine the simulator
 // can build, as an error value. It is the validation the execution API
 // layers (internal/sim's typed ErrBadConfig) surface to callers before
 // constructing a core; New itself panics on the same conditions, since
 // a caller reaching New with an unchecked bad configuration is a bug.
+//
+// Every value that sizes an allocation is capped (see maxWindow and
+// its siblings) and bounded below wherever its constructor would panic.
+// Check does not try to reject every machine that cannot make progress:
+// a machine with no ALU, say, is valid and trips the core's commit
+// deadlock detector, which the execution API reports as a fault of that
+// one request.
 func (c *Config) Check() error {
-	if c.ROBSize <= 0 || c.IQSize <= 0 || c.LQSize <= 0 || c.SQSize <= 0 {
-		return fmt.Errorf("non-positive window size (rob=%d iq=%d lq=%d sq=%d)",
-			c.ROBSize, c.IQSize, c.LQSize, c.SQSize)
+	if c.FetchWidth <= 0 || c.RenameWidth <= 0 || c.IssueWidth <= 0 || c.CommitWidth <= 0 {
+		return fmt.Errorf("non-positive pipeline width (fetch=%d rename=%d issue=%d commit=%d)",
+			c.FetchWidth, c.RenameWidth, c.IssueWidth, c.CommitWidth)
 	}
-	if c.PhysRegsPerClass <= isa.NumArchRegs {
-		return fmt.Errorf("need more than %d physical registers per class, have %d",
-			isa.NumArchRegs, c.PhysRegsPerClass)
+	m := &c.Mem
+	for _, b := range [...]struct {
+		name   string
+		v      int
+		lo, hi int
+	}{
+		{"rob", c.ROBSize, 1, maxWindow},
+		{"iq", c.IQSize, 1, maxWindow},
+		{"lq", c.LQSize, 1, maxWindow},
+		{"sq", c.SQSize, 1, maxWindow},
+		{"physical registers per class", c.PhysRegsPerClass, isa.NumArchRegs + 1, maxPhysRegs},
+		{"checkpoints", c.MaxCheckpoints, 0, maxCheckpoints},
+		{"FP mul/div units", c.NumFPMulDiv, 0, maxFPMulDiv},
+		{"tracker entries", c.Tracker.Entries, 0, maxTrackerEntries},
+		{"tracker counter bits", c.Tracker.CounterBits, 0, maxCounterBits},
+		{"BTB entries", c.Branch.BTBEntries, 0, maxTableEntries},
+		{"BTB ways", c.Branch.BTBWays, 1, maxWays},
+		{"RAS entries", c.Branch.RASEntries, 0, maxTableEntries},
+		{"TAGE base log2 entries", c.Branch.TAGE.LogBaseEntries, 0, maxLogEntries},
+		{"TAGE tagged tables", len(c.Branch.TAGE.Tagged), 0, tage.MaxComponents},
+		{"L1I KB", m.L1I.SizeKB, 0, maxCacheKB},
+		{"L1I ways", m.L1I.Ways, 1, maxWays},
+		{"L1I MSHRs", m.L1I.MSHRs, 0, maxMSHRs},
+		{"L1D KB", m.L1D.SizeKB, 0, maxCacheKB},
+		{"L1D ways", m.L1D.Ways, 1, maxWays},
+		{"L1D MSHRs", m.L1D.MSHRs, 0, maxMSHRs},
+		{"L2 KB", m.L2.SizeKB, 0, maxCacheKB},
+		{"L2 ways", m.L2.Ways, 1, maxWays},
+		{"L2 MSHRs", m.L2.MSHRs, 0, maxMSHRs},
+		{"prefetch table entries", m.PrefTable, 0, maxTableEntries},
+		{"prefetch degree", m.PrefDegree, 0, maxPrefDegree},
+		{"DRAM ranks × banks", m.DRAM.Ranks * m.DRAM.BanksPerRank, 0, maxDRAMBanks},
+		{"SSIT entries", c.StoreSets.SSITEntries, 0, maxTableEntries},
+		{"LFST entries", c.StoreSets.LFSTEntries, 0, maxTableEntries},
+		{"DDT entries", c.SMB.DDT.Entries, 0, maxDDTEntries},
+	} {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("%s %d out of range %d..%d", b.name, b.v, b.lo, b.hi)
+		}
 	}
-	if c.RenameWidth <= 0 || c.IssueWidth <= 0 || c.CommitWidth <= 0 {
-		return fmt.Errorf("non-positive pipeline width (rename=%d issue=%d commit=%d)",
-			c.RenameWidth, c.IssueWidth, c.CommitWidth)
+	for i, t := range c.Branch.TAGE.Tagged {
+		if t.LogEntries < 0 || t.LogEntries > maxLogEntries {
+			return fmt.Errorf("TAGE table %d log2 entries %d out of range 0..%d", i, t.LogEntries, maxLogEntries)
+		}
 	}
 	switch c.Tracker.Kind {
 	case "", TrackerISRB, TrackerUnlimited, TrackerCounters, TrackerMIT, TrackerRDA:

@@ -18,14 +18,9 @@ func TestNewParsesBackendSpecs(t *testing.T) {
 	}{
 		{spec: "", want: "local"},
 		{spec: "local", want: "local"},
-		{spec: "pool:4", want: "pool"},
-		{spec: "pool:1", want: "pool"},
 		{spec: "http://example:8347", want: "http"},
 		{spec: "https://example", want: "http"},
-		{spec: "pool:0", wantErr: true},
-		{spec: "pool:-2", wantErr: true},
-		{spec: "pool:x", wantErr: true},
-		{spec: "pool:", wantErr: true},
+		{spec: "pool:4", wantErr: true},
 		{spec: "tcp://example", wantErr: true},
 		{spec: "remote", wantErr: true},
 		{spec: "batched:local", wantErr: true},
@@ -47,8 +42,6 @@ func TestNewParsesBackendSpecs(t *testing.T) {
 		switch b.(type) {
 		case Local:
 			got = "local"
-		case *Pool:
-			got = "pool"
 		case *HTTP:
 			got = "http"
 		}
@@ -56,9 +49,6 @@ func TestNewParsesBackendSpecs(t *testing.T) {
 			t.Errorf("New(%q) = %T, want %s", c.spec, b, c.want)
 		}
 		b.Close()
-	}
-	if p, _ := New("pool:3"); p.(*Pool).Size() != 3 {
-		t.Error("pool:3 did not size the pool at 3")
 	}
 }
 

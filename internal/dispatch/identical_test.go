@@ -43,8 +43,8 @@ func backendGrid(t *testing.T) *scenario.Spec {
 }
 
 // TestBackendsBitIdentical is the cross-backend conformance suite: one
-// 112-cell scenario run through the local, pool:4 and http backends
-// produces byte-identical RunReports. Everything above the Executor —
+// 112-cell scenario run through the local and http backends produces
+// byte-identical RunReports. Everything above the Executor —
 // validation, dedup, aggregation — is shared, and the simulator is
 // deterministic, so any byte of divergence means a backend corrupted,
 // re-ordered or lossily re-encoded a result.
@@ -70,28 +70,11 @@ func TestBackendsBitIdentical(t *testing.T) {
 
 	local := run(sim.New(sim.WithExecutor(Local{}.Execute)))
 
-	pool := NewPool(4)
-	defer pool.Close()
-	viaPool := run(sim.New(Options(pool)...))
-	if st := pool.Stats(); st.Crashes != 0 {
-		t.Fatalf("pool run crashed workers: %+v", st)
-	}
-
 	server := httptest.NewServer(NewService(sim.New(), nil).Handler())
 	defer server.Close()
 	h := NewHTTP(server.URL)
 	defer h.Close()
-	viaHTTP := run(sim.New(Options(h)...))
-
-	for _, c := range []struct {
-		name string
-		got  []byte
-	}{
-		{"pool:4", viaPool},
-		{"http", viaHTTP},
-	} {
-		if string(c.got) != string(local) {
-			t.Errorf("%s report differs from the local report", c.name)
-		}
+	if viaHTTP := run(sim.New(Options(h)...)); string(viaHTTP) != string(local) {
+		t.Error("http report differs from the local report")
 	}
 }

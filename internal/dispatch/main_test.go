@@ -1,20 +1,9 @@
 package dispatch
 
 import (
-	"os"
-	"testing"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 )
-
-// TestMain diverts the test binary into the worker frame loop when a
-// Pool under test re-executes it (see MaybeWorker); otherwise the tests
-// run normally.
-func TestMain(m *testing.M) {
-	MaybeWorker()
-	os.Exit(m.Run())
-}
 
 // smallReq is a fast, valid request for round-trip tests.
 func smallReq(bench string, measure uint64) sim.Request {

@@ -341,12 +341,16 @@ func (s *Service) handleRecent(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusFor maps the sim error taxonomy onto HTTP statuses: client
-// mistakes are 400s, a cancellation (the server shutting down, or the
-// client going away mid-run) is 503, an admission refusal 429.
+// mistakes are 400s, a simulator fault 422 (the request is well formed,
+// but the fault is deterministic for it, so a retry cannot help), a
+// cancellation (the server shutting down, or the client going away
+// mid-run) 503, an admission refusal 429.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, sim.ErrUnknownBenchmark), errors.Is(err, sim.ErrBadConfig):
 		return http.StatusBadRequest
+	case errors.Is(err, sim.ErrSimFault):
+		return http.StatusUnprocessableEntity
 	case errors.Is(err, sim.ErrCanceled):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrOverloaded):

@@ -162,7 +162,8 @@ func TestRemovedRoutesStayClosed(t *testing.T) {
 
 // TestServiceErrorTaxonomy: service-side typed errors come back as
 // status + (kind, message) and re-wrap into the sim sentinels on the
-// client.
+// client. A request that faults the simulator fails alone: the service
+// answers 422 "sim_fault" and keeps serving.
 func TestServiceErrorTaxonomy(t *testing.T) {
 	ts, _ := newTestService(t)
 	h := NewHTTP(ts.URL)
@@ -178,6 +179,12 @@ func TestServiceErrorTaxonomy(t *testing.T) {
 	if !errors.Is(err, sim.ErrBadConfig) {
 		t.Fatalf("got %v, want ErrBadConfig", err)
 	}
+	faulty := smallReq("crafty", 3000)
+	faulty.Config.NumALU = 0 // valid, but the core deadlocks
+	_, err = h.Execute(context.Background(), faulty)
+	if !errors.Is(err, sim.ErrSimFault) {
+		t.Fatalf("got %v, want ErrSimFault", err)
+	}
 
 	// Raw status codes for non-Go clients.
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader([]byte("{not json")))
@@ -187,6 +194,23 @@ func TestServiceErrorTaxonomy(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: got %s, want 400", resp.Status)
+	}
+	body, _ := json.Marshal(faulty)
+	resp, err = http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var we struct {
+		Kind string `json:"error_kind"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&we)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || we.Kind != kindSimFault {
+		t.Fatalf("faulting request: got %s kind %q (%v), want 422 %q", resp.Status, we.Kind, err, kindSimFault)
+	}
+
+	if _, err := h.Execute(context.Background(), smallReq("crafty", 3000)); err != nil {
+		t.Fatalf("good request after a fault: %v", err)
 	}
 }
 
@@ -224,14 +248,18 @@ func TestServiceResultsMiss(t *testing.T) {
 }
 
 // TestServiceStreamNDJSON: POST /v1/stream emits one event per request
-// — results for the good ones, typed error kinds for the bad one —
-// mirroring sim.Stream's event contract.
+// — results for the good ones, typed error kinds for the bad ones —
+// mirroring sim.Stream's event contract. A request that faults the
+// simulator fails in its own event; the batch still completes.
 func TestServiceStreamNDJSON(t *testing.T) {
 	ts, _ := newTestService(t)
+	faulty := smallReq("crafty", 3000)
+	faulty.Config.NumALU = 0
 	reqs := []sim.Request{
 		smallReq("crafty", 3000),
 		smallReq("no-such-bench", 3000),
 		smallReq("gzip", 3000),
+		faulty,
 	}
 	body, _ := json.Marshal(map[string]any{"requests": reqs})
 	resp, err := http.Post(ts.URL+"/v1/stream", "application/json", bytes.NewReader(body))
@@ -285,8 +313,13 @@ func TestServiceStreamNDJSON(t *testing.T) {
 			t.Fatalf("event %d: %+v, want a simulated result", i, summarize(ev))
 		}
 	}
-	if ev := events[1]; ev.Result != nil || ev.Kind != kindUnknownBenchmark {
-		t.Fatalf("event 1: %+v, want error kind %q", summarize(ev), kindUnknownBenchmark)
+	for _, want := range []struct {
+		i    int
+		kind string
+	}{{1, kindUnknownBenchmark}, {3, kindSimFault}} {
+		if ev := events[want.i]; ev.Result != nil || ev.Kind != want.kind {
+			t.Fatalf("event %d: %+v, want error kind %q", want.i, summarize(ev), want.kind)
+		}
 	}
 }
 

@@ -9,18 +9,18 @@ import (
 	"repro/internal/sim"
 )
 
-// The wire encoding shared by the pool worker protocol and the
-// regshared HTTP service. Results cross as plain sim.Result JSON —
-// Go's float encoding round-trips exactly, which is what keeps reports
-// bit-identical across backends — and errors cross as a (kind, message)
-// pair so the caller can re-attach the typed sentinel taxonomy of
-// internal/sim on its side.
+// The wire encoding of the regshared HTTP service. Results cross as
+// plain sim.Result JSON — Go's float encoding round-trips exactly,
+// which is what keeps reports bit-identical across backends — and
+// errors cross as a (kind, message) pair so the caller can re-attach
+// the typed sentinel taxonomy of internal/sim on its side.
 
 // Wire error kinds.
 const (
 	kindUnknownBenchmark = "unknown_benchmark"
 	kindBadConfig        = "bad_config"
 	kindCanceled         = "canceled"
+	kindSimFault         = "sim_fault"
 	kindNotFound         = "not_found"
 	kindOverloaded       = "overloaded"
 	kindInternal         = "internal"
@@ -58,6 +58,8 @@ func errorKind(err error) string {
 		return kindBadConfig
 	case errors.Is(err, sim.ErrCanceled):
 		return kindCanceled
+	case errors.Is(err, sim.ErrSimFault):
+		return kindSimFault
 	case errors.Is(err, ErrNotFound):
 		return kindNotFound
 	case errors.Is(err, ErrOverloaded):
@@ -92,6 +94,8 @@ func wireError(kind, msg string) error {
 		sentinel = sim.ErrUnknownBenchmark
 	case kindBadConfig:
 		sentinel = sim.ErrBadConfig
+	case kindSimFault:
+		sentinel = sim.ErrSimFault
 	case kindNotFound:
 		sentinel = ErrNotFound
 	case kindOverloaded:
@@ -117,23 +121,4 @@ func ctxCause(ctx context.Context) error {
 		return cause
 	}
 	return ctx.Err()
-}
-
-// workerRequest is one stdin frame to a pool worker: one request.
-//
-//repro:wire
-type workerRequest struct {
-	ID  uint64      `json:"id"`
-	Req sim.Request `json:"req"`
-}
-
-// workerResponse is one stdout frame from a pool worker: exactly one of
-// Result and Err is set.
-//
-//repro:wire
-type workerResponse struct {
-	ID     uint64      `json:"id"`
-	Result *sim.Result `json:"result,omitempty"`
-	Err    string      `json:"error,omitempty"`
-	Kind   string      `json:"error_kind,omitempty"`
 }

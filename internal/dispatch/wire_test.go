@@ -36,6 +36,11 @@ func TestSentinelsSurviveWireRoundTrip(t *testing.T) {
 			sentinel: sim.ErrBadConfig,
 		},
 		{
+			name:     "simulator fault, wrapped",
+			err:      fmt.Errorf("sim: crafty: %w: core: no commit for 200001 cycles", sim.ErrSimFault),
+			sentinel: sim.ErrSimFault,
+		},
+		{
 			name:     "store miss, wrapped",
 			err:      fmt.Errorf("dispatch: %w for key abc123", ErrNotFound),
 			sentinel: ErrNotFound,

@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -174,12 +176,19 @@ func TestDrainTwoHostsByteIdentical(t *testing.T) {
 	}
 
 	// Fleet: two hosts, one shared results dir, one shared lease area,
-	// both draining the full cell range concurrently. StalePolls is high
-	// enough that a live peer is never seized.
+	// both draining the full cell range concurrently. A live peer must
+	// never be seized, so no poll count is stale: hot polls reach any
+	// finite count in milliseconds while a peer's simulation is slow.
+	// Each poll yields so the peer gets the CPU. TestDrainStaleTakeover
+	// pins takeover.
 	dir := t.TempDir()
 	leases := objstore.NewMem()
+	yield := func(ctx context.Context) error {
+		runtime.Gosched()
+		return ctx.Err()
+	}
 	cfg := func(host string) Config {
-		return Config{Host: host, ShardCells: 2, StalePolls: 10000, Sleep: fastSleep}
+		return Config{Host: host, ShardCells: 2, StalePolls: math.MaxInt, Sleep: yield}
 	}
 	var wg sync.WaitGroup
 	sums := make([]*Summary, 2)

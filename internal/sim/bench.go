@@ -82,9 +82,9 @@ type BenchReport struct {
 	Schema string `json:"schema"`
 	Label  string `json:"label,omitempty"`
 	// Backend names the execution backend the points ran through when it
-	// was not the default in-process path ("pool:4", "http://..."), so a
-	// report measuring subprocess or network overhead is never mistaken
-	// for a simulator-speed data point.
+	// was not the default in-process path ("http://..."), so a report
+	// measuring network overhead is never mistaken for a simulator-speed
+	// data point.
 	Backend     string        `json:"backend,omitempty"`
 	GoVersion   string        `json:"go_version"`
 	GOARCH      string        `json:"goarch"`

@@ -19,11 +19,16 @@ import (
 //     unknown tracker kind, ...);
 //   - ErrCanceled: the run was interrupted — the error also wraps the
 //     context's own cause, so errors.Is(err, context.Canceled) and
-//     errors.Is(err, context.DeadlineExceeded) keep working.
+//     errors.Is(err, context.DeadlineExceeded) keep working;
+//   - ErrSimFault: the simulator panicked on a request that passed
+//     validation (a commit deadlock, a constructor assert). The fault is
+//     deterministic for the request, so a retry cannot help, and the
+//     failed result is never stored.
 var (
 	ErrUnknownBenchmark = errors.New("unknown benchmark")
 	ErrBadConfig        = errors.New("bad configuration")
 	ErrCanceled         = errors.New("run canceled")
+	ErrSimFault         = errors.New("simulator fault")
 )
 
 // canceledErr wraps a context cancellation into the typed taxonomy,

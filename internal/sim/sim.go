@@ -12,7 +12,7 @@
 // (core.RunContext checks the context every few thousand cycles), so a
 // deadline or SIGINT aborts a long grid mid-simulation; errors carry
 // the typed taxonomy of errors.go (ErrUnknownBenchmark, ErrBadConfig,
-// ErrCanceled).
+// ErrCanceled, ErrSimFault).
 //
 // A Runner owns
 //
@@ -111,11 +111,10 @@ type Option func(*Runner)
 // Executor produces the result of one validated request. It is the
 // Runner's pluggable execution backend: the default, Simulate, runs the
 // request in-process on a fresh core; internal/dispatch substitutes a
-// pool of crash-isolated worker subprocesses or a remote regshared
-// service. Everything above the executor — validation, singleflight
-// deduplication, the in-memory and on-disk stores, streaming events —
-// is backend-independent, which is what makes results bit-identical
-// across backends.
+// remote regshared service. Everything above the executor — validation,
+// singleflight deduplication, the in-memory and on-disk stores,
+// streaming events — is backend-independent, which is what makes
+// results bit-identical across backends.
 type Executor func(ctx context.Context, req Request) (*Result, error)
 
 // WithExecutor replaces the Runner's execution backend (default:
@@ -505,8 +504,9 @@ func (r *Runner) RunBenchmarks(ctx context.Context, warmup, measure uint64, cfgF
 
 // Simulate is the in-process execution primitive: it validates req and
 // runs it on a fresh core, with no deduplication, stores or worker
-// pool. It is the Runner's default Executor, and what dispatch pool
-// workers and the regshared service execute on their side of the wire.
+// pool. It is the Runner's default Executor, and what the regshared
+// service and fleet hosts execute on their side. A simulator panic
+// comes back as an ErrSimFault wrap instead of crashing the process.
 func Simulate(ctx context.Context, req Request) (*Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -517,7 +517,22 @@ func Simulate(ctx context.Context, req Request) (*Result, error) {
 // simulate executes one run on a fresh core. The request has already
 // passed Validate, so lookup and construction cannot fail; the context
 // is the one way out early, surfacing as a typed ErrCanceled wrap.
-func simulate(ctx context.Context, req Request) (*Result, error) {
+//
+// A panic in the simulator (the commit-deadlock detector, whose value
+// carries the core's debug state, or a constructor assert) is recovered
+// into an ErrSimFault wrap, failing this request alone. That is sound
+// because one simulation shares no mutable state: its core, program and
+// tracker are private to this call, and neither workloads.Build nor
+// core.New writes anything at package level. The one shared value on
+// the path, the workloads catalog behind a sync.OnceValue, is read-only
+// once built (a panic while building it re-panics identically on every
+// call), so a faulted run leaves nothing behind for the next one.
+func simulate(ctx context.Context, req Request) (res *Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, fmt.Errorf("sim: %s: %w: %v", req.Bench, ErrSimFault, v)
+		}
+	}()
 	spec, err := workloads.Resolve(req.Bench)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w %q", ErrUnknownBenchmark, req.Bench)

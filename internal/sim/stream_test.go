@@ -87,35 +87,46 @@ func TestStreamEventsAndProvenance(t *testing.T) {
 }
 
 // TestValidationTaxonomy: the same typed contract holds at the single
-// entry point for every class of bad request.
+// entry point for every class of bad request. A configuration that
+// passes validation but faults the simulator fails alone, as
+// ErrSimFault, and every time: a fault is never cached or stored.
 func TestValidationTaxonomy(t *testing.T) {
-	r := New()
+	dir := t.TempDir()
+	r := New(WithStore(NewStore(dir)))
 
-	zero := quickReq("crafty")
-	zero.Measure = 0
-	if _, err := r.Run(bg, zero); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("zero measure: err = %v, want ErrBadConfig", err)
+	for _, tc := range []struct {
+		name  string
+		patch func(*Request)
+		want  error
+	}{
+		{"zero measure", func(q *Request) { q.Measure = 0 }, ErrBadConfig},
+		{"zero ROB", func(q *Request) { q.Config.ROBSize = 0 }, ErrBadConfig},
+		{"unknown tracker", func(q *Request) { q.Config.Tracker.Kind = "no-such-scheme" }, ErrBadConfig},
+		{"9-bit ISRB counters", func(q *Request) {
+			q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, Entries: 24, CounterBits: 9}
+		}, ErrBadConfig},
+		{"negative checkpoints", func(q *Request) { q.Config.MaxCheckpoints = -1 }, ErrBadConfig},
+		// A 37 GB ROB: no recover could catch the out-of-memory.
+		{"2^26-entry ROB", func(q *Request) { q.Config.ROBSize = 1 << 26 }, ErrBadConfig},
+		{"unknown benchmark", func(q *Request) { q.Bench = "no-such-benchmark" }, ErrUnknownBenchmark},
+		// Valid, but nothing can execute an ALU op: the core's commit
+		// deadlock detector fires.
+		{"no ALUs", func(q *Request) { q.Config.NumALU = 0 }, ErrSimFault},
+		{"no ALUs, again", func(q *Request) { q.Config.NumALU = 0 }, ErrSimFault},
+	} {
+		req := quickReq("crafty")
+		tc.patch(&req)
+		if _, err := r.Run(bg, req); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 
-	unsized := quickReq("crafty")
-	unsized.Config.ROBSize = 0
-	if _, err := r.Run(bg, unsized); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("zero ROB: err = %v, want ErrBadConfig", err)
+	// Nothing above should have simulated, stored or poisoned anything.
+	if c := r.Counters(); c.Simulated != 0 || c.MemHits != 0 {
+		t.Fatalf("invalid or faulting requests counted as results: %+v", c)
 	}
-
-	badTracker := quickReq("crafty")
-	badTracker.Config.Tracker.Kind = "no-such-scheme"
-	if _, err := r.Run(bg, badTracker); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown tracker: err = %v, want ErrBadConfig", err)
-	}
-
-	if _, err := r.Run(bg, quickReq("no-such-benchmark")); !errors.Is(err, ErrUnknownBenchmark) {
-		t.Fatalf("unknown benchmark: err = %v, want ErrUnknownBenchmark", err)
-	}
-
-	// Nothing above should have simulated or poisoned anything.
-	if c := r.Counters(); c.Simulated != 0 {
-		t.Fatalf("invalid requests simulated: %+v", c)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*", "*.json")); len(files) != 0 {
+		t.Fatalf("invalid or faulting requests left %d store entries: %v", len(files), files)
 	}
 	if _, err := r.Run(bg, quickReq("crafty")); err != nil {
 		t.Fatalf("valid request after invalid ones: %v", err)

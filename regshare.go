@@ -21,8 +21,9 @@
 // The API is context-first: RunContext aborts mid-simulation when ctx
 // is canceled, StreamSpecs fans a batch out and delivers per-spec
 // completion events as workers finish, and errors wrap the typed
-// taxonomy (ErrUnknownBenchmark, ErrBadConfig, ErrCanceled). Run is a
-// convenience shim over RunContext with a background context.
+// taxonomy (ErrUnknownBenchmark, ErrBadConfig, ErrCanceled,
+// ErrSimFault). Run is a convenience shim over RunContext with a
+// background context.
 package regshare
 
 import (
@@ -134,6 +135,9 @@ var (
 	ErrBadConfig = sim.ErrBadConfig
 	// ErrCanceled: the run was interrupted by its context.
 	ErrCanceled = sim.ErrCanceled
+	// ErrSimFault: the simulator faulted on a configuration that passed
+	// validation; retrying the same spec faults again.
+	ErrSimFault = sim.ErrSimFault
 )
 
 // Event is one per-spec completion notification from StreamSpecs (see
