@@ -9,7 +9,6 @@
 //	bench -quick -o /tmp/smoke.json       # 3-point CI smoke subset
 //	bench -o BENCH_2.json -baseline BENCH_1.json   # embed speedup
 //	bench -quick -baseline BENCH_2.json -gate 0.90 # CI regression gate
-//	bench -backend http://host:8347       # measure delivered service throughput
 //
 // The workload set, machine configuration and run lengths are pinned in
 // internal/sim so reports from different PRs are comparable; -quick
@@ -19,23 +18,17 @@
 // into a pass/fail check (exit status 2 on a regression past the
 // threshold), which is what the CI perf gate runs.
 //
-// The default measurement drives the core directly — no runner layers
-// between the wall clock and the cycle loop. -backend instead times
-// requests through a dispatch backend (the regshared service),
-// measuring *delivered* throughput including network overhead; such
-// reports record the backend so they are never mistaken for
-// simulator-speed data points.
+// The measurement drives the core directly — no runner, store or
+// dispatch layer between the wall clock and the cycle loop. The
+// service's delivered throughput is perfbench's serve-warm workload.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/cliflags"
-	"repro/internal/dispatch"
 	"repro/internal/sim"
 )
 
@@ -48,14 +41,7 @@ func main() {
 		label    = flag.String("label", "", "free-form label recorded in the report")
 		list     = flag.Bool("list", false, "print the pinned points and exit")
 	)
-	rf := cliflags.RegisterRunnerFlags(flag.CommandLine,
-		cliflags.WithBackendHelp("execution backend: local | http://addr (non-local reports measure delivered backend throughput)"))
 	flag.Parse()
-	backendSpec := rf.BackendSpec()
-
-	if rf.PrintVersion(os.Stdout) {
-		return
-	}
 
 	points := sim.BenchPoints(*quick)
 	if *list {
@@ -69,70 +55,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench: -gate needs a -baseline to compare against")
 		os.Exit(1)
 	}
-	if *gate > 0 && backendSpec != "" && backendSpec != "local" {
-		// Backend runs measure delivered throughput (framing, network);
-		// gating those numbers against a simulator-speed baseline
-		// thresholds the backend overhead, not the simulator.
-		fmt.Fprintln(os.Stderr, "bench: -gate only gates the in-process measurement; drop -backend")
-		os.Exit(1)
-	}
-
-	store, err := rf.OpenStore()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	if store != nil && (backendSpec == "" || backendSpec == "local") {
-		// The in-process measurement times the bare cycle loop; serving
-		// points from a store would measure the store, not the simulator.
-		fmt.Fprintln(os.Stderr, "bench: -store needs a non-local -backend (store-backed runs measure delivered throughput)")
-		os.Exit(1)
-	}
 
 	// ^C aborts the current point mid-simulation; a partial report is
 	// not written (the pinned set is only comparable when complete).
 	ctx := sim.SignalContext()
 	done := 0
-	progress := func(r sim.BenchResult) {
+	rep, err := sim.RunBench(ctx, points, *quick, func(r sim.BenchResult) {
 		done++
 		fmt.Printf("[%d/%d] %-10s %-10s %9d cycles  ipc=%5.3f  %8.1f ms  %10.0f cycles/sec\n",
 			done, len(points), r.Bench, r.Tracker, r.Cycles, r.IPC, float64(r.WallNS)/1e6, r.CyclesPerSec)
-	}
-	var rep *sim.BenchReport
-	if backendSpec == "" || backendSpec == "local" {
-		rep, err = sim.RunBench(ctx, points, *quick, progress)
-	} else {
-		var be dispatch.Backend
-		be, err = dispatch.New(backendSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		defer be.Close()
-		exec := be.Execute
-		backendLabel := backendSpec
-		if store != nil {
-			// Store-first execution: a hit skips the backend entirely, a
-			// miss runs and backfills. The label records the store so the
-			// report is never mistaken for raw backend throughput.
-			exec = func(ctx context.Context, req sim.Request) (*sim.Result, error) {
-				key := sim.Key(req)
-				if res, ok := store.Load(ctx, key); ok {
-					return res, nil
-				}
-				res, err := be.Execute(ctx, req)
-				if err == nil {
-					store.Put(context.WithoutCancel(ctx), key, res)
-				}
-				return res, err
-			}
-			backendLabel += "+" + store.Spec()
-		}
-		rep, err = sim.RunBenchVia(ctx, points, *quick, exec, progress)
-		if rep != nil {
-			rep.Backend = backendLabel
-		}
-	}
+	})
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
 			fmt.Fprintln(os.Stderr, "interrupted")
@@ -181,6 +113,9 @@ func main() {
 	// verdict: gmean ratios across disjoint point sets measure the sets,
 	// not the simulator.
 	if *gate > 0 {
+		// Earlier binaries could time points through a dispatch backend
+		// and recorded it in the report; such a baseline measured the
+		// backend, not the simulator. Nothing writes the field now.
 		if base.Backend != "" {
 			fmt.Fprintf(os.Stderr, "bench: gate cannot compare: the baseline measured backend %q, not the in-process simulator\n", base.Backend)
 			os.Exit(1)

@@ -15,13 +15,6 @@
 //
 //	loadgen -url http://localhost:8347 -points 1,2,4,8,16 -duration 5s
 //	loadgen -url http://localhost:8347 -points 4 -duration 2s -check
-//	loadgen -store s3://simstore/grid -s3-endpoint http://127.0.0.1:9000 -points 1,4 -duration 2s
-//
-// -store switches loadgen from driving a regshared service to driving
-// the storage tier itself: each client loops PutIfAbsent + Get
-// round-trips over a shared synthetic working set, the saturation
-// table reports op throughput and latency, and the summary line prints
-// the backend's tier counters (gets/puts/local hits/remote bytes).
 //
 // -check turns the run into a smoke test: any transport/5xx-class
 // failure, a point that completed zero ok requests, or a malformed
@@ -30,10 +23,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,10 +34,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/dispatch"
-	"repro/internal/objstore"
 	"repro/internal/sim"
 )
 
@@ -62,20 +50,12 @@ func main() {
 		grid     = flag.Int("grid", 8, "distinct sweep cells (ROB sizes) per client loop")
 		check    = flag.Bool("check", false, "smoke mode: exit 1 on any failure, a point with zero ok results, or a malformed /metrics snapshot")
 	)
-	rf := cliflags.RegisterRunnerFlags(flag.CommandLine, cliflags.WithoutBackend())
 	flag.Parse()
 
-	if rf.PrintVersion(os.Stdout) {
-		return
-	}
 	clients, err := parsePoints(*points)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
-	}
-
-	if spec := rf.StoreSpec(); spec != "" {
-		os.Exit(runStoreLoad(spec, rf.StoreOptions(), clients, *duration, *grid, *check))
 	}
 
 	reqs := buildSweep(*bench, *warmup, *measure, *grid)
@@ -112,127 +92,9 @@ func main() {
 	}
 }
 
-// runStoreLoad is the storage-tier load mode (-store): instead of
-// driving a regshared service, the clients hammer the store backend
-// itself — PutIfAbsent + Get round-trips over a synthetic
-// content-addressed working set — and the summary reports the
-// backend's tier counters. The saturation table's columns keep their
-// meaning (ok = verified round-trips; the cycles column is zero:
-// nothing simulates). Returns the process exit code.
-func runStoreLoad(spec string, opts []objstore.Option, clients []int, d time.Duration, grid int, check bool) int {
-	b, err := objstore.New(spec, opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		return 1
-	}
-	defer b.Close()
-	if grid < 1 {
-		grid = 1
-	}
-	ctx := sim.SignalContext()
-	fmt.Printf("storage-tier load against %s\n", b.String())
-	var rows []row
-	for _, c := range clients {
-		r := runStorePoint(ctx, b, c, d, grid)
-		rows = append(rows, r)
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	printTable(os.Stdout, rows)
-	st := b.Stats()
-	fmt.Printf("store: %d gets (%d local hits, %d remote, %d remote bytes), %d puts, %d lists\n",
-		st.Gets, st.LocalHits, st.RemoteGets, st.RemoteBytes, st.Puts, st.Lists)
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "loadgen: interrupted")
-		return 130
-	}
-	if check {
-		if err := smokeVerdict(rows); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: store smoke check FAILED: %v\n", err)
-			return 1
-		}
-		fmt.Println("loadgen: store smoke check passed: zero failures")
-	}
-	return 0
-}
-
-// runStorePoint drives one offered-load point against the backend: c
-// concurrent clients looping over a per-client working set of grid
-// entries. Each iteration is one PutIfAbsent + Get pair whose payload
-// is derived from the entry name, so a read must round-trip
-// byte-identically no matter which client stored it first.
-func runStorePoint(ctx context.Context, b objstore.Backend, c int, d time.Duration, grid int) row {
-	results := make([]clientResult, c)
-	start := time.Now()
-	deadline := start.Add(d)
-	var wg sync.WaitGroup
-	for id := range c {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cr := &results[id]
-			for i := 0; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
-				// Shared working set: every client cycles the same grid
-				// names, so concurrent PutIfAbsent calls race on purpose.
-				seed := fmt.Sprintf("loadgen-store-%d", i%grid)
-				sum := sha256.Sum256([]byte(seed))
-				name := hex.EncodeToString(sum[:])
-				payload := []byte("loadgen store payload for " + seed)
-				t0 := time.Now()
-				_, err := b.PutIfAbsent(ctx, name, payload)
-				var got []byte
-				if err == nil {
-					got, err = b.Get(ctx, name)
-				}
-				lat := time.Since(t0)
-				switch {
-				case ctx.Err() != nil:
-					return
-				case err != nil:
-					cr.failed++
-					if cr.firstErr == nil {
-						cr.firstErr = err
-					}
-				case !bytes.Equal(got, payload):
-					cr.failed++
-					if cr.firstErr == nil {
-						cr.firstErr = fmt.Errorf("entry %s round-tripped %d bytes, want %d", name, len(got), len(payload))
-					}
-				default:
-					cr.ok++
-					cr.lats = append(cr.lats, lat)
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-
-	r := row{clients: c, elapsed: time.Since(start)}
-	var lats []time.Duration
-	for i := range results {
-		cr := &results[i]
-		r.ok += cr.ok
-		r.failed += cr.failed
-		r.cycles += cr.cycles
-		lats = append(lats, cr.lats...)
-		if r.firstErr == nil {
-			r.firstErr = cr.firstErr
-		}
-	}
-	r.attempted = r.ok + r.failed
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	r.p50 = quantile(lats, 0.50)
-	r.p99 = quantile(lats, 0.99)
-	if r.firstErr != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: store point %d: %d failures, first: %v\n", c, r.failed, r.firstErr)
-	}
-	return r
-}
-
 // smokeVerdict is -check's verdict over the saturation rows. Any failed
-// operation fails it (429 rejections are not failures), and so does a
-// point that completed zero ok operations — every call shed, or nothing
+// request fails it (429 rejections are not failures), and so does a
+// point that completed zero ok requests — every call shed, or nothing
 // attempted at all — because such a point checked nothing.
 func smokeVerdict(rows []row) error {
 	failed, idle := 0, 0
@@ -244,9 +106,9 @@ func smokeVerdict(rows []row) error {
 	}
 	switch {
 	case failed > 0:
-		return fmt.Errorf("%d failed operations", failed)
+		return fmt.Errorf("%d failed requests", failed)
 	case idle > 0:
-		return fmt.Errorf("%d of %d points completed zero ok operations", idle, len(rows))
+		return fmt.Errorf("%d of %d points completed zero ok requests", idle, len(rows))
 	}
 	return nil
 }

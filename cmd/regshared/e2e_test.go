@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,20 +18,22 @@ import (
 	"repro/internal/fleet"
 )
 
-// TestEndToEnd builds regshared, sweep, loadgen and fakes3 and drives
-// the real binaries through the command paths only a multi-process run
-// exercises: a service under loadgen, two drain processes racing on one
-// fs: lease area, and the s3 store against the fake. Properties the
-// in-process tests already pin are left to them.
+// TestEndToEnd builds every command and drives the real binaries
+// through the paths only a multi-process run exercises: a service under
+// loadgen, two drain processes racing on one fs: lease area, and the s3
+// store against the fake. It also pins each command's flag set.
+// Properties the in-process tests already pin are left to them.
 func TestEndToEnd(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skipf("no go tool to build the commands: %v", err)
 	}
 	bin := t.TempDir()
-	build := exec.Command(goTool, "build", "-buildvcs=false", "-o", bin+string(filepath.Separator),
-		"repro/cmd/regshared", "repro/cmd/sweep", "repro/cmd/loadgen", "repro/cmd/fakes3")
-	if out, err := build.CombinedOutput(); err != nil {
+	args := []string{"build", "-buildvcs=false", "-o", bin + string(filepath.Separator)}
+	for cmd := range commandFlags {
+		args = append(args, "repro/cmd/"+cmd)
+	}
+	if out, err := exec.Command(goTool, args...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	regshared := filepath.Join(bin, "regshared")
@@ -109,11 +113,50 @@ func TestEndToEnd(t *testing.T) {
 		if _, entries := printedManifest(t, run(t, regshared, "-store", "s3://simstore/grid", "-s3-endpoint", endpoint, "-manifest")); entries == 0 {
 			t.Error("the bucket's manifest lists no entries after the sweep")
 		}
-		run(t, loadgen, "-store", "s3://simstore/load", "-s3-endpoint", endpoint, "-points", "2,4", "-duration", "500ms", "-check")
-		if out, err := output(loadgen, "-store", "s3://simstore/load", "-s3-endpoint", endpoint, "-points", "2", "-duration", "1ns", "-check"); err == nil {
-			t.Errorf("loadgen -store -check passed a point with zero ok operations:\n%s", out)
+	})
+
+	t.Run("flags", func(t *testing.T) {
+		for _, cmd := range slices.Sorted(maps.Keys(commandFlags)) {
+			if got, want := flagNames(t, filepath.Join(bin, cmd)), commandFlags[cmd]; !slices.Equal(got, want) {
+				t.Errorf("%s -h lists flags %v, want %v", cmd, got, want)
+			}
 		}
 	})
+}
+
+// commandFlags is every command's flag set, sorted by name. A flag
+// added or removed anywhere shows up as a change to this table.
+var commandFlags = map[string][]string{
+	"bench":       {"baseline", "gate", "label", "list", "o", "quick"},
+	"fakes3":      {"access-key", "addr", "bucket", "region", "secret-key"},
+	"loadgen":     {"bench", "check", "duration", "grid", "measure", "points", "url", "warmup"},
+	"paperfigs":   {"backend", "exp", "measure", "s3-endpoint", "scenario", "simver", "store", "warmup"},
+	"regshared":   {"addr", "cells", "drain", "host", "manifest", "max-inflight", "max-queue", "measure", "poll", "recent", "s3-endpoint", "shard-cells", "simver", "stale-polls", "store", "warmup", "workers"},
+	"regsim":      {"bench", "committed", "ctrbits", "ddt", "entries", "json", "list", "loadload", "me", "measure", "pred", "s3-endpoint", "simver", "smb", "store", "trace", "tracker", "v", "warmup"},
+	"storagecost": {"bench", "frontier", "measure", "s3-endpoint", "simver", "store", "warmup"},
+	"sweep":       {"backend", "bench", "json", "kind", "list", "measure", "s3-endpoint", "scenario", "simver", "spec", "store", "v", "warmup"},
+}
+
+// flagNames runs a command with -h, which must exit 0 with its usage on
+// stderr, and returns the flag names the usage lists, sorted.
+func flagNames(t *testing.T, path string) []string {
+	t.Helper()
+	cmd := exec.Command(path, "-h")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if out, err := cmd.Output(); err != nil || len(out) != 0 {
+		t.Fatalf("%s -h: %v, stdout %q\n%s", filepath.Base(path), err, out, stderr.Bytes())
+	}
+	var names []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		// flag.PrintDefaults starts each flag's entry with "  -name";
+		// usage text continues on lines indented with a tab.
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			names = append(names, strings.Fields(rest)[0])
+		}
+	}
+	slices.Sort(names)
+	return names
 }
 
 // output runs a command to completion and returns its stdout. A

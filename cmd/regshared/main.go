@@ -1,7 +1,6 @@
 // Command regshared serves simulation results over HTTP: the
-// result service behind the `-backend http://addr` flag of cmd/sweep,
-// cmd/bench and cmd/paperfigs, and a plain JSON API for everything
-// else.
+// result service behind the `-backend http://addr` flag of cmd/sweep
+// and cmd/paperfigs, and a plain JSON API for everything else.
 //
 // Endpoints:
 //
@@ -29,13 +28,13 @@
 // unboundedly. cmd/loadgen drives the saturation curve.
 //
 // Hosts share results through one -store bucket (a shared fs:
-// directory, or s3:// with -store-cache as a local read tier): every
-// host's runner reads and writes the same entries. N such hosts drain a
-// fleet-scale grid cooperatively: `regshared -store fs:DIR -drain
-// fleet-grid` leases contiguous cell shards via claim objects in the
-// bucket's lease area (see internal/fleet), simulates its share, and
-// exits with a drain summary — resumable, exactly-once across hosts,
-// with the store's Merkle manifest as the single source of truth.
+// directory or an s3:// bucket): every host's runner reads and writes
+// the same entries. N such hosts drain a fleet-scale grid
+// cooperatively: `regshared -store fs:DIR -drain fleet-grid` leases
+// contiguous cell shards via claim objects in the bucket's lease area
+// (see internal/fleet), simulates its share, and exits with a drain
+// summary — resumable, exactly-once across hosts, with the store's
+// manifest root as the single source of truth.
 //
 // Usage:
 //
@@ -76,7 +75,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "admission: max concurrently executing requests (0: 4×GOMAXPROCS, min 16)")
 		maxQueue    = flag.Int("max-queue", 1024, "admission: max queued requests before 429 + Retry-After (negative: no queue, reject beyond -max-inflight)")
 		recent      = flag.Int("recent", 256, "size of the /v1/requests/recent ring buffer")
-		manifest    = flag.Bool("manifest", false, "print the -store store's Merkle manifest summary and exit")
+		manifest    = flag.Bool("manifest", false, "print the -store store's manifest summary and exit")
 
 		drainSpec  = flag.String("drain", "", "drain a scenario's grid as one fleet host and exit: a builtin name or .scenario path (needs a shared fs:/s3:// -store)")
 		host       = flag.String("host", "", "-drain: this host's name in lease claims (default hostname.pid)")
@@ -200,8 +199,8 @@ func storeDesc(store *sim.Store) string {
 	return store.Spec()
 }
 
-// printManifest prints the store's Merkle manifest summary: hosts
-// sharing one bucket print the same root.
+// printManifest prints the store's manifest summary: hosts sharing one
+// bucket print the same root.
 func printManifest(store *sim.Store) error {
 	m, err := store.Manifest(sim.SignalContext())
 	if err != nil {
@@ -210,7 +209,7 @@ func printManifest(store *sim.Store) error {
 	fmt.Printf("schema:      %s\n", m.Schema)
 	fmt.Printf("sim_version: %s\n", m.SimVersion)
 	fmt.Printf("root:        %s\n", m.Root)
-	fmt.Printf("height:      %d (%d shards)\n", m.Height, sim.ShardCount)
+	fmt.Printf("shards:      %d\n", len(m.Shards))
 	fmt.Printf("entries:     %d\n", m.Entries)
 	return nil
 }

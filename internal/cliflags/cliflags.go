@@ -1,10 +1,10 @@
-// Package cliflags registers the runner flag set every simulation
-// command shares — -backend, -simver, -store, -s3-endpoint and
-// -store-cache — and resolves it into the execution backend and result
-// store a runner is built from. Centralizing the registration keeps the
-// flag names and help strings identical across cmd/sweep, cmd/bench,
-// cmd/regshared, cmd/loadgen, cmd/regsim, cmd/paperfigs and
-// cmd/storagecost: a flag contract change lands in one place.
+// Package cliflags registers the runner flag set the simulation
+// commands share — -backend, -simver, -store and -s3-endpoint — and
+// resolves it into the execution backend and result store a runner is
+// built from. Centralizing the registration keeps the flag names and
+// help strings identical across cmd/sweep, cmd/paperfigs, cmd/regsim,
+// cmd/storagecost and cmd/regshared: a flag contract change lands in
+// one place.
 //
 // The usual shape:
 //
@@ -21,9 +21,8 @@
 // Commands that never choose an execution backend (pure store
 // consumers like cmd/storagecost, and cmd/regshared, which always
 // executes in-process) register with WithoutBackend; commands that
-// need the raw spec for their own construction rules (cmd/bench's
-// store/backend interaction checks) read BackendSpec and OpenStore à
-// la carte.
+// open a store or a backend of their own from the -store spec read
+// StoreSpec, StoreOptions and OpenStore à la carte.
 package cliflags
 
 import (
@@ -36,23 +35,13 @@ import (
 	"repro/internal/sim"
 )
 
-// defaultBackendHelp documents the -backend values commands accept.
-const defaultBackendHelp = "execution backend: local | http://addr"
-
 // config collects the registration options.
 type config struct {
-	backendHelp string
-	noBackend   bool
+	noBackend bool
 }
 
 // Option customizes RegisterRunnerFlags.
 type Option func(*config)
-
-// WithBackendHelp replaces -backend's help string (the flag's name,
-// default and semantics stay shared).
-func WithBackendHelp(help string) Option {
-	return func(c *config) { c.backendHelp = help }
-}
 
 // WithoutBackend skips the -backend flag for commands that never
 // choose an execution backend.
@@ -63,39 +52,28 @@ func WithoutBackend() Option {
 // Flags holds the registered runner flags until the command parses and
 // resolves them.
 type Flags struct {
-	backend   *string
-	simver    *bool
-	store     *string
-	endpoint  *string
-	cacheTier *string
+	backend  *string
+	simver   *bool
+	store    *string
+	endpoint *string
 }
 
 // RegisterRunnerFlags installs the shared runner flags on fs and
 // returns the holder to resolve after fs.Parse.
 func RegisterRunnerFlags(fs *flag.FlagSet, opts ...Option) *Flags {
-	c := config{backendHelp: defaultBackendHelp}
+	var c config
 	for _, o := range opts {
 		o(&c)
 	}
 	f := &Flags{
-		store:     fs.String("store", "", "result store spec: fs:DIR | mem: | s3://bucket/prefix (empty: storage off)"),
-		endpoint:  fs.String("s3-endpoint", "", "override the s3 endpoint URL for -store s3:// (MinIO / fake server; default AWS_ENDPOINT_URL or the AWS regional endpoint)"),
-		cacheTier: fs.String("store-cache", "", "local read-through cache directory for a remote -store (s3 misses fill it; ignored for fs:/mem:)"),
+		store:    fs.String("store", "", "result store spec: fs:DIR | mem: | s3://bucket/prefix (empty: storage off)"),
+		endpoint: fs.String("s3-endpoint", "", "override the s3 endpoint URL for -store s3:// (MinIO / fake server; default AWS_ENDPOINT_URL or the AWS regional endpoint)"),
 	}
 	if !c.noBackend {
-		f.backend = fs.String("backend", "local", c.backendHelp)
+		f.backend = fs.String("backend", "local", "execution backend: local | http://addr")
 	}
 	f.simver = fs.Bool("simver", false, "print the simulator version tag (the store envelope simver, CI's store cache key) and exit")
 	return f
-}
-
-// BackendSpec returns the parsed -backend value, or "" when the command
-// registered WithoutBackend.
-func (f *Flags) BackendSpec() string {
-	if f.backend == nil {
-		return ""
-	}
-	return *f.backend
 }
 
 // PrintVersion handles -simver: when the flag was set it prints the
@@ -113,18 +91,13 @@ func (f *Flags) PrintVersion(w io.Writer) bool {
 // storage off.
 func (f *Flags) StoreSpec() string { return *f.store }
 
-// StoreOptions returns the objstore options -s3-endpoint and
-// -store-cache imply, for commands that open a backend from StoreSpec
-// themselves.
+// StoreOptions returns the objstore options -s3-endpoint implies, for
+// commands that open a backend from StoreSpec themselves.
 func (f *Flags) StoreOptions() []objstore.Option {
-	var opts []objstore.Option
-	if *f.endpoint != "" {
-		opts = append(opts, objstore.WithEndpoint(*f.endpoint))
+	if *f.endpoint == "" {
+		return nil
 	}
-	if *f.cacheTier != "" {
-		opts = append(opts, objstore.WithLocalCache(*f.cacheTier))
-	}
-	return opts
+	return []objstore.Option{objstore.WithEndpoint(*f.endpoint)}
 }
 
 // OpenStore resolves the store flags to a store. A nil store with a nil

@@ -19,30 +19,21 @@ func registered(fs *flag.FlagSet) []string {
 }
 
 // TestSharedRegistration: one call registers exactly the shared
-// contract — backend, simver and the three store flags — and nothing
+// contract — backend, simver and the two store flags — and nothing
 // else.
 func TestSharedRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	RegisterRunnerFlags(fs)
-	want := []string{"backend", "s3-endpoint", "simver", "store", "store-cache"}
+	want := []string{"backend", "s3-endpoint", "simver", "store"}
 	if got := registered(fs); !reflect.DeepEqual(got, want) {
 		t.Errorf("registered flags %v, want %v", got, want)
 	}
 
 	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
-	f2 := RegisterRunnerFlags(fs2, WithoutBackend())
-	want = []string{"s3-endpoint", "simver", "store", "store-cache"}
+	RegisterRunnerFlags(fs2, WithoutBackend())
+	want = []string{"s3-endpoint", "simver", "store"}
 	if got := registered(fs2); !reflect.DeepEqual(got, want) {
 		t.Errorf("WithoutBackend registered flags %v, want %v", got, want)
-	}
-	if f2.BackendSpec() != "" {
-		t.Error("BackendSpec nonempty without a backend flag")
-	}
-
-	fs3 := flag.NewFlagSet("z", flag.ContinueOnError)
-	RegisterRunnerFlags(fs3, WithBackendHelp("custom help"))
-	if got := fs3.Lookup("backend").Usage; got != "custom help" {
-		t.Errorf("backend help = %q", got)
 	}
 }
 
@@ -93,21 +84,19 @@ func TestStoreSpecPassesThrough(t *testing.T) {
 	}
 }
 
-// TestStoreOpenResolvesBackends: fs:, mem: and s3:// open (the s3 knobs
-// reach the backend through StoreOptions), no -store means storage off,
-// and a bad spec surfaces the objstore error.
+// TestStoreOpenResolvesBackends: fs:, mem: and s3:// open (-s3-endpoint
+// reaches the backend through StoreOptions), no -store means storage
+// off, and a bad spec surfaces the objstore error.
 func TestStoreOpenResolvesBackends(t *testing.T) {
 	t.Setenv("AWS_ACCESS_KEY_ID", "test")
 	t.Setenv("AWS_SECRET_ACCESS_KEY", "testsecret")
-	cacheDir := t.TempDir()
 	for _, tc := range []struct {
 		args      []string
 		wantStore string // substring of the opened store's Spec
 	}{
 		{[]string{"-store", "fs:" + t.TempDir()}, "fs:"},
 		{[]string{"-store", "mem:"}, "mem:"},
-		{[]string{"-store", "s3://bucket/prefix", "-s3-endpoint", "http://127.0.0.1:9", "-store-cache", cacheDir},
-			"+cache:" + cacheDir},
+		{[]string{"-store", "s3://bucket/prefix", "-s3-endpoint", "http://127.0.0.1:9"}, "s3://bucket/prefix"},
 	} {
 		s, err := parse(t, tc.args...).OpenStore()
 		if err != nil {
@@ -124,6 +113,9 @@ func TestStoreOpenResolvesBackends(t *testing.T) {
 	}
 	if _, err := parse(t, "-store", "gopher://nope").OpenStore(); err == nil {
 		t.Fatal("bad -store spec did not error")
+	}
+	if _, err := parse(t, "-store", "s3://bucket/prefix", "-s3-endpoint", "no-scheme").OpenStore(); err == nil {
+		t.Fatal("a bad -s3-endpoint did not reach the s3 backend")
 	}
 }
 

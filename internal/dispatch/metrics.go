@@ -172,16 +172,12 @@ type MetricsSnapshot struct {
 	CyclesDelivered uint64  `json:"cycles_delivered"`
 	CyclesPerSec    float64 `json:"cycles_per_sec"`
 
-	// Store-tier counters (see objstore.TierStats): backend operations
-	// the result store performed, and — for remote backends with a
-	// read-through cache — how reads split between the local tier and
-	// the remote bucket. Zero/absent when the service has no store.
-	StoreGets        int64 `json:"store_gets,omitempty"`
-	StorePuts        int64 `json:"store_puts,omitempty"`
-	StoreLists       int64 `json:"store_lists,omitempty"`
-	StoreLocalHits   int64 `json:"store_local_hits,omitempty"`
-	StoreRemoteGets  int64 `json:"store_remote_gets,omitempty"`
-	StoreRemoteBytes int64 `json:"store_remote_bytes,omitempty"`
+	// Store counters (see objstore.TierStats): the backend operations
+	// the result store performed. Zero/absent when the service has no
+	// store.
+	StoreGets  int64 `json:"store_gets,omitempty"`
+	StorePuts  int64 `json:"store_puts,omitempty"`
+	StoreLists int64 `json:"store_lists,omitempty"`
 
 	Endpoints []EndpointMetrics `json:"endpoints"`
 }
@@ -291,31 +287,28 @@ func (m *metrics) finish(t *track, status int, cycles uint64) {
 
 // snapshot assembles the /metrics response from the aggregator, the
 // runner's provenance counters, the admission queue depth and the
-// store's backend tier counters.
+// store's backend operation counters.
 func (m *metrics) snapshot(ctr sim.Counters, queueDepth int, tier objstore.TierStats) MetricsSnapshot {
 	now := nowNS()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := MetricsSnapshot{
-		StartedNS:        m.startNS,
-		NowNS:            now,
-		Accepted:         m.accepted,
-		Completed:        m.completed,
-		Errors:           m.errored,
-		Rejected:         m.rejected,
-		InFlight:         m.inFlight,
-		QueueDepth:       queueDepth,
-		Simulated:        ctr.Simulated,
-		MemHits:          ctr.MemHits,
-		StoreHits:        ctr.DiskHits,
-		CyclesDelivered:  m.cyclesDelivered,
-		StoreGets:        tier.Gets,
-		StorePuts:        tier.Puts,
-		StoreLists:       tier.Lists,
-		StoreLocalHits:   tier.LocalHits,
-		StoreRemoteGets:  tier.RemoteGets,
-		StoreRemoteBytes: tier.RemoteBytes,
-		Endpoints:        make([]EndpointMetrics, 0, numEndpoints),
+		StartedNS:       m.startNS,
+		NowNS:           now,
+		Accepted:        m.accepted,
+		Completed:       m.completed,
+		Errors:          m.errored,
+		Rejected:        m.rejected,
+		InFlight:        m.inFlight,
+		QueueDepth:      queueDepth,
+		Simulated:       ctr.Simulated,
+		MemHits:         ctr.MemHits,
+		StoreHits:       ctr.DiskHits,
+		CyclesDelivered: m.cyclesDelivered,
+		StoreGets:       tier.Gets,
+		StorePuts:       tier.Puts,
+		StoreLists:      tier.Lists,
+		Endpoints:       make([]EndpointMetrics, 0, numEndpoints),
 	}
 	if settled := ctr.Simulated + ctr.MemHits + ctr.DiskHits; settled > 0 {
 		s.HitRate = float64(ctr.MemHits+ctr.DiskHits) / float64(settled)

@@ -16,7 +16,7 @@
 // Matrix.FirstUse is nondecreasing and a shard's cells own exactly the
 // requests first used by them. Hosts holding disjoint shards therefore
 // simulate disjoint request sets, and the union over all shards is the
-// whole grid. The Merkle manifest over the results store remains the
+// whole grid. The manifest over the results store remains the
 // single source of truth: when every shard is done, the store — and its
 // root — is byte-identical to a single-host run of the same grid.
 package fleet

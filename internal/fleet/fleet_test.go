@@ -161,7 +161,7 @@ func TestDrainSingleHostAndResume(t *testing.T) {
 // TestDrainTwoHostsByteIdentical is the fleet contract: two hosts
 // racing for shards over one shared bucket simulate every request
 // exactly once between them, and the resulting store is byte-identical
-// — same Merkle root, same entry count — to a single-host control run.
+// — same manifest root, same entry count — to a single-host control run.
 func TestDrainTwoHostsByteIdentical(t *testing.T) {
 	m := expandFleet(t)
 

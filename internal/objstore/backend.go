@@ -2,8 +2,8 @@
 // object-store interface over content-addressed entries, with three
 // implementations — fs (the sharded atomic temp+rename layout extracted
 // from sim), mem (tests and ephemeral workers), and s3 (a stdlib-only
-// client for the MinIO-compatible REST subset) — plus a read-through
-// local cache tier for remote backends.
+// client for the MinIO-compatible REST subset) — and the operation
+// counters New wraps around each of them.
 //
 // Entries are named by the 64-hex SHA-256 of their sim.Key and grouped
 // into 256 shards by the first digest byte; backends only ever see
@@ -26,9 +26,6 @@ type Object struct {
 	Name string
 	// Size is the entry's byte length.
 	Size int64
-	// ETag is the backend's opaque content token for cheap change
-	// detection ("" when the backend has none).
-	ETag string
 	// SHA256 is an optional digest hint: the hex SHA-256 of the
 	// entry's bytes when the backend can report it without a read
 	// ("" otherwise). Consumers that need the digest fall back to
@@ -55,20 +52,11 @@ type Backend interface {
 	// so exactly one host wins a shard.
 	PutIfAbsent(ctx context.Context, name string, data []byte) (bool, error)
 
-	// Stat reports the entry without fetching its bytes. A missing
-	// entry returns an error wrapping fs.ErrNotExist.
-	Stat(ctx context.Context, name string) (Object, error)
-
 	// List returns the shard's entries sorted by name. A shard with
-	// no entries returns an empty list, not an error.
+	// no entries returns an empty list, not an error. An entry deleted
+	// while the shard is listed may be left out; an entry that exists
+	// but cannot be read is an error, never silently skipped.
 	List(ctx context.Context, shard string) ([]Object, error)
-
-	// Generation returns a cheap opaque change token for the shard:
-	// equal tokens mean the shard's entry set and bytes are unchanged
-	// since the token was read (the converse need not hold). ok is
-	// false when the backend cannot provide one, in which case
-	// callers must rescan.
-	Generation(ctx context.Context, shard string) (gen string, ok bool)
 
 	// String describes the backend in -store spec form.
 	String() string
@@ -107,39 +95,13 @@ func errBadShard(shard string) error {
 	return fmt.Errorf("objstore: bad shard name %q: want two hex characters", shard)
 }
 
-// TierStats is a point-in-time snapshot of a store's tier counters:
-// how many operations the store served and, for cached remote
-// backends, how the read traffic split between the local tier and the
-// remote one.
+// TierStats is a point-in-time snapshot of a store backend's
+// operation counters: how many reads, writes and shard listings the
+// store issued.
 type TierStats struct {
-	Gets        int64 // Get calls observed
-	Puts        int64 // Put + PutIfAbsent calls observed
-	Lists       int64 // List calls observed
-	LocalHits   int64 // Gets served by the local cache tier
-	RemoteGets  int64 // Gets that reached the remote backend
-	RemoteBytes int64 // bytes fetched from the remote backend
-}
-
-// counters is the shared atomic counter block behind a Metered
-// backend; the cache tier increments the tier-split fields.
-type counters struct {
-	gets        atomic.Int64
-	puts        atomic.Int64
-	lists       atomic.Int64
-	localHits   atomic.Int64
-	remoteGets  atomic.Int64
-	remoteBytes atomic.Int64
-}
-
-func (c *counters) snapshot() TierStats {
-	return TierStats{
-		Gets:        c.gets.Load(),
-		Puts:        c.puts.Load(),
-		Lists:       c.lists.Load(),
-		LocalHits:   c.localHits.Load(),
-		RemoteGets:  c.remoteGets.Load(),
-		RemoteBytes: c.remoteBytes.Load(),
-	}
+	Gets  int64 // Get calls observed
+	Puts  int64 // Put + PutIfAbsent calls observed
+	Lists int64 // List calls observed
 }
 
 // Metered wraps a Backend with operation counters. New returns one
@@ -147,40 +109,35 @@ func (c *counters) snapshot() TierStats {
 // stats in /metrics.
 type Metered struct {
 	Backend
-	c *counters
+	gets, puts, lists atomic.Int64
 }
 
-// Meter wraps b with a fresh counter block. Wrapping an already-wired
-// backend (objstore.New output) double-counts; use it on bare
-// backends.
-func Meter(b Backend) *Metered {
-	m := &Metered{Backend: b, c: &counters{}}
-	if ct, ok := b.(*cacheTier); ok {
-		ct.c = m.c
-	}
-	return m
-}
+// Meter wraps b with fresh counters. Wrapping an already-wired backend
+// (objstore.New output) double-counts; use it on bare backends.
+func Meter(b Backend) *Metered { return &Metered{Backend: b} }
 
 // Stats returns the current counter snapshot.
-func (m *Metered) Stats() TierStats { return m.c.snapshot() }
+func (m *Metered) Stats() TierStats {
+	return TierStats{Gets: m.gets.Load(), Puts: m.puts.Load(), Lists: m.lists.Load()}
+}
 
 func (m *Metered) Get(ctx context.Context, name string) ([]byte, error) {
-	m.c.gets.Add(1)
+	m.gets.Add(1)
 	return m.Backend.Get(ctx, name)
 }
 
 func (m *Metered) Put(ctx context.Context, name string, data []byte) error {
-	m.c.puts.Add(1)
+	m.puts.Add(1)
 	return m.Backend.Put(ctx, name, data)
 }
 
 func (m *Metered) PutIfAbsent(ctx context.Context, name string, data []byte) (bool, error) {
-	m.c.puts.Add(1)
+	m.puts.Add(1)
 	return m.Backend.PutIfAbsent(ctx, name, data)
 }
 
 func (m *Metered) List(ctx context.Context, shard string) ([]Object, error) {
-	m.c.lists.Add(1)
+	m.lists.Add(1)
 	return m.Backend.List(ctx, shard)
 }
 
@@ -189,7 +146,6 @@ type config struct {
 	endpoint   string
 	region     string
 	creds      s3Credentials
-	cacheDir   string
 	httpClient httpDoer
 }
 
@@ -211,12 +167,6 @@ func WithCredentials(accessKeyID, secretAccessKey string) Option {
 		c.creds = s3Credentials{AccessKeyID: accessKeyID, SecretAccessKey: secretAccessKey}
 	}
 }
-
-// WithLocalCache layers a read-through fs cache (rooted at dir) in
-// front of a remote backend: remote misses fill the local tier, and
-// repeat reads are served locally. Ignored for fs: and mem: specs,
-// which are already local.
-func WithLocalCache(dir string) Option { return func(c *config) { c.cacheDir = dir } }
 
 // WithHTTPClient overrides the HTTP client the s3 backend uses
 // (tests inject an httptest client).
@@ -252,9 +202,6 @@ func New(spec string, opts ...Option) (*Metered, error) {
 		b, err = newS3FromSpec(spec, &cfg)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.cacheDir != "" {
-			b = &cacheTier{local: NewFS(cfg.cacheDir), remote: b}
 		}
 	default:
 		return nil, fmt.Errorf("objstore: bad store spec %q: want fs:DIR, mem: or s3://bucket/prefix", spec)

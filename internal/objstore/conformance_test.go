@@ -1,11 +1,10 @@
 package objstore_test
 
 // The backend conformance suite: every Backend implementation — fs,
-// mem, s3 against the in-process fake, and s3 behind the read-through
-// cache tier — must satisfy the same contract, because sim.Store and
-// the fleet's lease area are written against the interface, not any
-// one implementation. Each subtest runs against a fresh backend of
-// each flavor.
+// mem, and s3 against the in-process fake — must satisfy the same
+// contract, because sim.Store and the fleet's lease area are written
+// against the interface, not any one implementation. Each subtest runs
+// against a fresh backend of each flavor.
 
 import (
 	"bytes"
@@ -19,7 +18,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/objstore"
@@ -71,18 +69,6 @@ func flavors() []flavor {
 			}
 			return b
 		}},
-		{"s3+cache", func(t *testing.T) objstore.Backend {
-			ts := newFake(t)
-			b, err := objstore.New("s3://conformance/grid",
-				objstore.WithEndpoint(ts.URL),
-				objstore.WithCredentials(creds.AccessKeyID, creds.SecretAccessKey),
-				objstore.WithRegion("us-east-1"),
-				objstore.WithLocalCache(t.TempDir()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
 	}
 }
 
@@ -112,9 +98,6 @@ func TestConformanceRoundTrip(t *testing.T) {
 		if _, err := b.Get(bg, name); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("Get(absent) = %v, want fs.ErrNotExist", err)
 		}
-		if _, err := b.Stat(bg, name); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("Stat(absent) = %v, want fs.ErrNotExist", err)
-		}
 
 		stored, err := b.PutIfAbsent(bg, name, payload)
 		if err != nil || !stored {
@@ -123,13 +106,6 @@ func TestConformanceRoundTrip(t *testing.T) {
 		got, err := b.Get(bg, name)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("Get = (%q, %v), want stored payload", got, err)
-		}
-		obj, err := b.Stat(bg, name)
-		if err != nil {
-			t.Fatalf("Stat: %v", err)
-		}
-		if obj.Name != name || obj.Size != int64(len(payload)) {
-			t.Fatalf("Stat = %+v, want name %s size %d", obj, name, len(payload))
 		}
 	})
 }
@@ -336,9 +312,6 @@ func TestConformanceRejectsBadNames(t *testing.T) {
 			if _, err := b.PutIfAbsent(bg, name, []byte("x")); err == nil {
 				t.Errorf("PutIfAbsent(%q) accepted a malformed name", name)
 			}
-			if _, err := b.Stat(bg, name); err == nil {
-				t.Errorf("Stat(%q) accepted a malformed name", name)
-			}
 		}
 		for _, shard := range []string{"", "z", "zzz", "GG", "0", "../"} {
 			if _, err := b.List(bg, shard); err == nil {
@@ -348,41 +321,10 @@ func TestConformanceRejectsBadNames(t *testing.T) {
 	})
 }
 
-// TestConformanceGeneration checks the token contract: when a backend
-// reports a generation, a write to the shard must change it (equal
-// tokens promise an unchanged shard).
-func TestConformanceGeneration(t *testing.T) {
-	forEachFlavor(t, func(t *testing.T, b objstore.Backend) {
-		name := testName("generation")
-		shard := name[:2]
-		gen1, ok1 := b.Generation(bg, shard)
-		if !ok1 {
-			t.Skip("backend does not provide generations; callers rescan")
-		}
-		// Filesystem generations are directory mtimes; leave room for
-		// coarse timestamp granularity before the write.
-		time.Sleep(20 * time.Millisecond)
-		if err := b.Put(bg, name, []byte("v1")); err != nil {
-			t.Fatal(err)
-		}
-		gen2, ok2 := b.Generation(bg, shard)
-		if !ok2 {
-			t.Fatal("backend stopped providing generations after a write")
-		}
-		if gen1 == gen2 {
-			t.Fatalf("generation %q unchanged across a write to shard %s", gen1, shard)
-		}
-		gen3, _ := b.Generation(bg, shard)
-		if gen2 != gen3 {
-			t.Fatalf("generation changed with no write: %q then %q", gen2, gen3)
-		}
-	})
-}
-
 // TestConformanceEnvelopeRoundTrip drives the full sim.Store envelope
 // layer over every backend: the same results must produce
-// byte-identical entries and equal Merkle manifest roots no matter
-// where they are stored.
+// byte-identical entries and equal manifest roots no matter where they
+// are stored.
 func TestConformanceEnvelopeRoundTrip(t *testing.T) {
 	reqs := []sim.Request{}
 	for _, entries := range []int{16, 32, 64} {

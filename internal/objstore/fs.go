@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -119,20 +118,6 @@ func (f *FS) writeTemp(path string, data []byte) (string, error) {
 	return tmp.Name(), nil
 }
 
-func (f *FS) Stat(ctx context.Context, name string) (Object, error) {
-	if !ValidName(name) {
-		return Object{}, errBadName(name)
-	}
-	if err := ctx.Err(); err != nil {
-		return Object{}, err
-	}
-	st, err := os.Stat(f.entryPath(name))
-	if err != nil {
-		return Object{}, fmt.Errorf("objstore: stat entry %s: %w", name, err)
-	}
-	return Object{Name: name, Size: st.Size()}, nil
-}
-
 func (f *FS) List(ctx context.Context, shard string) ([]Object, error) {
 	if !ValidShard(shard) {
 		return nil, errBadShard(shard)
@@ -155,8 +140,11 @@ func (f *FS) List(ctx context.Context, shard string) ([]Object, error) {
 			continue // temp files and foreign droppings are not entries
 		}
 		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // deleted between ReadDir and ReadFile
+		}
 		if err != nil {
-			continue // deleted mid-scan: the mtime bump forces a rescan
+			return nil, fmt.Errorf("objstore: reading entry %s: %w", stem, err)
 		}
 		d := sha256.Sum256(data)
 		objs = append(objs, Object{
@@ -166,25 +154,6 @@ func (f *FS) List(ctx context.Context, shard string) ([]Object, error) {
 		})
 	}
 	return objs, nil
-}
-
-// Generation returns the shard directory's mtime as the change token.
-// Callers read it before a List (not after), so a write landing
-// mid-scan bumps the mtime past the token and the next caller rescans
-// — conservative, never stale. A missing directory reports a fixed
-// token: absent and absent are equal.
-func (f *FS) Generation(ctx context.Context, shard string) (string, bool) {
-	if !ValidShard(shard) || ctx.Err() != nil {
-		return "", false
-	}
-	st, err := os.Stat(filepath.Join(f.root, shard))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return "absent", true
-		}
-		return "", false
-	}
-	return strconv.FormatInt(st.ModTime().UnixNano(), 10), true
 }
 
 func (f *FS) Close() error { return nil }

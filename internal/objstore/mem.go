@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io/fs"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -18,7 +17,6 @@ import (
 type Mem struct {
 	mu      sync.Mutex
 	entries map[string]memEntry
-	gens    map[string]int64 // per-shard write counters
 }
 
 type memEntry struct {
@@ -28,7 +26,7 @@ type memEntry struct {
 
 // NewMem returns an empty in-memory backend.
 func NewMem() *Mem {
-	return &Mem{entries: make(map[string]memEntry), gens: make(map[string]int64)}
+	return &Mem{entries: make(map[string]memEntry)}
 }
 
 func (m *Mem) String() string { return "mem:" }
@@ -89,23 +87,6 @@ func (m *Mem) storeLocked(name string, data []byte) {
 		data:   append([]byte(nil), data...),
 		sha256: hex.EncodeToString(d[:]),
 	}
-	m.gens[name[:2]]++
-}
-
-func (m *Mem) Stat(ctx context.Context, name string) (Object, error) {
-	if !ValidName(name) {
-		return Object{}, errBadName(name)
-	}
-	if err := ctx.Err(); err != nil {
-		return Object{}, err
-	}
-	m.mu.Lock()
-	e, ok := m.entries[name]
-	m.mu.Unlock()
-	if !ok {
-		return Object{}, fmt.Errorf("objstore: stat entry %s: %w", name, fs.ErrNotExist)
-	}
-	return Object{Name: name, Size: int64(len(e.data)), ETag: e.sha256, SHA256: e.sha256}, nil
 }
 
 func (m *Mem) List(ctx context.Context, shard string) ([]Object, error) {
@@ -122,22 +103,10 @@ func (m *Mem) List(ctx context.Context, shard string) ([]Object, error) {
 		if name[:2] != shard {
 			continue
 		}
-		objs = append(objs, Object{Name: name, Size: int64(len(e.data)), ETag: e.sha256, SHA256: e.sha256})
+		objs = append(objs, Object{Name: name, Size: int64(len(e.data)), SHA256: e.sha256})
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].Name < objs[j].Name })
 	return objs, nil
-}
-
-// Generation returns the shard's write counter: bumped on every store,
-// so equal tokens guarantee an unchanged shard exactly.
-func (m *Mem) Generation(ctx context.Context, shard string) (string, bool) {
-	if !ValidShard(shard) || ctx.Err() != nil {
-		return "", false
-	}
-	m.mu.Lock()
-	g := m.gens[shard]
-	m.mu.Unlock()
-	return strconv.FormatInt(g, 10), true
 }
 
 func (m *Mem) Close() error { return nil }

@@ -258,10 +258,10 @@ func (s *S3) PutIfAbsent(ctx context.Context, name string, data []byte) (bool, e
 	if !ValidName(name) {
 		return false, errBadName(name)
 	}
-	if _, err := s.Stat(ctx, name); err == nil {
+	key := s.objectKey(name)
+	if s.head(ctx, key) == nil {
 		return false, nil
 	}
-	key := s.objectKey(name)
 	hdr := http.Header{"If-None-Match": []string{"*"}}
 	resp, err := s.do(ctx, http.MethodPut, key, "", data, hdr)
 	if err != nil {
@@ -278,24 +278,17 @@ func (s *S3) PutIfAbsent(ctx context.Context, name string, data []byte) (bool, e
 	return true, nil
 }
 
-func (s *S3) Stat(ctx context.Context, name string) (Object, error) {
-	if !ValidName(name) {
-		return Object{}, errBadName(name)
-	}
-	key := s.objectKey(name)
+// head probes key with a HEAD request: nil means the object exists.
+func (s *S3) head(ctx context.Context, key string) error {
 	resp, err := s.do(ctx, http.MethodHead, key, "", nil, nil)
 	if err != nil {
-		return Object{}, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return Object{}, apiError(resp, "HEAD", key)
+		return apiError(resp, "HEAD", key)
 	}
 	resp.Body.Close()
-	return Object{
-		Name: name,
-		Size: resp.ContentLength,
-		ETag: strings.Trim(resp.Header.Get("ETag"), `"`),
-	}, nil
+	return nil
 }
 
 // listResult is the ListObjectsV2 response subset the client parses.
@@ -306,7 +299,6 @@ type listResult struct {
 	Contents              []struct {
 		Key  string `xml:"Key"`
 		Size int64  `xml:"Size"`
-		ETag string `xml:"ETag"`
 	} `xml:"Contents"`
 }
 
@@ -341,11 +333,7 @@ func (s *S3) List(ctx context.Context, shard string) ([]Object, error) {
 			if !ok || !ValidName(stem) || stem[:2] != shard {
 				continue // foreign keys under the prefix are not entries
 			}
-			objs = append(objs, Object{
-				Name: stem,
-				Size: c.Size,
-				ETag: strings.Trim(c.ETag, `"`),
-			})
+			objs = append(objs, Object{Name: stem, Size: c.Size})
 		}
 		if !lr.IsTruncated || lr.NextContinuationToken == "" {
 			break
@@ -354,13 +342,6 @@ func (s *S3) List(ctx context.Context, shard string) ([]Object, error) {
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].Name < objs[j].Name })
 	return objs, nil
-}
-
-// Generation is unsupported: S3 has no cheap per-prefix change token,
-// so manifest layers above fall back to listing (ETags still let them
-// skip per-entry fetches).
-func (s *S3) Generation(ctx context.Context, shard string) (string, bool) {
-	return "", false
 }
 
 func (s *S3) Close() error { return nil }

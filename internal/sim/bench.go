@@ -13,11 +13,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// This file is the performance-tracking half of the runner: a pinned
-// workload set, a wall-clock harness measuring simulated cycles per
-// second, and the BENCH_*.json report every PR appends to so the
-// simulator's raw speed has a recorded trajectory (ROADMAP: "as fast as
-// the hardware allows").
+// This file is the simulator's speed harness: a pinned workload set, a
+// wall-clock measurement of simulated cycles per second that drives the
+// core directly — no runner, store or dispatch layer between the clock
+// and the cycle loop — and the BENCH_*.json report that records the
+// core's speed from one change to the next.
 
 // BenchSchema tags the report layout; bump it when BenchReport changes
 // incompatibly.
@@ -81,10 +81,11 @@ type BenchBaseline struct {
 type BenchReport struct {
 	Schema string `json:"schema"`
 	Label  string `json:"label,omitempty"`
-	// Backend names the execution backend the points ran through when it
-	// was not the default in-process path ("http://..."), so a report
-	// measuring network overhead is never mistaken for a simulator-speed
-	// data point.
+	// Backend named the execution backend the points ran through when
+	// it was not the in-process core ("http://..."). Nothing writes it
+	// any more; it stays so that reports from earlier binaries still
+	// load, and so that the bench gate can refuse one that measured a
+	// backend as its baseline.
 	Backend     string        `json:"backend,omitempty"`
 	GoVersion   string        `json:"go_version"`
 	GOARCH      string        `json:"goarch"`
@@ -156,40 +157,31 @@ func BenchPoints(quick bool) []BenchPoint {
 // ErrCanceled wrap. progress may be nil; otherwise it is invoked after
 // each point.
 func RunBench(ctx context.Context, points []BenchPoint, quick bool, progress func(BenchResult)) (*BenchReport, error) {
-	return runBench(ctx, points, quick, directPoint, progress)
-}
-
-// RunBenchVia runs the pinned points through exec — a dispatch backend's
-// Execute — timing the wall clock around each call, so the report
-// measures the backend's delivered throughput: subprocess framing for a
-// worker pool, the network round-trip for the regshared service. The
-// simulated cycle counts are bit-identical to RunBench's; only the wall
-// times (and so cycles/sec) reflect the backend. Points still run
-// sequentially: the measurement owns the wall clock either way.
-func RunBenchVia(ctx context.Context, points []BenchPoint, quick bool, exec Executor, progress func(BenchResult)) (*BenchReport, error) {
-	return runBench(ctx, points, quick, func(ctx context.Context, pt BenchPoint) (BenchResult, error) {
-		req := Request{Bench: pt.Bench, Config: benchConfig(pt.Tracker), Warmup: pt.Warmup, Measure: pt.Measure}
-		start := time.Now() //repro:allow nodeterm -- wall-clock measurement metadata, not a simulated result
-		res, err := exec(ctx, req)
+	rep := &BenchReport{
+		Schema:    BenchSchema,
+		GoVersion: runtime.Version(),
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		Quick:     quick,
+	}
+	cps := make([]float64, 0, len(points))
+	walls := make([]float64, 0, len(points))
+	for _, pt := range points {
+		res, err := directPoint(ctx, pt)
 		if err != nil {
-			return BenchResult{}, err
+			return nil, err
 		}
-		wall := time.Since(start) //repro:allow nodeterm -- wall-clock measurement metadata, not a simulated result
-		if wall <= 0 {
-			wall = time.Nanosecond
+		rep.Points = append(rep.Points, res)
+		rep.TotalWallNS += res.WallNS
+		cps = append(cps, res.CyclesPerSec)
+		walls = append(walls, float64(res.WallNS))
+		if progress != nil {
+			progress(res)
 		}
-		return BenchResult{
-			Bench:        pt.Bench,
-			Tracker:      string(pt.Tracker),
-			Warmup:       pt.Warmup,
-			Measure:      pt.Measure,
-			Cycles:       res.S.Cycles,
-			Committed:    res.S.Committed,
-			IPC:          res.IPC,
-			WallNS:       wall.Nanoseconds(),
-			CyclesPerSec: float64(res.S.Cycles) / wall.Seconds(),
-		}, nil
-	}, progress)
+	}
+	rep.GMeanCPS = stats.GeoMean(cps)
+	rep.GMeanWallNS = stats.GeoMean(walls)
+	return rep, nil
 }
 
 // directPoint is RunBench's measurement: the core driven directly, with
@@ -222,35 +214,6 @@ func directPoint(ctx context.Context, pt BenchPoint) (BenchResult, error) {
 		WallNS:       wall.Nanoseconds(),
 		CyclesPerSec: float64(st.Cycles) / wall.Seconds(),
 	}, nil
-}
-
-// runBench drives the per-point measurement and aggregates the report.
-func runBench(ctx context.Context, points []BenchPoint, quick bool, run func(context.Context, BenchPoint) (BenchResult, error), progress func(BenchResult)) (*BenchReport, error) {
-	rep := &BenchReport{
-		Schema:    BenchSchema,
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Quick:     quick,
-	}
-	cps := make([]float64, 0, len(points))
-	walls := make([]float64, 0, len(points))
-	for _, pt := range points {
-		res, err := run(ctx, pt)
-		if err != nil {
-			return nil, err
-		}
-		rep.Points = append(rep.Points, res)
-		rep.TotalWallNS += res.WallNS
-		cps = append(cps, res.CyclesPerSec)
-		walls = append(walls, float64(res.WallNS))
-		if progress != nil {
-			progress(res)
-		}
-	}
-	rep.GMeanCPS = stats.GeoMean(cps)
-	rep.GMeanWallNS = stats.GeoMean(walls)
-	return rep, nil
 }
 
 // AttachBaseline embeds an earlier report's aggregates into rep and

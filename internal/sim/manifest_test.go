@@ -1,12 +1,17 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/objstore"
 )
 
 // putKeys writes one distinct result per key into s.
@@ -24,7 +29,7 @@ func keyShard(s *Store, key string) string {
 	return filepath.Base(filepath.Dir(s.Path(key)))
 }
 
-// diffShards returns the shards whose leaf digests differ between two
+// diffShards returns the shards whose digests differ between two
 // manifests.
 func diffShards(a, b *Manifest) map[string]bool {
 	differ := map[string]bool{}
@@ -37,7 +42,8 @@ func diffShards(a, b *Manifest) map[string]bool {
 }
 
 // TestManifestEmptyStore: an empty (even nonexistent) store has a
-// well-defined manifest — 256 empty-shard leaves.
+// well-defined manifest — 256 empty-shard digests — and its root pins
+// the root recipe, so a change to it shows up here.
 func TestManifestEmptyStore(t *testing.T) {
 	s := NewStore(filepath.Join(t.TempDir(), "never-created"))
 	m, err := s.Manifest(bg)
@@ -51,6 +57,77 @@ func TestManifestEmptyStore(t *testing.T) {
 		if d != emptyShardDigest() {
 			t.Fatalf("shard %d of an empty store has digest %q", i, d)
 		}
+	}
+	if m.Schema != "m2" {
+		t.Errorf("manifest schema %q, want m2", m.Schema)
+	}
+	if want := "b043621ad25433d75343f31616b71f9f0439021a5ff72de369e33e82bd8d7583"; m.Root != want {
+		t.Errorf("empty store root %s, want %s", m.Root, want)
+	}
+}
+
+// hintless reads a backend the way the manifest reads s3: List carries
+// no digest hint, so every entry is fetched with Get. A non-nil getErr
+// replaces every Get's result.
+type hintless struct {
+	objstore.Backend
+	getErr error
+}
+
+func (b hintless) List(ctx context.Context, shard string) ([]objstore.Object, error) {
+	objs, err := b.Backend.List(ctx, shard)
+	for i := range objs {
+		objs[i].SHA256 = ""
+	}
+	return objs, err
+}
+
+func (b hintless) Get(ctx context.Context, name string) ([]byte, error) {
+	if b.getErr != nil {
+		return nil, b.getErr
+	}
+	return b.Backend.Get(ctx, name)
+}
+
+// TestManifestReadErrors: an entry that cannot be read fails the
+// manifest with the backend's error, where skipping it would report
+// the root of a store without it. Only an entry that vanished between
+// List and Get is skipped.
+func TestManifestReadErrors(t *testing.T) {
+	mem := objstore.NewMem()
+	putKeys(t, NewStoreWith(mem), []string{"r-1", "r-2", "r-3"})
+	want, err := NewStoreWith(mem).Manifest(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := NewStoreWith(hintless{Backend: mem}).Manifest(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Root != want.Root || got.Entries != 3 {
+		t.Fatalf("hint-less manifest has root %s over %d entries, want %s over 3", got.Root, got.Entries, want.Root)
+	}
+
+	slowDown := errors.New("s3 GET: status 503 SlowDown")
+	if got, err := NewStoreWith(hintless{Backend: mem, getErr: slowDown}).Manifest(bg); !errors.Is(err, slowDown) {
+		if err == nil {
+			t.Fatalf("manifest with failing reads has root %s over %d entries and no error, want an error wrapping %v", got.Root, got.Entries, slowDown)
+		}
+		t.Fatalf("manifest with failing reads failed with %v, want an error wrapping %v", err, slowDown)
+	}
+
+	empty, err := NewStore(t.TempDir()).Manifest(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := fmt.Errorf("deleted mid-scan: %w", fs.ErrNotExist)
+	got, err = NewStoreWith(hintless{Backend: mem, getErr: gone}).Manifest(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Entries != 0 || got.Root != empty.Root {
+		t.Fatalf("manifest with vanished entries has root %s over %d entries, want the empty store's root %s", got.Root, got.Entries, empty.Root)
 	}
 }
 
@@ -85,10 +162,8 @@ func TestManifestDeterministicAcrossStores(t *testing.T) {
 }
 
 // TestManifestRootFlipsOnMutation: changing any single envelope's bytes
-// flips its shard digest and the root; every other leaf is untouched.
-// Each manifest is computed on a fresh Store handle: the mutation here
-// rewrites a file in place, which no legitimate writer does (writes are
-// temp+rename, which bumps the shard directory mtime the cache keys on).
+// flips its shard digest and the root; every other shard digest is
+// untouched.
 func TestManifestRootFlipsOnMutation(t *testing.T) {
 	s := NewStore(t.TempDir())
 	keys := []string{"k-0", "k-1", "k-2", "k-3", "k-4", "k-5", "k-6", "k-7"}
@@ -109,7 +184,7 @@ func TestManifestRootFlipsOnMutation(t *testing.T) {
 		if err := os.WriteFile(path, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		after, err := NewStore(s.Dir()).Manifest(bg)
+		after, err := s.Manifest(bg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +209,7 @@ func TestManifestRootFlipsOnMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	restored, err := NewStore(s.Dir()).Manifest(bg)
+	restored, err := s.Manifest(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +219,7 @@ func TestManifestRootFlipsOnMutation(t *testing.T) {
 }
 
 // TestManifestDiffFindsSymmetricDifference: over randomized two-store
-// populations, the leaf digests differ in exactly the shards holding
+// populations, the shard digests differ in exactly the shards holding
 // the symmetric difference of the two stores — never a shard both
 // sides agree on, never missing one they do not — and the roots are
 // equal exactly when no shard differs.
@@ -217,7 +292,7 @@ func TestManifestSeesExternalWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.Root == before.Root {
-		t.Fatal("manifest cache missed an external write")
+		t.Fatal("manifest missed an external write")
 	}
 	if after.Entries != 3 {
 		t.Fatalf("manifest counts %d entries after the external write, want 3", after.Entries)

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/objstore"
 )
@@ -38,39 +37,11 @@ const storeSchema = "rs1"
 // The envelope bytes are canonical (MarshalIndent of a fixed header
 // plus the Result), so two stores holding the same results under the
 // same simulator version are byte-identical across backends — which is
-// what makes the Merkle manifest (manifest.go) comparable between an
-// fs host and an s3 bucket.
+// what makes the manifest root (manifest.go) comparable between an fs
+// host and an s3 bucket.
 type Store struct {
 	backend objstore.Backend
 	dir     string // fs root when filesystem-backed, "" otherwise
-
-	// Per-shard digest cache behind the Merkle manifest (manifest.go):
-	// a shard's scan is reused as long as the backend's generation
-	// token for the shard is unchanged, and local writes invalidate it
-	// eagerly. Backends without generations (s3) revalidate via List
-	// and per-entry ETags instead.
-	mu     sync.Mutex
-	shards map[string]*shardCache
-}
-
-// shardCache is one shard's cached manifest state.
-type shardCache struct {
-	gen     string
-	genOK   bool
-	digest  string
-	entries int
-	// digests caches entry digests by name, validated by the ETag the
-	// backend reported when the digest was computed — what lets a
-	// hint-less backend (s3) skip per-entry fetches on rescan.
-	digests map[string]entryDigest
-	valid   bool
-}
-
-// entryDigest is one cached entry digest plus the ETag that validates
-// it.
-type entryDigest struct {
-	etag   string
-	digest string
 }
 
 // envelope is the stored entry format: a versioned header wrapped
@@ -184,12 +155,7 @@ func (s *Store) Put(ctx context.Context, key string, res *Result) error {
 	if err != nil {
 		return err
 	}
-	name := entryName(key)
-	if err := s.backend.Put(ctx, name, data); err != nil {
-		return err
-	}
-	s.invalidate(name[:2])
-	return nil
+	return s.backend.Put(ctx, entryName(key), data)
 }
 
 // Len returns the number of entries in the store, regardless of schema
