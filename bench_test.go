@@ -1,290 +1,25 @@
 package regshare
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (one Benchmark* per experiment) and reports the headline
-// number of each as a custom metric. Absolute IPCs are not expected to
-// match the paper (different substrate, synthetic workloads); the shapes
-// are the reproduction target and are asserted by the test suite in
-// internal/experiments.
+// Microbenchmarks of the front-end predictors, workload construction and
+// functional execution. The simulator's cycle loop and the reference
+// counting structures have their own benchmarks in internal/core and
+// internal/refcount; the paper's tables and figures are regenerated by
+// cmd/paperfigs from the committed scenario specs, and their shapes are
+// asserted by the tests in internal/experiments.
 //
-// Run everything with:
+// Run them with:
 //
-//	go test -bench=. -benchmem
-//
-// All simulations flow through the shared internal/sim runner (via the
-// experiments session and regshare.RunContext), which deduplicates and
-// caches results, so repeated benchmark iterations after the first are
-// nearly free.
+//	go test -run '^$' -bench . -benchmem
 
 import (
-	"context"
-	"sync"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/program"
-	"repro/internal/refcount"
-	"repro/internal/regfile"
 	"repro/internal/smb"
 	"repro/internal/tage"
 	"repro/internal/workloads"
 )
-
-var (
-	sessOnce sync.Once
-	sess     *experiments.Session
-)
-
-func session() *experiments.Session {
-	sessOnce.Do(func() {
-		sess = experiments.NewSession(experiments.QuickRunLengths)
-	})
-	return sess
-}
-
-func reportGMean(b *testing.B, series []experiments.Series) {
-	for _, s := range series {
-		b.ReportMetric((s.GMean-1)*100, s.Name+"_gmean_%")
-	}
-}
-
-// BenchmarkTable1Config renders the configuration table.
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Table1().String()
-	}
-}
-
-// BenchmarkFig4Baseline regenerates Figure 4 (baseline IPC, traps, false
-// dependencies across the 36 benchmarks).
-func BenchmarkFig4Baseline(b *testing.B) {
-	s := session()
-	for i := 0; i < b.N; i++ {
-		_ = s.Fig4()
-	}
-	res := s.Baseline()
-	var ipcs []float64
-	for _, r := range res {
-		ipcs = append(ipcs, r.IPC)
-	}
-	sum := 0.0
-	for _, v := range ipcs {
-		sum += v
-	}
-	b.ReportMetric(sum/float64(len(ipcs)), "mean_IPC")
-}
-
-// BenchmarkFig5aMoveElim regenerates Figure 5a (ME speedup vs ISRB size).
-func BenchmarkFig5aMoveElim(b *testing.B) {
-	s := session()
-	var series []experiments.Series
-	for i := 0; i < b.N; i++ {
-		_, series = s.Fig5a()
-	}
-	reportGMean(b, series)
-}
-
-// BenchmarkFig5bElimRate regenerates Figure 5b (% µops eliminated).
-func BenchmarkFig5bElimRate(b *testing.B) {
-	s := session()
-	var rates map[string]float64
-	for i := 0; i < b.N; i++ {
-		_, rates = s.Fig5b()
-	}
-	sum := 0.0
-	for _, v := range rates {
-		sum += v
-	}
-	b.ReportMetric(100*sum/float64(len(rates)), "mean_elim_%")
-}
-
-// BenchmarkFig6aSMB regenerates Figure 6a (SMB speedup vs ISRB size and
-// distance predictor flavour).
-func BenchmarkFig6aSMB(b *testing.B) {
-	s := session()
-	var series []experiments.Series
-	for i := 0; i < b.N; i++ {
-		_, series = s.Fig6a()
-	}
-	reportGMean(b, series)
-}
-
-// BenchmarkFig6bTrapReduction regenerates Figure 6b.
-func BenchmarkFig6bTrapReduction(b *testing.B) {
-	s := session()
-	for i := 0; i < b.N; i++ {
-		_ = s.Fig6b()
-	}
-}
-
-// BenchmarkFig6cLazyReclaim regenerates Figure 6c (eager vs lazy reclaim).
-func BenchmarkFig6cLazyReclaim(b *testing.B) {
-	s := session()
-	var series []experiments.Series
-	for i := 0; i < b.N; i++ {
-		_, series = s.Fig6c()
-	}
-	reportGMean(b, series)
-}
-
-// BenchmarkFig7Combined regenerates Figure 7 (ME+SMB vs ISRB size).
-func BenchmarkFig7Combined(b *testing.B) {
-	s := session()
-	var series []experiments.Series
-	for i := 0; i < b.N; i++ {
-		_, series = s.Fig7()
-	}
-	reportGMean(b, series)
-}
-
-// BenchmarkDDTSizing regenerates the §3.1 DDT capacity study.
-func BenchmarkDDTSizing(b *testing.B) {
-	s := session()
-	var series []experiments.Series
-	for i := 0; i < b.N; i++ {
-		_, series = s.DDTSizing()
-	}
-	reportGMean(b, series)
-}
-
-// BenchmarkStoreOnlySMB regenerates the §6.2 store-only ablation.
-func BenchmarkStoreOnlySMB(b *testing.B) {
-	s := session()
-	var series []experiments.Series
-	for i := 0; i < b.N; i++ {
-		_, series = s.StoreOnly()
-	}
-	reportGMean(b, series)
-}
-
-// BenchmarkCounterWidth regenerates the §6.3 counter-width study.
-func BenchmarkCounterWidth(b *testing.B) {
-	s := session()
-	var gmeans map[int]float64
-	for i := 0; i < b.N; i++ {
-		_, gmeans = s.CounterWidth()
-	}
-	b.ReportMetric((gmeans[3]-1)*100, "3bit_gmean_%")
-	b.ReportMetric((gmeans[0]-1)*100, "unlimited_gmean_%")
-}
-
-// BenchmarkISRBTraffic regenerates the §6.3 port-pressure statistics.
-func BenchmarkISRBTraffic(b *testing.B) {
-	s := session()
-	for i := 0; i < b.N; i++ {
-		_ = s.ISRBTraffic()
-	}
-}
-
-// BenchmarkStorageTable regenerates the storage accounting (§4.2/§4.3.3).
-func BenchmarkStorageTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.StorageTable().String()
-	}
-}
-
-// --- ablation benches beyond the paper (DESIGN.md §4) ------------------
-
-// BenchmarkAblationRecoveryScheme compares checkpointed ISRB recovery
-// against per-register counters' sequential rollback on a branchy
-// workload.
-func BenchmarkAblationRecoveryScheme(b *testing.B) {
-	run := func(kind core.TrackerKind) float64 {
-		cfg := Combined(0)
-		cfg.Tracker = core.TrackerConfig{Kind: kind, Entries: 64, CounterBits: 8}
-		r, err := RunContext(context.Background(), RunSpec{Benchmark: "gobmk", Config: cfg, Warmup: 5000, Measure: 40000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r.Stats.IPC()
-	}
-	var isrb, counters float64
-	for i := 0; i < b.N; i++ {
-		isrb = run(core.TrackerISRB)
-		counters = run(core.TrackerCounters)
-	}
-	b.ReportMetric(isrb, "isrb_IPC")
-	b.ReportMetric(counters, "seqwalk_IPC")
-}
-
-// BenchmarkAblationReclaimFlag measures the §4.3.4 reclaim-flag filter:
-// the fraction of commits that skip the ISRB CAM.
-func BenchmarkAblationReclaimFlag(b *testing.B) {
-	var skipped, checks uint64
-	for i := 0; i < b.N; i++ {
-		cfg := Combined(32)
-		r, err := RunContext(context.Background(), RunSpec{Benchmark: "hmmer", Config: cfg, Warmup: 5000, Measure: 40000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		skipped = r.Stats.ReclaimSkippedByFlag
-		checks = r.Stats.ReclaimChecks
-	}
-	b.ReportMetric(100*float64(skipped)/float64(skipped+checks), "cam_skipped_%")
-}
-
-// BenchmarkAblationPrefetcher measures the stride prefetcher's effect on a
-// streaming benchmark (substrate validation).
-func BenchmarkAblationPrefetcher(b *testing.B) {
-	var on, off float64
-	for i := 0; i < b.N; i++ {
-		cfg := Baseline()
-		results, err := StreamSpecs(context.Background(), []RunSpec{
-			{Benchmark: "libquantum", Config: cfg, Warmup: 5000, Measure: 30000},
-			{Benchmark: "libquantum", Config: func() Config {
-				c := cfg
-				c.Mem.PrefEnable = false
-				return c
-			}(), Warmup: 5000, Measure: 30000},
-		}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		on = results[0].Stats.IPC()
-		off = results[1].Stats.IPC()
-	}
-	b.ReportMetric(on, "prefetch_on_IPC")
-	b.ReportMetric(off, "prefetch_off_IPC")
-}
-
-// --- microbenchmarks of the core data structures ------------------------
-
-// BenchmarkSimulatorThroughput measures raw simulation speed.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec, _ := workloads.Resolve("crafty")
-	prog := workloads.Build(spec)
-	c := core.New(Combined(32), prog)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Cycle()
-	}
-}
-
-// BenchmarkISRBTrySharePlusReclaim measures the hot tracker path.
-func BenchmarkISRBTrySharePlusReclaim(b *testing.B) {
-	isrb := refcount.NewISRB(32, 3)
-	p := regfile.MakePhys(isa.IntReg, 42)
-	for i := 0; i < b.N; i++ {
-		isrb.TryShare(p, refcount.KindSMB, isa.IntR(1), isa.NoReg)
-		isrb.OnCommitOverwrite(p, isa.IntR(0))
-		isrb.OnCommitOverwrite(p, isa.IntR(1))
-	}
-}
-
-// BenchmarkISRBCheckpointRestore measures checkpoint capture + restore.
-func BenchmarkISRBCheckpointRestore(b *testing.B) {
-	isrb := refcount.NewISRB(32, 3)
-	for i := 0; i < 16; i++ {
-		isrb.TryShare(regfile.MakePhys(isa.IntReg, i), refcount.KindSMB, isa.IntR(1), isa.NoReg)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := isrb.Checkpoint()
-		isrb.Restore(s)
-	}
-}
 
 // BenchmarkTAGEBranchPredict measures the front-end predictor.
 func BenchmarkTAGEBranchPredict(b *testing.B) {
@@ -328,48 +63,4 @@ func BenchmarkFunctionalExecution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Next(&u)
 	}
-}
-
-// BenchmarkExtROB512Lazy regenerates the §6.2 ROB-512 lazy-reclaim check.
-func BenchmarkExtROB512Lazy(b *testing.B) {
-	s := session()
-	var gmeans map[string]float64
-	for i := 0; i < b.N; i++ {
-		_, gmeans = s.ROB512Lazy()
-	}
-	b.ReportMetric((gmeans["rob512-lazy"]-1)*100, "rob512_lazy_gmean_%")
-	b.ReportMetric((gmeans["rob512-eager"]-1)*100, "rob512_eager_gmean_%")
-}
-
-// BenchmarkExtSingleBitME regenerates §6.3 footnote 10.
-func BenchmarkExtSingleBitME(b *testing.B) {
-	s := session()
-	var gmeans map[int]float64
-	for i := 0; i < b.N; i++ {
-		_, gmeans = s.SingleBitME()
-	}
-	b.ReportMetric((gmeans[1]-1)*100, "1bit_gmean_%")
-}
-
-// BenchmarkExtDistanceHistory sweeps the distance predictor geometry.
-func BenchmarkExtDistanceHistory(b *testing.B) {
-	s := session()
-	var gmeans map[string]float64
-	for i := 0; i < b.N; i++ {
-		_, gmeans = s.DistanceHistorySweep()
-	}
-	b.ReportMetric((gmeans["paper-2..64"]-1)*100, "paper_geom_gmean_%")
-	b.ReportMetric((gmeans["pc-only"]-1)*100, "pconly_gmean_%")
-}
-
-// BenchmarkExtTrackerComparison quantifies §4.2's scheme comparison.
-func BenchmarkExtTrackerComparison(b *testing.B) {
-	s := session()
-	var gmeans map[string]float64
-	for i := 0; i < b.N; i++ {
-		_, gmeans = s.TrackerComparison()
-	}
-	b.ReportMetric((gmeans["ISRB-32x3b"]-1)*100, "isrb_gmean_%")
-	b.ReportMetric((gmeans["MIT-16"]-1)*100, "mit_gmean_%")
-	b.ReportMetric((gmeans["counters"]-1)*100, "counters_gmean_%")
 }

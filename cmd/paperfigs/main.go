@@ -4,17 +4,15 @@
 // workloads) but the shape — who wins, by roughly what factor, where the
 // crossovers fall — is the reproduction target.
 //
-// The series-shaped figures (fig5a, fig6a, fig6c, fig7, ddt, storeonly,
-// trackers) are committed scenario specs under internal/scenario/specs;
-// -scenario runs any committed or on-disk spec directly.
+// Table 1 and the storage accounting are closed-form; every simulated
+// figure is the committed scenario spec of the same name under
+// internal/scenario/specs, which `sweep -scenario NAME` also runs.
 //
 // Usage:
 //
 //	paperfigs                 # everything
 //	paperfigs -exp fig6a      # one experiment
-//	paperfigs -scenario branch-hostile   # a committed scenario by name
-//	paperfigs -scenario my.scenario      # or a spec file
-//	paperfigs -measure 300000 # longer runs
+//	paperfigs -measure 300000 # longer runs than the specs'
 //	paperfigs -store fs:.simcache  # reuse simulations across invocations
 //	paperfigs -backend http://host:8347  # farm out to a regshared service
 package main
@@ -24,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,165 +30,104 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
+// closedForm are the tables computed without simulation.
+var closedForm = map[string]func() *stats.Table{
+	"table1":  experiments.Table1,
+	"storage": experiments.StorageTable,
+}
+
+// figures lists every table in print order: the closed-form ones, then
+// the committed scenario specs by name.
+var figures = []string{
+	"table1", "storage", "fig4", "fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7",
+	"ddt", "storeonly", "cwidth", "ports", "rob512", "singlebit", "disthist", "trackers",
+}
+
 func main() {
+	err := run()
+	if errors.Is(err, sim.ErrCanceled) {
+		fmt.Fprintln(os.Stderr, "interrupted")
+		os.Exit(130)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|fig4|fig5a|fig5b|fig6a|fig6b|fig6c|fig7|ddt|storeonly|cwidth|ports|rob512|singlebit|disthist|trackers|storage|all")
-		scen    = flag.String("scenario", "", "run one scenario instead: a builtin name or a .scenario file path")
-		warmup  = flag.Uint64("warmup", experiments.DefaultRunLengths.Warmup, "warmup instructions per run")
-		measure = flag.Uint64("measure", experiments.DefaultRunLengths.Measure, "measured instructions per run")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(figures, "|")+"|all")
+		warmup  = flag.Uint64("warmup", 0, "override every figure's warmup µops (explicit 0 = no warmup)")
+		measure = flag.Uint64("measure", 0, "override every figure's measured µops")
 	)
 	rf := cliflags.RegisterRunnerFlags(flag.CommandLine)
 	flag.Parse()
 
 	if rf.PrintVersion(os.Stdout) {
-		return
+		return nil
 	}
+	selected := figures
+	if *exp != "all" {
+		if !slices.Contains(figures, *exp) {
+			return fmt.Errorf("unknown experiment %q (known: %s all)", *exp, strings.Join(figures, " "))
+		}
+		selected = []string{*exp}
+	}
+
+	// Expand every selected spec before running any, so a bad override
+	// fails before the first simulation and the progress line knows the
+	// whole total.
+	ov := scenario.CommandOverrides(warmup, measure, "")
+	matrices := make(map[string]*scenario.Matrix)
+	total := 0
+	for _, name := range selected {
+		if closedForm[name] != nil {
+			continue
+		}
+		spec, err := scenario.Builtin(name)
+		if err != nil {
+			return err
+		}
+		m, err := spec.Expand(ov)
+		if err != nil {
+			return err
+		}
+		matrices[name] = m
+		total += len(m.Requests)
+	}
+
 	b, err := rf.Build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer b.Close()
-
-	// ^C cancels the context; the session's figure methods then panic
-	// with a sim.ErrCanceled-wrapping error, which the deferred recover
-	// turns into a clean exit (completed simulations stay in -store).
+	// ^C cancels the context; the running figure then returns a
+	// sim.ErrCanceled wrap (completed simulations stay in -store).
 	ctx := sim.SignalContext()
 	runner := sim.New(b.RunnerOptions()...)
-	progress := sim.NewProgress(os.Stderr, runner, 0)
-	defer func() {
-		if v := recover(); v != nil {
-			if err, ok := v.(error); ok && errors.Is(err, sim.ErrCanceled) {
-				progress.Finish()
-				fmt.Fprintln(os.Stderr, "interrupted")
-				os.Exit(130)
-			}
-			panic(v)
-		}
-	}()
+	progress := sim.NewProgress(os.Stderr, runner, total)
 	start := time.Now()
-
-	if *scen != "" {
-		if *exp != "all" {
-			fmt.Fprintln(os.Stderr, "use either -exp or -scenario, not both")
-			os.Exit(1)
-		}
-		spec, err := scenario.Resolve(*scen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		matrix, err := spec.Expand(scenario.CommandOverrides(warmup, measure, ""))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		progress.AddTotal(len(matrix.Requests))
-		rep, err := matrix.Run(ctx, runner, progress.Observe)
-		progress.Finish()
-		if err != nil {
-			if errors.Is(err, sim.ErrCanceled) {
-				fmt.Fprintln(os.Stderr, "interrupted")
-				os.Exit(130)
+	for _, name := range selected {
+		table := closedForm[name]
+		if table == nil {
+			rep, err := matrices[name].Run(ctx, runner, progress.Observe)
+			if err != nil {
+				progress.Finish()
+				return err
 			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			table = rep.Table
 		}
-		fmt.Println(rep.Table())
-		reportCounters(runner, start)
-		return
-	}
-
-	// Figure sweeps discover work figure by figure, so the total is
-	// unknown upfront; the progress line shows the running done count.
-	s := experiments.NewSessionContext(ctx, experiments.RunLengths{Warmup: *warmup, Measure: *measure}, runner)
-	s.OnEvent = progress.Observe
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	// show terminates the live progress line before each table so stdout
-	// and the stderr progress line never interleave mid-draw.
-	show := func(v fmt.Stringer) {
+		// Terminate the live progress line before each table so stdout
+		// and the stderr progress line never interleave mid-draw.
 		progress.Finish()
-		fmt.Println(v)
+		fmt.Println(table())
 	}
-
-	if want("table1") {
-		show(experiments.Table1())
-	}
-	if want("storage") {
-		show(experiments.StorageTable())
-	}
-	if want("fig4") {
-		show(s.Fig4())
-	}
-	if want("fig5a") {
-		t, _ := s.Fig5a()
-		show(t)
-	}
-	if want("fig5b") {
-		t, _ := s.Fig5b()
-		show(t)
-	}
-	if want("fig6a") {
-		t, _ := s.Fig6a()
-		show(t)
-	}
-	if want("fig6b") {
-		show(s.Fig6b())
-	}
-	if want("fig6c") {
-		t, _ := s.Fig6c()
-		show(t)
-	}
-	if want("fig7") {
-		t, _ := s.Fig7()
-		show(t)
-	}
-	if want("ddt") {
-		t, _ := s.DDTSizing()
-		show(t)
-	}
-	if want("storeonly") {
-		t, _ := s.StoreOnly()
-		show(t)
-	}
-	if want("cwidth") {
-		t, _ := s.CounterWidth()
-		show(t)
-	}
-	if want("ports") {
-		show(s.ISRBTraffic())
-	}
-	if want("rob512") {
-		t, _ := s.ROB512Lazy()
-		show(t)
-	}
-	if want("singlebit") {
-		t, _ := s.SingleBitME()
-		show(t)
-	}
-	if want("disthist") {
-		t, _ := s.DistanceHistorySweep()
-		show(t)
-	}
-	if want("trackers") {
-		t, _ := s.TrackerComparison()
-		show(t)
-	}
-
-	known := "table1 storage fig4 fig5a fig5b fig6a fig6b fig6c fig7 ddt storeonly cwidth ports rob512 singlebit disthist trackers all"
-	if !strings.Contains(known, *exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", *exp, known)
-		os.Exit(1)
-	}
-	progress.Finish()
-	reportCounters(runner, start)
-}
-
-// reportCounters prints the run's cost accounting on stderr.
-func reportCounters(runner *sim.Runner, start time.Time) {
 	c := runner.Counters()
 	fmt.Fprintf(os.Stderr, "total time: %v (%d simulated, %d deduplicated, %d from disk cache)\n",
 		time.Since(start).Round(time.Millisecond), c.Simulated, c.MemHits, c.DiskHits)
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -115,6 +116,20 @@ func TestEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("paperfigs", func(t *testing.T) {
+		// -exp names one figure exactly: fig6 is not a prefix match for
+		// fig6a, fig6b or fig6c, and fails before any simulation.
+		cmd := exec.Command(filepath.Join(bin, "paperfigs"), "-exp", "fig6")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "unknown experiment") {
+			t.Errorf("paperfigs -exp fig6: %v, stdout %q, stderr %q; want exit status 1 and an unknown experiment error",
+				err, out, stderr.Bytes())
+		}
+	})
+
 	t.Run("flags", func(t *testing.T) {
 		for _, cmd := range slices.Sorted(maps.Keys(commandFlags)) {
 			if got, want := flagNames(t, filepath.Join(bin, cmd)), commandFlags[cmd]; !slices.Equal(got, want) {
@@ -130,7 +145,7 @@ var commandFlags = map[string][]string{
 	"bench":       {"baseline", "gate", "label", "list", "o", "quick"},
 	"fakes3":      {"access-key", "addr", "bucket", "region", "secret-key"},
 	"loadgen":     {"bench", "check", "duration", "grid", "measure", "points", "url", "warmup"},
-	"paperfigs":   {"backend", "exp", "measure", "s3-endpoint", "scenario", "simver", "store", "warmup"},
+	"paperfigs":   {"backend", "exp", "measure", "s3-endpoint", "simver", "store", "warmup"},
 	"regshared":   {"addr", "cells", "drain", "host", "manifest", "max-inflight", "max-queue", "measure", "poll", "recent", "s3-endpoint", "shard-cells", "simver", "stale-polls", "store", "warmup", "workers"},
 	"regsim":      {"bench", "committed", "ctrbits", "ddt", "entries", "json", "list", "loadload", "me", "measure", "pred", "s3-endpoint", "simver", "smb", "store", "trace", "tracker", "v", "warmup"},
 	"storagecost": {"bench", "frontier", "measure", "s3-endpoint", "simver", "store", "warmup"},

@@ -1,173 +1,75 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§5-§6). Each Fig*/Table* function runs the required
-// simulations through a shared internal/sim Runner (in parallel, with
-// deduplication and caching) and returns the same rows/series the paper
-// reports, as formatted text tables plus machine-readable series for the
-// test suite's shape checks.
+// Package experiments holds the paper's closed-form tables: the machine
+// configuration (Table 1) and the storage arithmetic of §3.1, §4.2 and
+// §4.3.3, which cmd/paperfigs and cmd/storagecost print. Every simulated
+// figure is a committed scenario spec under internal/scenario/specs.
 package experiments
 
 import (
-	"context"
+	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/scenario"
-	"repro/internal/sim"
+	"repro/internal/refcount"
+	"repro/internal/smb"
 	"repro/internal/stats"
 )
 
-// RunLengths sets simulation length. The paper uses 50M warmup + 100M
-// measured instructions of SimPoint slices; the synthetic workloads reach
-// steady state orders of magnitude sooner.
-type RunLengths struct {
-	Warmup  uint64
-	Measure uint64
-}
-
-// DefaultRunLengths is used by cmd/paperfigs.
-var DefaultRunLengths = RunLengths{Warmup: 30_000, Measure: 150_000}
-
-// QuickRunLengths is used by unit tests.
-var QuickRunLengths = RunLengths{Warmup: 10_000, Measure: 50_000}
-
-// Result captures one simulation's outcome (see sim.Result).
-type Result = sim.Result
-
-// Series is one named speedup curve over the benchmark list.
-type Series = sim.Series
-
-// Session pairs run lengths with the sim.Runner that executes, caches
-// and deduplicates the simulations, and with the context every one of
-// its runs observes. Several Sessions may share one Runner: the
-// deduplication key includes the run lengths.
-//
-// The figure methods keep their value-returning signatures (they exist
-// to be printed); when the session's context is canceled or a request
-// is invalid, they panic with the runner's typed error value, which
-// drivers recover at the top (see cmd/paperfigs) and test against with
-// errors.Is.
-type Session struct {
-	RL RunLengths
-
-	// OnEvent, when non-nil, receives every per-request completion
-	// event the session's batched runs stream — the hook cmd/paperfigs
-	// hangs its live progress line on.
-	OnEvent func(sim.Event)
-
-	ctx context.Context
-	r   *sim.Runner
-}
-
-// NewSession creates a session with the given run lengths and a private
-// runner, on the background context.
-func NewSession(rl RunLengths) *Session { return NewSessionWith(rl, nil) }
-
-// NewSessionWith creates a session on an existing runner (nil: a new
-// one), so callers — the test suite's TestMain, cmd/paperfigs with a
-// disk cache — can share results across sessions.
-func NewSessionWith(rl RunLengths, r *sim.Runner) *Session {
-	return NewSessionContext(context.Background(), rl, r)
-}
-
-// NewSessionContext creates a session whose every simulation observes
-// ctx: cancel it and in-flight figure sweeps abort mid-cycle-loop with
-// a panic carrying a sim.ErrCanceled-wrapping error.
-func NewSessionContext(ctx context.Context, rl RunLengths, r *sim.Runner) *Session {
-	if r == nil {
-		r = sim.New()
-	}
-	return &Session{RL: rl, ctx: ctx, r: r}
-}
-
-// Runner exposes the session's underlying runner.
-func (s *Session) Runner() *sim.Runner { return s.r }
-
-// run simulates bench under cfg through the shared runner.
-func (s *Session) run(bench string, cfg core.Config) *Result {
-	return s.r.MustRun(s.ctx, sim.Request{Bench: bench, Config: cfg, Warmup: s.RL.Warmup, Measure: s.RL.Measure})
-}
-
-// runAll simulates every benchmark under cfgFor in parallel, preserving
-// catalog order and streaming completion events to OnEvent.
-func (s *Session) runAll(cfgFor func(bench string) core.Config) []*Result {
-	results, err := s.r.RunBenchmarks(s.ctx, s.RL.Warmup, s.RL.Measure, cfgFor, s.OnEvent)
-	if err != nil {
-		panic(err)
-	}
-	return results
-}
-
-// scenarioSeries executes the named committed scenario (internal/
-// scenario/specs) at the session's run lengths through the session's
-// runner, so figure sweeps share the deduplicated baseline and any
-// attached disk store with everything else the session runs. The
-// series-shaped figures are those specs rendered — the spec files are
-// the single source of truth for their grids.
-func (s *Session) scenarioSeries(name string) (*stats.Table, []Series) {
-	rep, err := scenario.MustBuiltin(name).
-		MustExpand(scenario.Overrides{Warmup: &s.RL.Warmup, Measure: &s.RL.Measure}).
-		Run(s.ctx, s.r, s.OnEvent)
-	if err != nil {
-		panic(err)
-	}
-	return rep.Table(), rep.Series()
-}
-
-// Baseline returns per-benchmark baseline results (Figure 4's machine).
-func (s *Session) Baseline() []*Result {
-	return s.runAll(func(string) core.Config { return core.DefaultConfig() })
-}
-
-// --- configuration builders -------------------------------------------
-
-func withTracker(cfg core.Config, entries int) core.Config {
-	if entries <= 0 {
-		cfg.Tracker = core.TrackerConfig{Kind: core.TrackerUnlimited}
-	} else {
-		cfg.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, Entries: entries, CounterBits: 3}
-	}
-	return cfg
-}
-
-func meConfig(entries int) core.Config {
+// Table1 prints the machine configuration (the paper's Table 1).
+func Table1() *stats.Table {
 	cfg := core.DefaultConfig()
-	cfg.ME.Enabled = true
-	return withTracker(cfg, entries)
-}
-
-func smbConfig(entries int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.SMB.Enabled = true
-	return withTracker(cfg, entries)
-}
-
-func combinedConfig(entries int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.ME.Enabled = true
-	cfg.SMB.Enabled = true
-	return withTracker(cfg, entries)
-}
-
-func makeSeries(name string, base, opt []*Result) Series {
-	return sim.MakeSeries(name, base, opt)
-}
-
-func seriesTable(title string, base []*Result, series []Series) *stats.Table {
-	cols := []string{"benchmark"}
-	for _, s := range series {
-		cols = append(cols, s.Name)
-	}
-	t := stats.NewTable(title, cols...)
-	for _, r := range base {
-		row := []string{r.Bench}
-		for _, s := range series {
-			row = append(row, stats.Pct(s.Per[r.Bench]))
-		}
-		t.AddRow(row...)
-	}
-	gm := []string{"gmean"}
-	for _, s := range series {
-		gm = append(gm, stats.Pct(s.GMean))
-	}
-	t.AddRow(gm...)
+	t := stats.NewTable("Table 1: simulator configuration", "parameter", "value")
+	add := func(k, v string) { t.AddRow(k, v) }
+	add("front end", fmt.Sprintf("%d-wide fetch/decode/rename, %d-cycle front end", cfg.FetchWidth, cfg.FrontEndDepth))
+	add("branch predictor", fmt.Sprintf("TAGE 1+%d components, %d entries; %d-entry 2-way BTB; %d-entry RAS",
+		len(cfg.Branch.TAGE.Tagged), tageEntries(), cfg.Branch.BTBEntries, cfg.Branch.RASEntries))
+	add("execution", fmt.Sprintf("%d-entry ROB, %d-entry IQ, %d/%d LQ/SQ, %d+%d INT/FP regs, %d-issue, %d-wide retire",
+		cfg.ROBSize, cfg.IQSize, cfg.LQSize, cfg.SQSize, cfg.PhysRegsPerClass, cfg.PhysRegsPerClass,
+		cfg.IssueWidth, cfg.CommitWidth))
+	add("FUs", fmt.Sprintf("%dxALU(1c) %dxMulDiv(3c/25c*) %dxFP(3c) %dxFPMulDiv(5c/10c*) %dxLd/St %dxSt",
+		cfg.NumALU, cfg.NumMulDiv, cfg.NumFP, cfg.NumFPMulDiv, cfg.NumLdStr, cfg.NumStr))
+	add("memory dependence", fmt.Sprintf("Store Sets %d-SSIT/%d-LFST, not rolled back on squash",
+		cfg.StoreSets.SSITEntries, cfg.StoreSets.LFSTEntries))
+	add("STLF latency", fmt.Sprintf("%d cycles", cfg.STLFLatency))
+	add("L1I", fmt.Sprintf("%dKB %d-way, %dc", cfg.Mem.L1I.SizeKB, cfg.Mem.L1I.Ways, cfg.Mem.L1I.Latency))
+	add("L1D", fmt.Sprintf("%dKB %d-way, %dc, %d MSHRs", cfg.Mem.L1D.SizeKB, cfg.Mem.L1D.Ways, cfg.Mem.L1D.Latency, cfg.Mem.L1D.MSHRs))
+	add("L2", fmt.Sprintf("%dKB %d-way, %dc, stride prefetcher degree %d", cfg.Mem.L2.SizeKB, cfg.Mem.L2.Ways, cfg.Mem.L2.Latency, cfg.Mem.PrefDegree))
+	add("DRAM", "single channel DDR3-1600 (11-11-11), min 75 / max 185 cycles")
+	add("distance predictor", "TAGE-like 1+5 components (§3.1) or NoSQ-like 2x4K")
 	return t
 }
+
+func tageEntries() int {
+	cfg := core.DefaultConfig()
+	n := 1 << cfg.Branch.TAGE.LogBaseEntries
+	for _, t := range cfg.Branch.TAGE.Tagged {
+		n += 1 << t.LogEntries
+	}
+	return n
+}
+
+// StorageTable reproduces the storage arithmetic of §4.2/§4.3.3/§3.1.
+func StorageTable() *stats.Table {
+	t := stats.NewTable("Storage accounting (§3.1, §4.2, §4.3.3)",
+		"structure", "CPU storage", "per checkpoint")
+	kb := func(bits int) string { return fmt.Sprintf("%.2fKB (%d bits)", refcount.KB(bits), bits) }
+	bits := func(b int) string { return fmt.Sprintf("%d bits", b) }
+
+	m := refcount.MatrixScheme(192, 168, 2)
+	t.AddRow("Roth 2D matrix (Haswell: 192 ROB x 2x168 regs)", kb(m), "entire matrix")
+	t.AddRow("baseline matrix scheduler (60x60)", kb(refcount.SchedulerMatrix(60)), "-")
+	bm, bc := refcount.BattleMatrix(336, 4)
+	t.AddRow("Battle et al. matrix (336 regs x 4 sharers)", kb(bm), bits(bc))
+	for _, n := range []int{8, 16, 32} {
+		cpu, ck := refcount.ISRBStorage(n, 3)
+		t.AddRow(fmt.Sprintf("ISRB %d entries, 3-bit counters", n), bits(cpu), bits(ck))
+	}
+	t.AddRow("x86_64 rename map checkpoint", "-", bits(refcount.RenameMapCheckpointBits()))
+	t.AddRow("per-register counters (336 regs, 2b)", bits(refcount.CountersCheckpointBits(336, 2)), "not checkpointable")
+	t.AddRow("TAGE-like distance predictor", kb(distStorageTAGE()), "-")
+	t.AddRow("NoSQ-style distance predictor", kb(distStorageNoSQ()), "-")
+	t.AddRow("DDT 16K entries, 14b tags", kb(refcount.DDTStorage(16384, 14, 64)), "-")
+	t.AddRow("DDT 1K entries, 5b tags", kb(refcount.DDTStorage(1024, 5, 64)), "-")
+	return t
+}
+
+func distStorageTAGE() int { return smb.NewTAGEDistance().Storage() }
+func distStorageNoSQ() int { return smb.NewNoSQDistance().Storage() }

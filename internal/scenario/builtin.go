@@ -15,8 +15,9 @@ import (
 // fails to parse, which callers must not mask behind "unknown name".
 var ErrUnknownBuiltin = errors.New("unknown builtin scenario")
 
-// The committed scenario catalog: the paper's headline figures and
-// sweeps plus the beyond-paper grids, as data instead of harness code.
+// The committed scenario catalog: every simulated figure of the paper
+// and its sweeps plus the beyond-paper grids, as data instead of harness
+// code.
 //
 //go:embed specs/*.scenario
 var specFS embed.FS
@@ -46,16 +47,6 @@ func Builtin(name string) (*Spec, error) {
 		return nil, fmt.Errorf("builtin %q: %w", name, err)
 	}
 	return s, nil
-}
-
-// MustBuiltin is Builtin for harness code where a missing or invalid
-// committed spec is a bug.
-func MustBuiltin(name string) *Spec {
-	s, err := Builtin(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Resolve loads a spec from a name-or-path, the shared rule of every

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -165,5 +166,67 @@ func TestHundredCellGridThroughStore(t *testing.T) {
 		if rep1.Cells[i].Series.GMean != rep2.Cells[i].Series.GMean {
 			t.Fatalf("cell %s changed across the store round-trip", rep1.Cells[i].Name)
 		}
+	}
+}
+
+// TestStatsReport: a stats report's values equal the ones computed from
+// the cell's own baseline and optimized runs, and a metric undefined on
+// every benchmark prints "-", in the average row too.
+func TestStatsReport(t *testing.T) {
+	spec := `{
+	  "name": "st", "title": "ST",
+	  "benchmarks": ["wupwise"],
+	  "warmup": 500, "measure": 4000,
+	  "opt": {"me": true},
+	  "axes": [{"name": "ISRB", "values": [
+	    {"label": "ME-8", "patch": {"tracker": "isrb", "entries": 8, "ctrbits": 3}}]}],
+	  "report": {"kind": "stats", "metrics": ["IPC", "base.IPC", "speedup", "MemTraps/100M", "ME.Eliminated", "base.ShareDistance"]}
+	}`
+	s, err := ParseBytes([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.MustExpand(Overrides{})
+	rep, err := m.Run(context.Background(), sim.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := sim.New()
+	base, err := r.Run(context.Background(), m.Requests[m.Cells[0].Base[0]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := r.Run(context.Background(), m.Requests[m.Cells[0].Opt[0]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"IPC":           opt.S.IPC(),
+		"base.IPC":      base.S.IPC(),
+		"speedup":       opt.IPC / base.IPC,
+		"MemTraps/100M": float64(opt.S.MemTraps) * 1e8 / float64(opt.S.Committed),
+		"ME.Eliminated": float64(opt.ME.Eliminated),
+	}
+	got := rep.Cells[0].Stats
+	for name, w := range want {
+		v, ok := got[name]["wupwise"]
+		if !ok || math.Abs(v-w) > 1e-9*math.Abs(w) {
+			t.Errorf("%s = %v (defined %v), want %v", name, v, ok, w)
+		}
+	}
+	if v, ok := got["base.ShareDistance"]["wupwise"]; ok {
+		t.Errorf("base.ShareDistance = %v on a baseline that shares nothing, want undefined", v)
+	}
+
+	tbl := rep.Table().String()
+	for _, line := range strings.Split(tbl, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) > 0 && (fields[0] == "wupwise" || fields[0] == "average") && fields[len(fields)-1] != "-" {
+			t.Errorf("row %q: base.ShareDistance should print -", line)
+		}
+	}
+	if !strings.Contains(tbl, "average") || !strings.Contains(tbl, "ME.Eliminated") {
+		t.Fatalf("stats table lacks the average row or a metric header:\n%s", tbl)
 	}
 }

@@ -24,6 +24,10 @@ type CellResult struct {
 	// Series is the per-benchmark speedup of the cell's optimized
 	// configuration over the cell's own baseline, plus the gmean.
 	Series sim.Series `json:"series"`
+	// Stats holds a stats report's values, keyed metric name, then
+	// benchmark; a value undefined for a benchmark is absent. Other
+	// report kinds leave it nil.
+	Stats map[string]map[string]float64 `json:"stats,omitempty"`
 }
 
 // RunReport is a scenario's stable machine-readable outcome.
@@ -76,13 +80,36 @@ func (m *Matrix) Run(ctx context.Context, r *sim.Runner, sink func(sim.Event)) (
 		for _, l := range c.Labels[1:] {
 			name += "/" + l
 		}
-		rep.Cells = append(rep.Cells, CellResult{
+		base, opt := pick(c.Base), pick(c.Opt)
+		cr := CellResult{
 			Labels: c.Labels,
 			Name:   name,
-			Series: sim.MakeSeries(name, pick(c.Base), pick(c.Opt)),
-		})
+			Series: sim.MakeSeries(name, base, opt),
+		}
+		if m.Spec.Report.Kind == ReportStats {
+			cr.Stats = cellStats(m.Spec.Report.Metrics, c.Benches, base, opt)
+		}
+		rep.Cells = append(rep.Cells, cr)
 	}
 	return rep, nil
+}
+
+// cellStats evaluates every named metric over a cell's positionally
+// aligned benchmark, baseline and optimized lists. The names passed
+// Validate, so each resolves.
+func cellStats(names, benches []string, base, opt []*sim.Result) map[string]map[string]float64 {
+	out := make(map[string]map[string]float64, len(names))
+	for _, name := range names {
+		m, _ := lookupMetric(name)
+		per := make(map[string]float64, len(benches))
+		for i, b := range benches {
+			if v, ok := m.value(base[i], opt[i]); ok {
+				per[b] = v
+			}
+		}
+		out[name] = per
+	}
+	return out
 }
 
 // Series returns every cell's speedup series in cell order.
@@ -102,6 +129,8 @@ func (rep *RunReport) Table() *stats.Table {
 			return rep.gridTable()
 		case ReportCells:
 			return rep.cellsTable()
+		case ReportStats:
+			return rep.statsTable()
 		}
 	}
 	return rep.seriesTable()
@@ -143,6 +172,48 @@ func (rep *RunReport) cellsTable() *stats.Table {
 	for _, c := range rep.Cells {
 		t.AddRow(c.Name, stats.Pct(c.Series.GMean))
 	}
+	return t
+}
+
+// statsTable renders a stats report: one row per benchmark, one column
+// per metric, and an average row holding each metric's arithmetic mean
+// over the benchmarks where it is defined. An undefined value prints
+// "-".
+func (rep *RunReport) statsTable() *stats.Table {
+	names := rep.spec.Report.Metrics
+	t := stats.NewTable(rep.Title, append([]string{"benchmark"}, names...)...)
+	values := rep.Cells[0].Stats
+	formats := make([]func(float64) string, len(names))
+	for i, name := range names {
+		m, _ := lookupMetric(name)
+		formats[i] = m.format
+	}
+	for _, b := range rep.Benches {
+		row := []string{b}
+		for i, name := range names {
+			if v, ok := values[name][b]; ok {
+				row = append(row, formats[i](v))
+			} else {
+				row = append(row, "-")
+			}
+		}
+		t.AddRow(row...)
+	}
+	avg := []string{"average"}
+	for i, name := range names {
+		var defined []float64
+		for _, b := range rep.Benches {
+			if v, ok := values[name][b]; ok {
+				defined = append(defined, v)
+			}
+		}
+		if len(defined) == 0 {
+			avg = append(avg, "-")
+		} else {
+			avg = append(avg, formats[i](stats.Mean(defined)))
+		}
+	}
+	t.AddRow(avg...)
 	return t
 }
 

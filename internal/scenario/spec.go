@@ -29,9 +29,10 @@
 //
 // Each cell's baseline is default-config + `base` + the patches of every
 // axis marked `"shared": true`; its optimized configuration additionally
-// applies `opt` and the non-shared axis patches. The reported number is
-// always the speedup of the optimized configuration over the cell's own
-// baseline, geometric-mean'd across the benchmark list.
+// applies `opt` and the non-shared axis patches. The grid, series and
+// cells reports show the speedup of the optimized configuration over the
+// cell's own baseline, geometric-mean'd across the benchmark list; a
+// stats report shows named per-benchmark metrics of a single cell.
 package scenario
 
 import (
@@ -105,15 +106,24 @@ const (
 	// speedup — with no dimensional layout. It is the only kind that
 	// scales to grids with three or more axes (the fleet-sized specs).
 	ReportCells = "cells"
+	// ReportStats renders the one cell of a single-cell grid as one row
+	// per benchmark and one column per named metric (see
+	// ReportSpec.Metrics), plus an average row.
+	ReportStats = "stats"
 )
 
 // ReportSpec selects how a scenario's results are rendered as a table.
 //
 //repro:wire
 type ReportSpec struct {
-	Kind        string `json:"kind"`                  // "grid" | "series"
+	Kind        string `json:"kind"`                  // "grid" | "series" | "cells" | "stats"
 	RowHeader   string `json:"rowheader,omitempty"`   // grid: first column's header
 	ValueHeader string `json:"valueheader,omitempty"` // 1-axis grid: the value column's header
+	// Metrics names a stats report's columns, in order: "speedup", a
+	// named ratio such as "IPC" or "ElimRate", or a counter such as
+	// "MemTraps", "MemTraps/100M" or "ME.Eliminated", each optionally
+	// prefixed "base." to read the baseline run (see docs/SCENARIOS.md).
+	Metrics []string `json:"metrics,omitempty"`
 }
 
 // Spec is one parsed scenario.
@@ -238,6 +248,9 @@ func (s *Spec) Validate() error {
 		}
 	}
 	nAxes := len(s.WorkloadAxes) + len(s.Axes)
+	if len(s.Report.Metrics) != 0 && s.Report.Kind != ReportStats {
+		return fail("metrics apply only to a stats report, not to a %q report", s.Report.Kind)
+	}
 	switch s.Report.Kind {
 	case ReportGrid:
 		if nAxes > 2 {
@@ -248,8 +261,22 @@ func (s *Spec) Validate() error {
 			return fail("series report needs exactly 1 axis (workload axes included), spec has %d", nAxes)
 		}
 	case ReportCells:
+	case ReportStats:
+		for _, a := range s.combinedAxes() {
+			if len(a.labels) != 1 {
+				return fail("stats report needs exactly one cell, axis %q has %d values", a.name, len(a.labels))
+			}
+		}
+		if len(s.Report.Metrics) == 0 {
+			return fail("stats report names no metrics")
+		}
+		for _, name := range s.Report.Metrics {
+			if _, err := lookupMetric(name); err != nil {
+				return fail("%v", err)
+			}
+		}
 	default:
-		return fail("unknown report kind %q (known: grid series cells)", s.Report.Kind)
+		return fail("unknown report kind %q (known: grid series cells stats)", s.Report.Kind)
 	}
 	return nil
 }

@@ -68,6 +68,18 @@ func TestParseRejects(t *testing.T) {
 			strings.Replace(strings.Replace(minimal, `"kind": "grid"`, `"kind": "series"`, 1),
 				`"axes": [`, `"axes": [{"name": "b", "values": [{"label": "y", "patch": {}}]},`, 1),
 			"series report"},
+		{"stats report over two cells",
+			strings.Replace(strings.Replace(minimal, `"kind": "grid", "rowheader": "a"`, `"kind": "stats", "metrics": ["IPC"]`, 1),
+				`{"label": "x", "patch": {"entries": 8}}`, `{"label": "x", "patch": {"entries": 8}}, {"label": "y", "patch": {}}`, 1),
+			"exactly one cell"},
+		{"stats report without metrics",
+			strings.Replace(minimal, `"kind": "grid", "rowheader": "a"`, `"kind": "stats"`, 1), "no metrics"},
+		{"unknown metric",
+			strings.Replace(minimal, `"kind": "grid", "rowheader": "a"`, `"kind": "stats", "metrics": ["IPC", "MemTrap"]`, 1),
+			`unknown metric "MemTrap"`},
+		{"metrics on a series report",
+			strings.Replace(minimal, `"kind": "grid", "rowheader": "a"`, `"kind": "series", "metrics": ["IPC"]`, 1),
+			"metrics apply only to a stats report"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +150,11 @@ func TestBuiltinSpecsAllValid(t *testing.T) {
 // 10625 cells, deduplicating to 10710 unique requests (85 shared
 // baselines, one per shape × ROB, plus one optimized point per cell).
 func TestFleetGridShape(t *testing.T) {
-	m := MustBuiltin("fleet-grid").MustExpand(Overrides{})
+	s, err := Builtin("fleet-grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.MustExpand(Overrides{})
 	if len(m.Cells) != 10625 {
 		t.Fatalf("fleet-grid has %d cells, want 10625", len(m.Cells))
 	}

@@ -57,14 +57,6 @@ func NewProgress(w io.Writer, r *Runner, total int) *Progress {
 	return p
 }
 
-// AddTotal grows the expected event count (for drivers that discover
-// work incrementally, like cmd/paperfigs running figure after figure).
-func (p *Progress) AddTotal(n int) {
-	p.mu.Lock()
-	p.total += n
-	p.mu.Unlock()
-}
-
 // Observe consumes one completion event and redraws the line.
 func (p *Progress) Observe(ev Event) {
 	p.mu.Lock()
@@ -105,9 +97,8 @@ func (p *Progress) rate() float64 {
 // Finish terminates the live line (if one was drawn) so subsequent
 // output starts on a fresh line. It first redraws one final complete
 // done/total line: the stream can end between refreshes (a batch whose
-// last events settled after the final redraw, or a total that grew via
-// AddTotal), and without the flush the terminal would keep showing a
-// stale partial count.
+// last events settled after the final redraw), and without the flush
+// the terminal would keep showing a stale partial count.
 func (p *Progress) Finish() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -3,8 +3,7 @@ package sim
 import "repro/internal/stats"
 
 // Series is one named speedup curve over a benchmark list — the unit
-// every figure and sweep reports. It used to be re-implemented by both
-// internal/experiments and cmd/sweep; this is the single copy.
+// every figure and sweep reports.
 type Series struct {
 	Name    string
 	Per     map[string]float64
@@ -14,8 +13,8 @@ type Series struct {
 }
 
 // MakeSeries builds the speedup series of opt over base. The two slices
-// must be positionally aligned (same benchmarks, same order), as
-// RunBenchmarks guarantees.
+// must be positionally aligned (same benchmarks, same order), as a
+// scenario cell's baseline and optimized request lists are.
 func MakeSeries(name string, base, opt []*Result) Series {
 	s := Series{Name: name, Per: make(map[string]float64, len(base))}
 	sp := make([]float64, 0, len(base))
@@ -30,10 +29,4 @@ func MakeSeries(name string, base, opt []*Result) Series {
 	}
 	s.GMean = stats.GeoMean(sp)
 	return s
-}
-
-// GMeanSpeedup returns the geometric-mean speedup of opt over base
-// across positionally aligned result slices.
-func GMeanSpeedup(base, opt []*Result) float64 {
-	return MakeSeries("", base, opt).GMean
 }

@@ -1,5 +1,5 @@
 // Package sim is the simulation runner every entry point shares: the
-// experiment harness (internal/experiments), the sweep and figure
+// scenario engine (internal/scenario) behind the sweep and figure
 // commands (cmd/sweep, cmd/paperfigs), the single-run driver
 // (cmd/regsim) and the public regshare API all obtain results through a
 // Runner rather than driving internal/core directly.
@@ -17,7 +17,7 @@
 // A Runner owns
 //
 //   - a bounded worker pool sized off runtime.GOMAXPROCS, so arbitrarily
-//     wide fan-outs (a figure function asking for 36 benchmarks × 6
+//     wide fan-outs (a figure's grid asking for 36 benchmarks × 6
 //     configurations at once) never oversubscribe the machine;
 //   - request deduplication with singleflight semantics, keyed by
 //     (benchmark, configuration, warmup, measure): concurrent callers
@@ -417,18 +417,6 @@ func (r *Runner) fill(ctx context.Context, key string, req Request) (*Result, So
 	return res, SourceSimulated, cps, nil
 }
 
-// MustRun is Run for harness code where a request error is a bug. It
-// panics with the typed error itself, so a recover at the top of a
-// command can still distinguish cancellation (errors.Is ErrCanceled)
-// from genuine bugs.
-func (r *Runner) MustRun(ctx context.Context, req Request) *Result {
-	res, err := r.Run(ctx, req)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Stream fans the requests out over the worker pool and invokes sink —
 // serialized, so sinks need no locking — with a completion Event as
 // each request settles, in completion order. Results come back in
@@ -475,31 +463,6 @@ func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) (
 // typed error after all requests settle.
 func (r *Runner) RunAll(ctx context.Context, reqs []Request) ([]*Result, error) {
 	return r.Stream(ctx, reqs, nil)
-}
-
-// MustRunAll is RunAll for harness code where a request error is a bug.
-// Like MustRun, it panics with the typed error value itself.
-func (r *Runner) MustRunAll(ctx context.Context, reqs []Request) []*Result {
-	results, err := r.RunAll(ctx, reqs)
-	if err != nil {
-		panic(err)
-	}
-	return results
-}
-
-// RunBenchmarks runs cfgFor(bench) for every benchmark in the workload
-// catalog, preserving catalog order — the shape every figure sweep
-// uses. It streams per-benchmark completion events to sink (may be nil)
-// and returns the first typed error instead of panicking, so a single
-// bad configuration or a cancellation surfaces as a value the caller
-// can inspect.
-func (r *Runner) RunBenchmarks(ctx context.Context, warmup, measure uint64, cfgFor func(bench string) core.Config, sink func(Event)) ([]*Result, error) {
-	members, _ := workloads.Members("all")
-	reqs := make([]Request, len(members))
-	for i, m := range members {
-		reqs[i] = Request{Bench: m.Name, Config: cfgFor(m.Name), Warmup: warmup, Measure: measure}
-	}
-	return r.Stream(ctx, reqs, sink)
 }
 
 // Simulate is the in-process execution primitive: it validates req and

@@ -19,21 +19,37 @@ func quickReq(bench string) Request {
 	return Request{Bench: bench, Config: core.DefaultConfig(), Warmup: 1_000, Measure: 8_000}
 }
 
+// mustRun runs req on r, failing the test on any error.
+func mustRun(t *testing.T, r *Runner, req Request) *Result {
+	t.Helper()
+	res, err := r.Run(bg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestDedupConcurrent: N concurrent callers asking for the same request
 // must trigger exactly one simulation.
 func TestDedupConcurrent(t *testing.T) {
 	r := New()
 	const callers = 16
 	results := make([]*Result, callers)
+	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = r.MustRun(bg, quickReq("crafty"))
+			results[i], errs[i] = r.Run(bg, quickReq("crafty"))
 		}(i)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	c := r.Counters()
 	if c.Simulated != 1 {
 		t.Fatalf("simulated %d times for %d identical concurrent requests, want 1", c.Simulated, callers)
@@ -49,11 +65,11 @@ func TestDedupConcurrent(t *testing.T) {
 // cover benchmark, configuration and run lengths.
 func TestCacheHitMiss(t *testing.T) {
 	r := New()
-	a := r.MustRun(bg, quickReq("crafty"))
+	a := mustRun(t, r, quickReq("crafty"))
 	if c := r.Counters(); c.Simulated != 1 || c.MemHits != 0 {
 		t.Fatalf("first run: %+v", c)
 	}
-	if b := r.MustRun(bg, quickReq("crafty")); b != a {
+	if b := mustRun(t, r, quickReq("crafty")); b != a {
 		t.Fatal("repeat request did not hit the in-memory store")
 	}
 	if c := r.Counters(); c.Simulated != 1 || c.MemHits != 1 {
@@ -61,13 +77,13 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 
 	// Different benchmark, different config, different lengths: all miss.
-	r.MustRun(bg, quickReq("gcc"))
+	mustRun(t, r, quickReq("gcc"))
 	me := quickReq("crafty")
 	me.Config.ME.Enabled = true
-	r.MustRun(bg, me)
+	mustRun(t, r, me)
 	long := quickReq("crafty")
 	long.Measure += 1
-	r.MustRun(bg, long)
+	mustRun(t, r, long)
 	if c := r.Counters(); c.Simulated != 4 {
 		t.Fatalf("distinct requests deduplicated wrongly: %+v", c)
 	}
@@ -95,14 +111,14 @@ func TestKeyDistinguishesRequests(t *testing.T) {
 func TestDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	r1 := New(WithStore(NewStore(dir)))
-	want := r1.MustRun(bg, quickReq("crafty"))
+	want := mustRun(t, r1, quickReq("crafty"))
 	files, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cache dir files = %v, err = %v", files, err)
 	}
 
 	r2 := New(WithStore(NewStore(dir)))
-	got := r2.MustRun(bg, quickReq("crafty"))
+	got := mustRun(t, r2, quickReq("crafty"))
 	if c := r2.Counters(); c.Simulated != 0 || c.DiskHits != 1 {
 		t.Fatalf("second runner did not load from disk: %+v", c)
 	}
@@ -116,13 +132,13 @@ func TestDiskRoundTrip(t *testing.T) {
 func TestDiskCacheIgnoresCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	r1 := New(WithStore(NewStore(dir)))
-	r1.MustRun(bg, quickReq("crafty"))
+	mustRun(t, r1, quickReq("crafty"))
 	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.json"))
 	if err := os.WriteFile(files[0], []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r2 := New(WithStore(NewStore(dir)))
-	r2.MustRun(bg, quickReq("crafty"))
+	mustRun(t, r2, quickReq("crafty"))
 	if c := r2.Counters(); c.Simulated != 1 || c.DiskHits != 0 {
 		t.Fatalf("corrupt cache entry not re-simulated: %+v", c)
 	}
@@ -135,8 +151,8 @@ func TestDeterminism(t *testing.T) {
 	req := quickReq("gobmk")
 	req.Config.ME.Enabled = true
 	req.Config.SMB.Enabled = true
-	a := New().MustRun(bg, req)
-	b := New().MustRun(bg, req)
+	a := mustRun(t, New(), req)
+	b := mustRun(t, New(), req)
 	if a.S != b.S || a.Tracker != b.Tracker || a.Mem != b.Mem || a.IPC != b.IPC {
 		t.Fatalf("repeated runs differ:\n a %+v\n b %+v", a, b)
 	}
@@ -147,7 +163,10 @@ func TestDeterminism(t *testing.T) {
 func TestRunAllOrderAndErrors(t *testing.T) {
 	r := New()
 	reqs := []Request{quickReq("crafty"), quickReq("gcc"), quickReq("gobmk")}
-	results := r.MustRunAll(bg, reqs)
+	results, err := r.RunAll(bg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, res := range results {
 		if res.Bench != reqs[i].Bench {
 			t.Fatalf("result %d is %s, want %s", i, res.Bench, reqs[i].Bench)
@@ -171,7 +190,10 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 func TestWorkerBound(t *testing.T) {
 	r := New(WithWorkers(1))
 	reqs := []Request{quickReq("crafty"), quickReq("gcc"), quickReq("gobmk"), quickReq("hmmer")}
-	results := r.MustRunAll(bg, reqs)
+	results, err := r.RunAll(bg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(reqs) {
 		t.Fatalf("got %d results", len(results))
 	}

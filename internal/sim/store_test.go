@@ -122,9 +122,9 @@ func TestStoreVersionedHeader(t *testing.T) {
 func TestStoreSharedByRunners(t *testing.T) {
 	s := NewStore(t.TempDir())
 	r1 := New(WithStore(s))
-	want := r1.MustRun(bg, quickReq("crafty"))
+	want := mustRun(t, r1, quickReq("crafty"))
 	r2 := New(WithStore(s))
-	got := r2.MustRun(bg, quickReq("crafty"))
+	got := mustRun(t, r2, quickReq("crafty"))
 	if c := r2.Counters(); c.Simulated != 0 || c.DiskHits != 1 {
 		t.Fatalf("second runner did not hit the shared store: %+v", c)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 // streamReqs builds n distinct quick requests (ISRB entry count varies)
@@ -133,18 +134,21 @@ func TestValidationTaxonomy(t *testing.T) {
 	}
 }
 
-// TestRunBenchmarksReturnsTypedError: a bad configuration for one
-// benchmark surfaces as a typed error value, not a panic, and the
-// remaining benchmarks still settle.
-func TestRunBenchmarksReturnsTypedError(t *testing.T) {
+// TestStreamReturnsTypedError: over a whole-catalog batch, a bad
+// configuration for one benchmark surfaces as a typed error value, not
+// a panic, and the remaining benchmarks still settle.
+func TestStreamReturnsTypedError(t *testing.T) {
 	r := New()
-	results, err := r.RunBenchmarks(bg, 200, 2_000, func(bench string) core.Config {
+	members, _ := workloads.Members("all")
+	reqs := make([]Request, len(members))
+	for i, m := range members {
 		cfg := core.DefaultConfig()
-		if bench == "gcc" {
+		if m.Name == "gcc" {
 			cfg.ROBSize = 0 // invalid for exactly one benchmark
 		}
-		return cfg
-	}, nil)
+		reqs[i] = Request{Bench: m.Name, Config: cfg, Warmup: 200, Measure: 2_000}
+	}
+	results, err := r.Stream(bg, reqs, nil)
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v, want ErrBadConfig", err)
 	}
