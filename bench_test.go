@@ -1,11 +1,12 @@
 package regshare
 
-// Microbenchmarks of the front-end predictors, workload construction and
-// functional execution. The simulator's cycle loop and the reference
-// counting structures have their own benchmarks in internal/core and
-// internal/refcount; the paper's tables and figures are regenerated by
-// cmd/paperfigs from the committed scenario specs, and their shapes are
-// asserted by the tests in internal/experiments.
+// Microbenchmarks of the front-end predictors and functional execution.
+// The simulator's cycle loop, program construction and the reference
+// counting structures have their own benchmarks in internal/core,
+// internal/workloads and internal/refcount; the paper's tables and
+// figures are regenerated by cmd/paperfigs from the committed scenario
+// specs, and their shapes are asserted by the tests in
+// internal/experiments.
 //
 // Run them with:
 //
@@ -42,14 +43,6 @@ func BenchmarkDistancePredict(b *testing.B) {
 		pc := uint64(0x2000 + (i%32)*4)
 		p.Train(pc, &h, uint16(7+(i%4)))
 		p.Predict(pc, &h)
-	}
-}
-
-// BenchmarkWorkloadGeneration measures program construction.
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	spec, _ := workloads.Resolve("gcc")
-	for i := 0; i < b.N; i++ {
-		_ = workloads.Build(spec)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 	"repro/internal/regfile"
 )
 
-// DrainAndAudit stops fetching, drains the pipeline, forces all deferred
-// (lazy) reclaims, and then audits physical register conservation: every
+// DrainAndAudit stops fetching, drains the pipeline, checks that the
+// scheduler emptied with it, forces all deferred (lazy) reclaims, and
+// then audits physical register conservation: every
 // register must be accounted for exactly once as free, architecturally
 // mapped, or retained by the reference-counting structure. With register
 // sharing, the failure mode the paper's scheme must exclude is a *leak* —
@@ -19,14 +20,33 @@ import (
 // suite runs it after full simulations under every tracker scheme.
 func (c *Core) DrainAndAudit() error {
 	// Drain: stop fetch by clearing the front-end queue and refusing to
-	// refill it, then cycle until the ROB empties.
-	c.fetchStallUntil = ^uint64(0) >> 1
-	c.fqHead, c.fqTail = 0, 0
-	for guard := 0; c.robCount > 0; guard++ {
+	// refill it, then cycle until the ROB empties. A recovery during the
+	// drain redirects fetch, so fetch is stopped again every cycle.
+	for guard := 0; ; guard++ {
+		c.fetchStallUntil = ^uint64(0) >> 1
+		c.fqHead, c.fqTail = 0, 0
+		if c.robCount == 0 {
+			break
+		}
 		if guard > 1_000_000 {
 			return fmt.Errorf("core: pipeline failed to drain (%s)", c.debugState())
 		}
 		c.Cycle()
+	}
+	// The drained scheduler must hold nothing: no entry counted, ready,
+	// or reading a register.
+	if c.iqCount != 0 {
+		return fmt.Errorf("core: drained scheduler still counts %d entries", c.iqCount)
+	}
+	for _, m := range c.readySet {
+		if m != 0 {
+			return fmt.Errorf("core: drained scheduler has ready entries %#x", m)
+		}
+	}
+	for i, m := range c.consumerSets {
+		if m != 0 {
+			return fmt.Errorf("core: drained scheduler has entries %#x reading register #%d", m, i/c.slotWords)
+		}
 	}
 	// Force every deferred reclaim (lazy mode retains them indefinitely).
 	c.drainPendingReclaim(len(c.pendingReclaim))

@@ -235,12 +235,12 @@ func (c *Core) commitFlush(e *robEntry) {
 		if re.ckptIdx >= 0 {
 			c.releaseCheckpoint(re.ckptIdx)
 		}
+		c.leaveIQ(idx, re)
 		re.valid = false
 		return true
 	})
 	c.stats.SquashedUops += uint64(nSquashed)
 	c.robHead, c.robTail, c.robCount = 0, 0, 0
-	c.iq = c.iq[:0]
 	c.inflight = c.inflight[:0]
 	c.lqHead, c.lqTail = 0, 0
 	c.sqHead, c.sqTail = 0, 0

@@ -197,8 +197,13 @@ type Core struct {
 	window       []winEntry
 	releaseEpoch [2][]uint32
 
-	// Scheduler.
-	iq []int // robIdx, age-ordered
+	// Scheduler, wakeup-driven (see issue.go). Its sets are bitmasks
+	// over ROB slots, slotWords words each.
+	iqCount      int      // µops renamed into the scheduler, not yet issued or squashed
+	readySet     []uint64 // entries whose register sources are all ready
+	unready      []uint8  // per slot: distinct register sources not yet ready
+	consumerSets []uint64 // per physical register, the entries that read it
+	slotWords    int
 
 	// Writeback scan state: issued-but-incomplete µops, so writeback does
 	// not walk the full ROB every cycle. Entries are (robIdx, csn) pairs;
@@ -241,6 +246,7 @@ type Core struct {
 // New builds a core for the given program.
 func New(cfg Config, prog *program.Program) *Core {
 	cfg.validate()
+	slotWords := (cfg.ROBSize + 63) / 64
 	c := &Core{
 		cfg:            cfg,
 		prog:           prog,
@@ -254,7 +260,10 @@ func New(cfg Config, prog *program.Program) *Core {
 		lastAddr:       make([]uint64, prog.NumInsts()),
 		rob:            make([]robEntry, cfg.ROBSize),
 		window:         make([]winEntry, 1024),
-		iq:             make([]int, 0, cfg.IQSize),
+		readySet:       make([]uint64, slotWords),
+		unready:        make([]uint8, cfg.ROBSize),
+		consumerSets:   make([]uint64, 2*cfg.PhysRegsPerClass*slotWords),
+		slotWords:      slotWords,
 		inflight:       make([]inflightRef, 0, cfg.ROBSize),
 		completing:     make([]int, 0, cfg.ROBSize),
 		lq:             make([]lqEntry, cfg.LQSize),
@@ -385,7 +394,7 @@ func (c *Core) debugState() string {
 			e.u.String(), e.csn, e.issued, e.completed, e.readyAt, e.inIQ, e.u.WrongPath)
 	}
 	return fmt.Sprintf("rob=%d iq=%d lq=%d sq=%d freeInt=%d ckpts=%d diverged=%v fstall=%d; %s",
-		c.robCount, len(c.iq), c.lqTail-c.lqHead, c.sqTail-c.sqHead,
+		c.robCount, c.iqCount, c.lqTail-c.lqHead, c.sqTail-c.sqHead,
 		c.rf.FreeList(isa.IntReg).Len(), c.liveCkpts, c.diverged, c.fetchStallUntil, head)
 }
 

@@ -515,3 +515,26 @@ func TestRegisterConservationAudit(t *testing.T) {
 		}
 	}
 }
+
+// TestNextReadyStopsAtOccupancy: when the live ROB range wraps around
+// into the word that holds robHead, that word's higher bits belong to
+// older entries, and the ready-set walk must not return them again.
+func TestNextReadyStopsAtOccupancy(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROBSize = 64
+	spec, _ := workloads.Resolve("crafty")
+	c := New(cfg, workloads.Build(spec))
+	// Live slots 60..63 then 0..5 hold ages 0..9; slots 61 (age 1) and
+	// 3 (age 7) are ready.
+	c.robHead, c.robCount = 60, 10
+	c.readySet[0] = 1<<61 | 1<<3
+	for _, tc := range []struct{ from, off, idx int }{
+		{0, 1, 61},
+		{2, 7, 3},
+		{8, -1, 0},
+	} {
+		if off, idx := c.nextReady(tc.from); off != tc.off || idx != tc.idx {
+			t.Errorf("nextReady(%d) = (%d, %d), want (%d, %d)", tc.from, off, idx, tc.off, tc.idx)
+		}
+	}
+}

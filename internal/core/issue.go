@@ -1,6 +1,28 @@
 package core
 
-import "repro/internal/isa"
+import (
+	"math/bits"
+
+	"repro/internal/isa"
+	"repro/internal/regfile"
+)
+
+// The scheduler is wakeup-driven, as hardware is. Each physical
+// register has a consumer set, a bitmask over ROB slots holding every
+// scheduler entry that reads the register, and each entry counts its
+// distinct sources that are not ready. Writeback, on marking a register
+// ready, wakes its consumers: an entry whose count reaches zero joins
+// the ready set, another bitmask over ROB slots. Walking the ready set
+// from robHead visits ready entries in age order, and nothing on the
+// path allocates.
+//
+// The ready set is exactly the set of entries whose sources are all
+// ready, the entries a scan of every entry would find, because every
+// change of a ready bit updates the counts of the register's consumers:
+// SetReady through wake, and Alloc through allocReg. A register is
+// normally free only once nothing reads it, so allocReg finds no
+// consumers; it matters only when a register is reclaimed while still
+// shared.
 
 // issue is the 6-wide unified scheduler of Table 1. Entries are selected
 // oldest-first once their sources are ready (full bypass network: a
@@ -15,15 +37,9 @@ func (c *Core) issue() {
 	alu, fp, fpDiv, ldst, st := 0, 0, 0, 0, 0
 	mulDivUsed := false
 
-	keep := c.iq[:0]
-	for qi := 0; qi < len(c.iq); qi++ {
-		idx := c.iq[qi]
+	for off, idx := c.nextReady(0); off >= 0 && issued < c.cfg.IssueWidth; off, idx = c.nextReady(off + 1) {
 		e := &c.rob[idx]
-		if !e.valid || !e.inIQ {
-			continue // squashed or already gone
-		}
-		if issued >= c.cfg.IssueWidth || e.dispatchAt > c.cycle || !c.srcsReady(e) {
-			keep = append(keep, idx) //repro:allow hotalloc -- amortized: appends into a buffer retained on c and resliced to [:0]; steady state never grows
+		if e.dispatchAt > c.cycle {
 			continue
 		}
 
@@ -82,30 +98,136 @@ func (c *Core) issue() {
 		}
 
 		if ok {
-			e.inIQ = false
+			c.leaveIQ(idx, e)
 			issued++
 			if c.tracer != nil {
 				c.tracer.Issued(c.cycle, e.csn)
 			}
-		} else {
-			keep = append(keep, idx) //repro:allow hotalloc -- amortized: appends into a buffer retained on c and resliced to [:0]; steady state never grows
 		}
 	}
-	c.iq = keep
 }
 
-// srcsReady reports whether every register source (including the SMB
-// validation source) holds its final value.
-func (c *Core) srcsReady(e *robEntry) bool {
+// nextReady returns the oldest ready entry whose age (its offset from
+// the ROB head) is at least from: its age and its ROB slot, or off = -1
+// when there is none. Only live scheduler entries have ready bits, but
+// the live range can wrap around into the word holding robHead, whose
+// higher bits then belong to older entries; a bit at or past the ROB's
+// occupancy is one of those, so the walk ends there.
+func (c *Core) nextReady(from int) (off, idx int) {
+	for from < c.robCount {
+		idx = c.robHead + from
+		if idx >= len(c.rob) {
+			idx -= len(c.rob)
+		}
+		if m := c.readySet[idx>>6] >> (idx & 63); m != 0 {
+			tz := bits.TrailingZeros64(m)
+			if from+tz >= c.robCount {
+				break
+			}
+			return from + tz, idx + tz
+		}
+		from += min(64-idx&63, len(c.rob)-idx)
+	}
+	return -1, 0
+}
+
+// consumers returns the consumer set of p: one bit per ROB slot whose
+// scheduler entry reads p.
+func (c *Core) consumers(p regfile.PhysReg) []uint64 {
+	i := (int(p.Class())*c.cfg.PhysRegsPerClass + p.Index()) * c.slotWords
+	return c.consumerSets[i : i+c.slotWords]
+}
+
+// enterIQ puts the renamed µop in ROB slot idx into the scheduler, as a
+// consumer of each register source (including the SMB validation
+// source), and into the ready set when they are all ready.
+func (c *Core) enterIQ(idx int, e *robEntry) {
+	e.inIQ = true
+	c.iqCount++
+	c.unready[idx] = 0
 	for _, p := range e.srcPhys {
-		if p.Valid() && !c.rf.Ready(p) {
-			return false
+		if p.Valid() {
+			c.addConsumer(idx, p)
 		}
 	}
-	if e.bypassed && !c.rf.Ready(e.bypassPhys) {
-		return false
+	if e.bypassed {
+		c.addConsumer(idx, e.bypassPhys)
 	}
-	return true
+	if c.unready[idx] == 0 {
+		c.readySet[idx>>6] |= 1 << (idx & 63)
+	}
+}
+
+// addConsumer enters slot idx in p's consumer set and counts p when it
+// is not ready. A register named twice is counted once.
+func (c *Core) addConsumer(idx int, p regfile.PhysReg) {
+	ws := c.consumers(p)
+	bit := uint64(1) << (idx & 63)
+	if ws[idx>>6]&bit != 0 {
+		return
+	}
+	ws[idx>>6] |= bit
+	if !c.rf.Ready(p) {
+		c.unready[idx]++
+	}
+}
+
+// leaveIQ removes the µop in ROB slot idx from the scheduler, when it
+// issues or is squashed.
+func (c *Core) leaveIQ(idx int, e *robEntry) {
+	if !e.inIQ {
+		return
+	}
+	e.inIQ = false
+	c.iqCount--
+	bit := uint64(1) << (idx & 63)
+	c.readySet[idx>>6] &^= bit
+	for _, p := range e.srcPhys {
+		if p.Valid() {
+			c.consumers(p)[idx>>6] &^= bit
+		}
+	}
+	if e.bypassed {
+		c.consumers(e.bypassPhys)[idx>>6] &^= bit
+	}
+}
+
+// wake runs when p turns ready: each consumer has one source fewer to
+// wait for, and joins the ready set when it was the last.
+func (c *Core) wake(p regfile.PhysReg) {
+	for w, m := range c.consumers(p) {
+		for ; m != 0; m &= m - 1 {
+			idx := w<<6 + bits.TrailingZeros64(m)
+			c.unready[idx]--
+			if c.unready[idx] == 0 {
+				c.readySet[w] |= 1 << (idx & 63)
+			}
+		}
+	}
+}
+
+// allocReg allocates a free register of class cl for a renamed µop's
+// destination. Allocation clears the register's ready bit; when it was
+// set, every consumer of the register now waits for it again.
+func (c *Core) allocReg(cl isa.RegClass) regfile.PhysReg {
+	next, ok := c.rf.FreeList(cl).Peek()
+	if !ok {
+		panic("core: free list empty after availability check")
+	}
+	wasReady := c.rf.Ready(next)
+	p, _ := c.rf.Alloc(cl)
+	if wasReady {
+		for w, m := range c.consumers(p) {
+			for ; m != 0; m &= m - 1 {
+				idx := w<<6 + bits.TrailingZeros64(m)
+				if c.unready[idx] == 0 {
+					c.readySet[w] &^= 1 << (idx & 63)
+				}
+				c.unready[idx]++
+			}
+		}
+	}
+	return p
 }
 
 // loadReadyToIssue enforces the Store Sets dependence. Bypassed loads

@@ -54,7 +54,7 @@ func (c *Core) recoverFromBranch(brIdx int) {
 }
 
 // squashAfter removes every ROB entry younger than csn (exclusive),
-// releasing scheduler slots, LSQ entries and checkpoints. Returns the
+// releasing scheduler entries, LSQ entries and checkpoints. Returns the
 // number of squashed µops.
 func (c *Core) squashAfter(keepIdx int, csn uint64) int {
 	n := 0
@@ -78,6 +78,7 @@ func (c *Core) squashAfter(keepIdx int, csn uint64) int {
 			if e.ckptIdx >= 0 {
 				c.releaseCheckpoint(e.ckptIdx)
 			}
+			c.leaveIQ(last, e)
 			if e.lqIdx >= 0 {
 				c.lq[uint64(e.lqIdx)%uint64(len(c.lq))].valid = false
 				if uint64(e.lqIdx) == c.lqTail-1 {
@@ -108,14 +109,6 @@ func (c *Core) squashAfter(keepIdx int, csn uint64) int {
 	for c.sqTail > c.sqHead && !c.sq[(c.sqTail-1)%uint64(len(c.sq))].valid {
 		c.sqTail--
 	}
-	// Drop squashed entries from the scheduler.
-	keep := c.iq[:0]
-	for _, idx := range c.iq {
-		if c.rob[idx].valid && c.rob[idx].inIQ {
-			keep = append(keep, idx)
-		}
-	}
-	c.iq = keep
 	// Prune the in-flight completion list: the rename CSN counter rolls
 	// back on recovery, so stale references must not survive into a
 	// region where their (slot, csn) pair could be recycled.

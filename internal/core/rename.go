@@ -35,7 +35,7 @@ func (c *Core) rename() {
 		// Resource checks before any state change. Eliminated moves will
 		// not occupy the scheduler, but rename conservatively requires a
 		// free slot (elimination can still be rejected by the tracker).
-		if len(c.iq) >= c.cfg.IQSize {
+		if c.iqCount >= c.cfg.IQSize {
 			if n == 0 {
 				c.stats.StallIQ++
 			}
@@ -153,10 +153,7 @@ func (c *Core) rename() {
 
 		// Destination allocation for non-shared µops.
 		if u.HasDest() && !e.eliminated && !e.bypassed {
-			p, ok := c.rf.Alloc(u.Dest.Class)
-			if !ok {
-				panic("core: free list empty after availability check")
-			}
+			p := c.allocReg(u.Dest.Class)
 			e.allocatedFL = true
 			e.oldDestPhys = c.rf.RM.Get(u.Dest)
 			e.oldDestFlag = c.getFlag(u.Dest)
@@ -318,8 +315,7 @@ func (c *Core) finishRename(e *robEntry, idx int) {
 
 	// Scheduler entry (eliminated moves skip it).
 	if !e.eliminated {
-		e.inIQ = true
-		c.iq = append(c.iq, idx)
+		c.enterIQ(idx, e)
 	}
 
 	// Branch checkpoint, capturing post-branch renamer state and the

@@ -72,8 +72,11 @@ func (c *Core) complete(idx int, e *robEntry) {
 	}
 	u := &e.u
 
-	// Produce the result.
+	// Produce the result and wake its consumers.
 	if u.HasDest() && !e.eliminated && !e.bypassed {
+		if !c.rf.Ready(e.destPhys) {
+			c.wake(e.destPhys)
+		}
 		c.rf.SetReady(e.destPhys, u.Value)
 	}
 

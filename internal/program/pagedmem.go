@@ -1,10 +1,21 @@
 package program
 
+import (
+	"iter"
+	"maps"
+	"slices"
+)
+
 // PagedMem is a sparse uint64→uint64 store used where the simulator used
 // to reach for map[uint64]uint64 on a hot path (the functional executor's
-// memory, the ideal DDT): values live in fixed-size pages found through a
-// small map, with the last-touched page cached so the strided and looping
-// access patterns the workloads generate stay off the map entirely.
+// memory, the ideal DDT) and for a program's initial memory image: values
+// live in fixed-size pages found through a small map, with the
+// last-touched page cached so the strided and looping access patterns
+// the workloads generate stay off the map entirely.
+//
+// Load and Store update that cache, so even reads need exclusive
+// access. Clone and All leave it alone: any number of goroutines may
+// call them at once on a PagedMem that nobody writes.
 type PagedMem struct {
 	pages    map[uint64]*memPage
 	lastKey  uint64
@@ -71,4 +82,29 @@ func (m *PagedMem) Store(key, value uint64) {
 	off := key & (1<<pagedMemBits - 1)
 	pg.words[off] = value
 	pg.present[off/64] |= 1 << (off % 64)
+}
+
+// Clone returns an independent copy of m, page by page.
+func (m *PagedMem) Clone() *PagedMem {
+	c := &PagedMem{pages: make(map[uint64]*memPage, len(m.pages))}
+	for pk, pg := range m.pages {
+		cp := new(memPage)
+		*cp = *pg
+		c.pages[pk] = cp
+	}
+	return c
+}
+
+// All yields every stored key and its value in ascending key order.
+func (m *PagedMem) All() iter.Seq2[uint64, uint64] {
+	return func(yield func(key, value uint64) bool) {
+		for _, pk := range slices.Sorted(maps.Keys(m.pages)) {
+			pg := m.pages[pk]
+			for off := range pg.words {
+				if pg.present[off/64]>>(off%64)&1 != 0 && !yield(pk<<pagedMemBits|uint64(off), pg.words[off]) {
+					return
+				}
+			}
+		}
+	}
 }

@@ -13,6 +13,7 @@ package program
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/isa"
 )
@@ -95,15 +96,30 @@ type SInst struct {
 	Target uint64
 }
 
-// Program is a fully built static program.
+// Program is a fully built static program. It is immutable once Build
+// returns, so one Program may back any number of executors and cores,
+// concurrently.
 type Program struct {
 	Name  string
 	insts []SInst
 	entry uint64
-	// InitMem seeds functional memory (8-byte granularity).
-	InitMem map[uint64]uint64
+	// mem is the initial memory image, keyed by 8-byte word index (the
+	// executor's own keying), which NewExecutor clones page by page.
+	mem *PagedMem
 	// InitRegs seeds the architectural registers.
 	InitRegs [2][isa.NumArchRegs]uint64
+}
+
+// InitMem yields the initial memory image one seeded 8-byte word at a
+// time, as (byte address, value), in address order.
+func (p *Program) InitMem() iter.Seq2[uint64, uint64] {
+	return func(yield func(addr, value uint64) bool) {
+		for w, v := range p.mem.All() {
+			if !yield(w<<3, v) {
+				return
+			}
+		}
+	}
 }
 
 // Entry returns the program's entry PC.
@@ -139,13 +155,13 @@ func (p *Program) NextPC(pc uint64) uint64 { return pc + 4 }
 
 // Builder assembles a Program from labelled basic blocks.
 type Builder struct {
-	name    string
-	insts   []SInst
-	labels  map[string]uint64
-	fixups  []fixup
-	initMem map[uint64]uint64
-	pc      uint64
-	err     error
+	name   string
+	insts  []SInst
+	labels map[string]uint64
+	fixups []fixup
+	mem    *PagedMem
+	pc     uint64
+	err    error
 }
 
 type fixup struct {
@@ -156,10 +172,10 @@ type fixup struct {
 // NewBuilder starts a program named name at the given base PC.
 func NewBuilder(name string, basePC uint64) *Builder {
 	return &Builder{
-		name:    name,
-		labels:  make(map[string]uint64),
-		initMem: make(map[uint64]uint64),
-		pc:      basePC,
+		name:   name,
+		labels: make(map[string]uint64),
+		mem:    NewPagedMem(),
+		pc:     basePC,
 	}
 }
 
@@ -193,9 +209,17 @@ func (b *Builder) EmitBranchTo(in SInst, label string) *Builder {
 	return b
 }
 
-// InitMem seeds one 8-byte memory word.
+// InitMem seeds one 8-byte memory word. The address must be 8-byte
+// aligned: loads and stores address whole aligned words, so an
+// unaligned seed could never be read, and Build reports it.
 func (b *Builder) InitMem(addr, value uint64) *Builder {
-	b.initMem[addr] = value
+	if addr&7 != 0 {
+		if b.err == nil {
+			b.err = fmt.Errorf("program %q: unaligned initial memory address %#x", b.name, addr)
+		}
+		return b
+	}
+	b.mem.Store(addr>>3, value)
 	return b
 }
 
@@ -216,10 +240,10 @@ func (b *Builder) Build() (*Program, error) {
 		b.insts[f.inst].Target = pc
 	}
 	p := &Program{
-		Name:    b.name,
-		insts:   b.insts,
-		entry:   b.insts[0].PC,
-		InitMem: b.initMem,
+		Name:  b.name,
+		insts: b.insts,
+		entry: b.insts[0].PC,
+		mem:   b.mem,
 	}
 	return p, nil
 }

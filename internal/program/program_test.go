@@ -1,6 +1,8 @@
 package program
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -39,6 +41,48 @@ func TestExecutorCounterLoop(t *testing.T) {
 	// r0: 1..5; branch taken while r0 < 5, i.e., for r0=1..4.
 	if takenCount != 4 {
 		t.Fatalf("loop branch taken %d times, want 4", takenCount)
+	}
+}
+
+// TestInitMemUnaligned: a seed at an address no load can reach fails
+// the build, naming the address, instead of vanishing.
+func TestInitMemUnaligned(t *testing.T) {
+	b := NewBuilder("unaligned", 0x1000)
+	b.InitMem(0x8000, 1).InitMem(0x8004, 2)
+	b.Emit(SInst{Op: isa.ALU, Sem: SemNop})
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "0x8004") {
+		t.Fatalf("Build = %v, want an error naming 0x8004", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MustBuild did not panic")
+		}
+	}()
+	b.MustBuild()
+}
+
+// TestInitMemImage: the image keeps the last value seeded at each
+// address, stored zeros included, and reads back in address order; an
+// executor's stores never reach it.
+func TestInitMemImage(t *testing.T) {
+	b := NewBuilder("image", 0x1000)
+	b.InitMem(0x9000, 3).InitMem(0x8000, 0).InitMem(0x10_0000, 7).InitMem(0x9000, 4)
+	b.Emit(SInst{Op: isa.ALU, Sem: SemMovImm, Dest: isa.IntR(1), Imm: 0x8000, Width: 64})
+	b.Emit(SInst{Op: isa.ALU, Sem: SemMovImm, Dest: isa.IntR(2), Imm: 5, Width: 64})
+	b.Emit(SInst{Op: isa.Store, Sem: SemStore, Src: [2]isa.Reg{isa.IntR(2)}, AddrReg: isa.IntR(1), Imm: 0, Width: 64})
+	p := b.MustBuild()
+	e := NewExecutor(p)
+	var u isa.Uop
+	for i := 0; i < 3; i++ {
+		e.Next(&u)
+	}
+	var got [][2]uint64
+	for a, v := range p.InitMem() {
+		got = append(got, [2]uint64{a, v})
+	}
+	want := [][2]uint64{{0x8000, 0}, {0x9000, 4}, {0x10_0000, 7}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("InitMem = %v, want %v", got, want)
 	}
 }
 

@@ -121,6 +121,15 @@ func (f *FreeList) Pop() (PhysReg, bool) {
 	return p, true
 }
 
+// Peek returns the register the next Pop returns; ok is false when the
+// list is empty.
+func (f *FreeList) Peek() (PhysReg, bool) {
+	if f.head == f.tail {
+		return NoPhysReg, false
+	}
+	return f.buf[f.head%uint64(len(f.buf))], true
+}
+
 // Push returns a register to the list.
 func (f *FreeList) Push(p PhysReg) {
 	f.buf[f.tail%uint64(len(f.buf))] = p

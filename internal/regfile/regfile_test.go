@@ -41,12 +41,16 @@ func TestInitialMappings(t *testing.T) {
 }
 
 // TestAllocNeverDuplicates: popping the entire free list yields distinct
-// registers, none architectural.
+// registers, none architectural, each the one Peek announced.
 func TestAllocNeverDuplicates(t *testing.T) {
 	f := NewFile(64)
 	seen := map[PhysReg]bool{}
 	for {
+		next, peeked := f.FreeList(isa.IntReg).Peek()
 		p, ok := f.Alloc(isa.IntReg)
+		if peeked != ok || next != p {
+			t.Fatalf("Peek = (%v, %v), then Alloc = (%v, %v)", next, peeked, p, ok)
+		}
 		if !ok {
 			break
 		}

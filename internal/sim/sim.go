@@ -484,12 +484,19 @@ func Simulate(ctx context.Context, req Request) (*Result, error) {
 // A panic in the simulator (the commit-deadlock detector, whose value
 // carries the core's debug state, or a constructor assert) is recovered
 // into an ErrSimFault wrap, failing this request alone. That is sound
-// because one simulation shares no mutable state: its core, program and
-// tracker are private to this call, and neither workloads.Build nor
-// core.New writes anything at package level. The one shared value on
-// the path, the workloads catalog behind a sync.OnceValue, is read-only
-// once built (a panic while building it re-panics identically on every
-// call), so a faulted run leaves nothing behind for the next one.
+// because nothing a simulation writes outlives it: its core and tracker
+// are private to this call, and core.New writes nothing at package
+// level. The program is shared — workloads.Build memoizes it, so
+// concurrent and later requests for the same workload get the same
+// *program.Program — but it is read-only: no code writes a Program
+// after Build returns (the core's functional executor clones the
+// initial memory image and stores only into its copy), and Build
+// publishes a program only once it is fully built, so a panic while
+// building leaves nothing in the memo. The other shared value on the
+// path, the workloads catalog behind a sync.OnceValue, is read-only
+// once built too (a panic while building it re-panics identically on
+// every call). A faulted run therefore leaves nothing behind for the
+// next one.
 func simulate(ctx context.Context, req Request) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"sync"
@@ -91,9 +92,17 @@ func TestStreamEventsAndProvenance(t *testing.T) {
 // entry point for every class of bad request. A configuration that
 // passes validation but faults the simulator fails alone, as
 // ErrSimFault, and every time: a fault is never cached or stored.
+//
+// The faulting runs share crafty's memoized program with every other
+// crafty run, so the result after them must be bit-identical to one
+// computed before them: a fault leaves nothing behind in the program.
 func TestValidationTaxonomy(t *testing.T) {
 	dir := t.TempDir()
 	r := New(WithStore(NewStore(dir)))
+	before, err := Simulate(bg, quickReq("crafty"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name  string
@@ -129,8 +138,57 @@ func TestValidationTaxonomy(t *testing.T) {
 	if files, _ := filepath.Glob(filepath.Join(dir, "*", "*.json")); len(files) != 0 {
 		t.Fatalf("invalid or faulting requests left %d store entries: %v", len(files), files)
 	}
-	if _, err := r.Run(bg, quickReq("crafty")); err != nil {
+	after, err := r.Run(bg, quickReq("crafty"))
+	if err != nil {
 		t.Fatalf("valid request after invalid ones: %v", err)
+	}
+	if a, b := mustJSON(t, after), mustJSON(t, before); a != b {
+		t.Fatalf("crafty after the faults differs from crafty before them:\n%s\n%s", a, b)
+	}
+}
+
+// mustJSON renders v as JSON, the form results are stored and compared
+// in.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestSharedProgramConcurrentRuns: one gen: program, built once and
+// shared, runs under several configurations at once on a multi-worker
+// runner, and every result equals the same request run alone. Under
+// -race this also checks that concurrent cores only read the program.
+func TestSharedProgramConcurrentRuns(t *testing.T) {
+	const bench = "gen:chase?mix=0.4&seed=5"
+	var reqs []Request
+	for _, kind := range []core.TrackerKind{core.TrackerISRB, core.TrackerUnlimited, core.TrackerCounters, core.TrackerRDA} {
+		req := Request{Bench: bench, Config: core.DefaultConfig(), Warmup: 500, Measure: 4_000}
+		req.Config.ME.Enabled = true
+		req.Config.SMB.Enabled = true
+		req.Config.Tracker = core.TrackerConfig{Kind: kind, Entries: 16, CounterBits: 3}
+		reqs = append(reqs, req)
+	}
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		res, err := Simulate(bg, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = mustJSON(t, res)
+	}
+	got, err := New(WithWorkers(len(reqs))).RunAll(bg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range got {
+		if g := mustJSON(t, res); g != want[i] {
+			t.Errorf("%s under %s: concurrent result differs from the sequential one:\n%s\n%s",
+				bench, reqs[i].Config.Tracker.Kind, g, want[i])
+		}
 	}
 }
 

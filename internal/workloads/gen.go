@@ -9,6 +9,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -158,10 +159,70 @@ type gen struct {
 	label int // unique label counter
 }
 
-// Build constructs the program for spec. Construction is deterministic in
-// spec (including its seed).
+// buildMemoSize bounds how many programs Build keeps. The memo pays off
+// where a grid runs one program under many configurations back to back,
+// as a spec with workload axes does: the perfbench grid builds 7
+// programs for its 154 requests. A spec with a benchmark list runs the
+// whole list under each configuration, so a list longer than the ring
+// misses nearly every time (trackers, over all 36 catalog benchmarks,
+// hits 0 of 216). That costs little: a catalog program's dense image
+// builds in 0.1–16 ms, 1–2% of such a sweep's CPU, while a ring
+// holding all 36 programs keeps about 100 MB more alive.
+const buildMemoSize = 4
+
+// buildMemo is Build's memo: a ring of the most recently built
+// programs, keyed by their defaulted Spec (every field is a comparable
+// scalar).
+type buildMemo struct {
+	mu   sync.Mutex
+	next int
+	ring [buildMemoSize]struct {
+		spec Spec
+		prog *program.Program
+	}
+}
+
+var builds buildMemo
+
+// lookup returns the kept program for a defaulted spec, or nil. The
+// caller holds m.mu.
+func (m *buildMemo) lookup(spec Spec) *program.Program {
+	for _, e := range m.ring {
+		if e.prog != nil && e.spec == spec {
+			return e.prog
+		}
+	}
+	return nil
+}
+
+// Build returns the program for spec. Construction is deterministic in
+// spec (including its seed), so Build memoizes: the returned Program is
+// shared and read-only.
+//
+// The program is built outside the lock and published only once built,
+// so a build that panics leaves nothing behind. Two callers may both
+// build a spec the first time; their programs are identical.
 func Build(spec Spec) *program.Program {
 	spec = spec.withDefaults()
+	builds.mu.Lock()
+	p := builds.lookup(spec)
+	builds.mu.Unlock()
+	if p != nil {
+		return p
+	}
+	p = build(spec)
+	builds.mu.Lock()
+	defer builds.mu.Unlock()
+	if kept := builds.lookup(spec); kept != nil {
+		return kept
+	}
+	builds.ring[builds.next].spec, builds.ring[builds.next].prog = spec, p
+	builds.next = (builds.next + 1) % buildMemoSize
+	return p
+}
+
+// build constructs the program for a defaulted spec.
+func build(spec Spec) *program.Program {
 	g := &gen{
 		spec: spec,
 		r:    rng.New(spec.Seed),

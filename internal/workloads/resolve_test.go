@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -151,13 +150,8 @@ func programDigest(p *program.Program) string {
 		fmt.Fprintf(h, "%+v\n", *in)
 		pc = p.NextPC(pc)
 	}
-	addrs := make([]uint64, 0, len(p.InitMem))
-	for a := range p.InitMem {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(h, "m %d %d\n", a, p.InitMem[a])
+	for a, v := range p.InitMem() {
+		fmt.Fprintf(h, "m %d %d\n", a, v)
 	}
 	fmt.Fprintf(h, "r %v\n", p.InitRegs)
 	return hex.EncodeToString(h.Sum(nil))
@@ -248,5 +242,32 @@ func TestMemoizedTablesZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("memoized lookups allocate %v times per call, want 0", allocs)
+	}
+}
+
+// TestBuildMemo: a repeated Build of an equal Spec, however it was
+// spelled, returns the very same shared *Program, and the memoized
+// program is indistinguishable from a fresh, unmemoized build.
+func TestBuildMemo(t *testing.T) {
+	for _, name := range crossProcessNames {
+		spec, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Build(spec)
+		if again := Build(spec); again != p {
+			t.Errorf("%s: second Build returned a different *Program", name)
+		}
+		if fresh := build(spec.withDefaults()); fresh == p || programDigest(fresh) != programDigest(p) {
+			t.Errorf("%s: memoized and unmemoized builds differ", name)
+		}
+	}
+	// A hand-built spec is keyed on its defaulted value, so spelling a
+	// default out hits the same entry.
+	bare := Spec{Name: "memo-probe", SpillPct: 0.1}
+	full := bare
+	full.Blocks = 8
+	if Build(bare) != Build(full) {
+		t.Error("an explicit default missed the memo")
 	}
 }

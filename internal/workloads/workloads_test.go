@@ -88,8 +88,9 @@ func TestAllBenchmarksExecute(t *testing.T) {
 // streams (the reproducibility requirement).
 func TestDeterminism(t *testing.T) {
 	s, _ := Resolve("gcc")
-	e1 := program.NewExecutor(Build(s))
-	e2 := program.NewExecutor(Build(s))
+	// build, not Build: the memo would hand back one *Program twice.
+	e1 := program.NewExecutor(build(s.withDefaults()))
+	e2 := program.NewExecutor(build(s.withDefaults()))
 	var a, b isa.Uop
 	for i := 0; i < 20_000; i++ {
 		e1.Next(&a)
@@ -174,5 +175,16 @@ func TestMoveWidthMix(t *testing.T) {
 	}
 	if widths[64] == 0 || widths[32] == 0 {
 		t.Fatalf("move widths missing: %v", widths)
+	}
+}
+
+// BenchmarkBuild measures program construction. It calls the
+// unmemoized build: through Build every iteration after the first
+// would be a memo hit.
+func BenchmarkBuild(b *testing.B) {
+	spec, _ := Resolve("gcc")
+	spec = spec.withDefaults()
+	for i := 0; i < b.N; i++ {
+		_ = build(spec)
 	}
 }
