@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,13 +17,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dispatch"
 	"repro/internal/fleet"
 )
 
 // TestEndToEnd builds every command and drives the real binaries
 // through the paths only a multi-process run exercises: a service under
-// loadgen, two drain processes racing on one fs: lease area, and the s3
-// store against the fake. It also pins each command's flag set.
+// loadgen, a sweep executing on a service through -backend, two drain
+// processes racing on one fs: lease area, and the s3 store against the
+// fake. It also pins each command's flag set.
 // Properties the in-process tests already pin are left to them.
 func TestEndToEnd(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -55,6 +58,42 @@ func TestEndToEnd(t *testing.T) {
 		// the service already served others.
 		if out, err := output(loadgen, "-url", url, "-points", "2", "-duration", "1ns", "-check"); err == nil {
 			t.Errorf("loadgen -check passed a point with zero ok requests:\n%s", out)
+		}
+	})
+
+	t.Run("backend", func(t *testing.T) {
+		url := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0")
+		args := []string{"-scenario", "ddt", "-bench", "crafty", "-warmup", "200", "-measure", "1500", "-json"}
+		local := run(t, sweep, args...)
+
+		cmd := exec.Command(sweep, append(args, "-backend", url, "-v")...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		remote, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("sweep -backend %s: %v\n%s", url, err, stderr.Bytes())
+		}
+		if string(remote) != local {
+			t.Errorf("sweep -backend %s printed a different report:\n%s\nin-process:\n%s", url, remote, local)
+		}
+		// The -v summary: "N requests: S simulated, ...". Every request
+		// the client's runner simulated is one /v1/run on the service.
+		simulated := -1
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			var n int
+			if _, err := fmt.Sscanf(line, "%d requests: %d simulated", &n, &simulated); err == nil {
+				break
+			}
+		}
+		h := dispatch.NewHTTP(url)
+		defer h.Close()
+		snap, err := h.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simulated <= 0 || snap.Completed != uint64(simulated) {
+			t.Errorf("the service completed %d requests, the sweep simulated %d; want equal and non-zero\n%s",
+				snap.Completed, simulated, stderr.Bytes())
 		}
 	})
 

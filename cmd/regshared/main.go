@@ -5,24 +5,19 @@
 // Endpoints:
 //
 //	POST /v1/run              one sim.Request in, one sim.Result out
-//	POST /v1/stream           {"requests":[...]} in, an NDJSON stream of
-//	                          completion events out (mirrors sim.Stream),
-//	                          sealed by a {"done":true,"events":N} trailer
-//	GET  /v1/results/{key}    a completed result straight from the sharded
-//	                          on-disk store, addressed by sim.Key of the
-//	                          canonical request
 //	GET  /metrics             service counters, queue/in-flight gauges,
-//	                          store hit rate, per-endpoint p50/p99
+//	                          store hit rate, run latency p50/p99
 //	GET  /v1/requests/recent  the last-N requests' stage-stamped metrics
 //
 // All requests flow through one shared sim.Runner, so concurrent
 // clients asking for the same cell share a single simulation, and
-// -store persists every completed result in the store /v1/results
-// serves from. Simulations run in the server process; a configuration
-// that faults the simulator fails its own request (422, error kind
-// "sim_fault") and the service keeps serving.
+// -store persists every completed result: a later request for a stored
+// cell is answered from the store without simulating. Simulations run
+// in the server process; a configuration that faults the simulator
+// fails its own request (422, error kind "sim_fault") and the service
+// keeps serving.
 //
-// Execution requests pass a bounded admission gate (-max-inflight,
+// Run requests pass a bounded admission gate (-max-inflight,
 // -max-queue) with per-client fair dequeue; beyond both bounds the
 // service answers 429 with a Retry-After hint instead of queueing
 // unboundedly. cmd/loadgen drives the saturation curve.
@@ -152,12 +147,12 @@ func main() {
 		ReadTimeout: 2 * time.Minute,
 		// Reap idle keep-alive connections instead of accumulating them.
 		IdleTimeout: 2 * time.Minute,
-		// WriteTimeout stays 0 DELIBERATELY: /v1/run responses wait on
-		// legitimately minutes-long simulations and /v1/stream writes
-		// NDJSON for the lifetime of a whole grid, so any fixed write
-		// deadline would cut healthy long responses. Stuck writers are
-		// bounded instead by the per-request context (canceled when the
-		// client goes away) and by graceful shutdown's force-close.
+		// WriteTimeout stays 0 DELIBERATELY: a /v1/run response waits on
+		// its simulation, which can legitimately take minutes, so any
+		// fixed write deadline would cut healthy long responses. Stuck
+		// writers are bounded instead by the per-request context
+		// (canceled when the client goes away) and by graceful
+		// shutdown's force-close.
 	}
 
 	// ^C / SIGTERM: stop accepting, give in-flight requests 10s, then

@@ -27,9 +27,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // spinePackages are the execution-spine import paths the contract
-// covers: the public regshare API (module root), the runner, the
-// dispatch backends, the scenario engine, the experiment harness and
-// the core's run loop.
+// covers: the public regshare API (module root), the runner, remote
+// execution, the scenario engine, the experiment harness and the
+// core's run loop.
 var spinePackages = map[string]bool{
 	"repro":                      true,
 	"repro/internal/sim":         true,

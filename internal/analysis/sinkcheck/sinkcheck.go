@@ -1,9 +1,10 @@
 // Package sinkcheck makes sure serialization errors are not silently
-// dropped at the repository's output boundaries. Every sim.Event sink
-// and every NDJSON stream in this codebase funnels through
-// json.Encoder.Encode (or a method of the same shape); an ignored
-// Encode error means a truncated stream that parses as a shorter,
-// valid result — the worst kind of corruption, because nothing fails.
+// dropped at the repository's output boundaries. The -json reports, the
+// drain summary and the line-per-record span files in this codebase
+// funnel through json.Encoder.Encode (or a method of the same shape);
+// an ignored Encode error means truncated output, and a span file cut
+// between records still parses as a shorter, valid one — the worst
+// kind of corruption, because nothing fails.
 //
 // The rule: an expression statement (or go/defer statement) whose value
 // is a call to a function or method named Encode, EncodeEvent or Emit

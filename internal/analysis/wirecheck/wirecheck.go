@@ -1,7 +1,8 @@
-// Package wirecheck guards the serialized boundaries: the dispatch
-// wire protocol (wireEvent, streamTrailer), the result
-// store envelope and the report types all round-trip through
-// encoding/json, and their field layout is a compatibility contract.
+// Package wirecheck guards the serialized boundaries: the regshared
+// service's observability records (RequestMetrics, MetricsSnapshot),
+// the result store envelope and the report types all round-trip
+// through encoding/json, and their field layout is a compatibility
+// contract.
 // A struct opts in with
 //
 //	//repro:wire

@@ -1,6 +1,6 @@
 // Package cliflags registers the runner flag set the simulation
 // commands share — -backend, -simver, -store and -s3-endpoint — and
-// resolves it into the execution backend and result store a runner is
+// resolves it into the regshared client and result store a runner is
 // built from. Centralizing the registration keeps the flag names and
 // help strings identical across cmd/sweep, cmd/paperfigs, cmd/regsim,
 // cmd/storagecost and cmd/regshared: a flag contract change lands in
@@ -18,10 +18,10 @@
 //	defer b.Close()
 //	runner := sim.New(b.RunnerOptions()...)
 //
-// Commands that never choose an execution backend (pure store
-// consumers like cmd/storagecost, and cmd/regshared, which always
-// executes in-process) register with WithoutBackend; commands that
-// open a store or a backend of their own from the -store spec read
+// Commands that never choose where to execute (pure store consumers
+// like cmd/storagecost, and cmd/regshared, which always executes
+// in-process) register with WithoutBackend; commands that open a store
+// or an objstore backend of their own from the -store spec read
 // StoreSpec, StoreOptions and OpenStore à la carte.
 package cliflags
 
@@ -44,7 +44,7 @@ type config struct {
 type Option func(*config)
 
 // WithoutBackend skips the -backend flag for commands that never
-// choose an execution backend.
+// choose where to execute.
 func WithoutBackend() Option {
 	return func(c *config) { c.noBackend = true }
 }
@@ -106,43 +106,42 @@ func (f *Flags) OpenStore() (*sim.Store, error) {
 	return sim.OpenStore(f.StoreSpec(), f.StoreOptions()...)
 }
 
-// Built is the resolved runner material: the execution backend (nil
-// when registered WithoutBackend) and the result store (nil when
-// storage is off).
+// Built is the resolved runner material: the regshared client
+// -backend http://addr names (nil for -backend local, the in-process
+// default, and when registered WithoutBackend) and the result store
+// (nil when storage is off).
 type Built struct {
-	Backend dispatch.Backend
-	Store   *sim.Store
+	Remote *dispatch.HTTP
+	Store  *sim.Store
 }
 
-// Build resolves the parsed flags: it constructs the -backend dispatch
-// backend and opens the -store store. On success the caller owns the
-// backend and must Close the result.
+// Build resolves the parsed flags: it parses -backend and opens the
+// -store store. On success the caller must Close the result.
 func (f *Flags) Build() (*Built, error) {
 	b := &Built{}
 	if f.backend != nil {
-		be, err := dispatch.New(*f.backend)
+		h, err := dispatch.Remote(*f.backend)
 		if err != nil {
 			return nil, err
 		}
-		b.Backend = be
+		b.Remote = h
 	}
 	store, err := f.OpenStore()
 	if err != nil {
-		if b.Backend != nil {
-			b.Backend.Close()
-		}
+		b.Close()
 		return nil, err
 	}
 	b.Store = store
 	return b, nil
 }
 
-// RunnerOptions assembles the sim options the built backend and store
-// imply, with extra appended — ready for sim.New.
+// RunnerOptions assembles the sim options the built client and store
+// imply, with extra appended — ready for sim.New. Without a client the
+// runner keeps its own in-process executor, sim.Simulate.
 func (b *Built) RunnerOptions(extra ...sim.Option) []sim.Option {
 	var opts []sim.Option
-	if b.Backend != nil {
-		opts = dispatch.Options(b.Backend)
+	if b.Remote != nil {
+		opts = b.Remote.Options()
 	}
 	if b.Store != nil {
 		opts = append(opts, sim.WithStore(b.Store))
@@ -150,10 +149,11 @@ func (b *Built) RunnerOptions(extra ...sim.Option) []sim.Option {
 	return append(opts, extra...)
 }
 
-// Close releases the built backend. Safe on a nil receiver and with no
-// backend, so `defer b.Close()` works in every command shape.
+// Close releases the built client's idle connections. Safe on a nil
+// receiver and with no client, so `defer b.Close()` works in every
+// command shape.
 func (b *Built) Close() {
-	if b != nil && b.Backend != nil {
-		b.Backend.Close()
+	if b != nil && b.Remote != nil {
+		b.Remote.Close()
 	}
 }

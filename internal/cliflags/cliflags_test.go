@@ -119,37 +119,41 @@ func TestStoreOpenResolvesBackends(t *testing.T) {
 	}
 }
 
-// TestBuild: the local backend and the -store store resolve into runner
-// options; a bad store spec fails without leaking the backend.
+// TestBuild: -backend and -store resolve into runner options; local
+// leaves the runner's in-process executor, http:// builds a client, and
+// a bad store spec fails without leaking the client.
 func TestBuild(t *testing.T) {
 	b, err := parse(t, "-store", "fs:"+t.TempDir()).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Backend == nil || b.Store == nil {
-		t.Fatalf("build incomplete: %+v", b)
+	if b.Remote != nil || b.Store == nil {
+		t.Fatalf("local build: %+v", b)
 	}
-	if len(b.RunnerOptions()) == 0 || sim.New(b.RunnerOptions()...) == nil {
+	if len(b.RunnerOptions()) != 1 || sim.New(b.RunnerOptions()...) == nil {
 		t.Fatal("options do not build a runner")
 	}
 
-	// Storage off: a backend and no store.
-	off, err := parse(t).Build()
+	remote, err := parse(t, "-backend", "http://127.0.0.1:1").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer off.Close()
-	if off.Backend == nil || off.Store != nil {
-		t.Fatalf("storage-off build: %+v", off)
+	defer remote.Close()
+	if remote.Remote == nil || remote.Store != nil || len(remote.RunnerOptions()) == 0 {
+		t.Fatalf("http build: %+v", remote)
 	}
 
-	if bad, err := parse(t, "-store", "gopher://nope").Build(); err == nil {
+	if bad, err := parse(t, "-backend", "pool:2").Build(); err == nil {
+		bad.Close()
+		t.Fatal("bad backend spec accepted")
+	}
+	if bad, err := parse(t, "-backend", "http://127.0.0.1:1", "-store", "gopher://nope").Build(); err == nil {
 		bad.Close()
 		t.Fatal("bad store spec accepted")
 	}
 
-	// Storage off, no backend: an empty but usable Built.
+	// Storage off, no -backend flag: an empty but usable Built.
 	fs3 := flag.NewFlagSet("z", flag.ContinueOnError)
 	f3 := RegisterRunnerFlags(fs3, WithoutBackend())
 	if err := fs3.Parse(nil); err != nil {
@@ -160,7 +164,7 @@ func TestBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b3.Close()
-	if b3.Backend != nil || b3.Store != nil || len(b3.RunnerOptions()) != 0 {
+	if b3.Remote != nil || b3.Store != nil || len(b3.RunnerOptions()) != 0 {
 		t.Fatalf("empty build not empty: %+v", b3)
 	}
 	var nilBuilt *Built

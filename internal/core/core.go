@@ -298,9 +298,6 @@ func (c *Core) Tracker() refcount.Tracker { return c.tracker }
 // Mem exposes the memory hierarchy (for stats).
 func (c *Core) Mem() *cache.Hierarchy { return c.mem }
 
-// BranchUnit exposes the branch predictor (for stats).
-func (c *Core) BranchUnit() *branch.Predictor { return c.bp }
-
 // MoveElim exposes the eliminator (for stats).
 func (c *Core) MoveElim() *moveelim.Eliminator { return c.me }
 

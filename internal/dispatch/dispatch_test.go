@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -9,17 +8,18 @@ import (
 	"repro/internal/sim"
 )
 
-// TestNewParsesBackendSpecs: the -backend flag grammar.
-func TestNewParsesBackendSpecs(t *testing.T) {
+// TestRemoteParsesBackendSpecs: the -backend flag grammar. local (and
+// the empty default) resolve to no client, an http(s) address to one.
+func TestRemoteParsesBackendSpecs(t *testing.T) {
 	cases := []struct {
 		spec    string
-		want    string // type name, "" = error
+		remote  bool
 		wantErr bool
 	}{
-		{spec: "", want: "local"},
-		{spec: "local", want: "local"},
-		{spec: "http://example:8347", want: "http"},
-		{spec: "https://example", want: "http"},
+		{spec: ""},
+		{spec: "local"},
+		{spec: "http://example:8347", remote: true},
+		{spec: "https://example", remote: true},
 		{spec: "pool:4", wantErr: true},
 		{spec: "tcp://example", wantErr: true},
 		{spec: "remote", wantErr: true},
@@ -27,59 +27,20 @@ func TestNewParsesBackendSpecs(t *testing.T) {
 		{spec: "batched:pool:2", wantErr: true},
 	}
 	for _, c := range cases {
-		b, err := New(c.spec)
-		if c.wantErr {
+		h, err := Remote(c.spec)
+		switch {
+		case c.wantErr:
 			if err == nil {
-				t.Errorf("New(%q): expected an error, got %T", c.spec, b)
+				t.Errorf("Remote(%q): expected an error, got %v", c.spec, h)
 			}
-			continue
+		case err != nil:
+			t.Errorf("Remote(%q): %v", c.spec, err)
+		case (h != nil) != c.remote:
+			t.Errorf("Remote(%q) = %v, want a client: %v", c.spec, h, c.remote)
 		}
-		if err != nil {
-			t.Errorf("New(%q): %v", c.spec, err)
-			continue
+		if h != nil {
+			h.Close()
 		}
-		var got string
-		switch b.(type) {
-		case Local:
-			got = "local"
-		case *HTTP:
-			got = "http"
-		}
-		if got != c.want {
-			t.Errorf("New(%q) = %T, want %s", c.spec, b, c.want)
-		}
-		b.Close()
-	}
-}
-
-// TestLocalBackendMatchesSimulate: the extracted Local backend is the
-// in-process path, bit for bit.
-func TestLocalBackendMatchesSimulate(t *testing.T) {
-	req := smallReq("crafty", 3000)
-	want, err := sim.Simulate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Local{}.Execute(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(t, got, want) {
-		t.Fatal("Local backend result differs from sim.Simulate")
-	}
-}
-
-// TestLocalBackendTypedErrors: validation errors pass through typed.
-func TestLocalBackendTypedErrors(t *testing.T) {
-	_, err := Local{}.Execute(context.Background(), smallReq("no-such-bench", 3000))
-	if !errors.Is(err, sim.ErrUnknownBenchmark) {
-		t.Fatalf("got %v, want ErrUnknownBenchmark", err)
-	}
-	req := smallReq("crafty", 3000)
-	req.Measure = 0
-	_, err = Local{}.Execute(context.Background(), req)
-	if !errors.Is(err, sim.ErrBadConfig) {
-		t.Fatalf("got %v, want ErrBadConfig", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -17,16 +16,8 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrTruncatedStream marks a /v1/stream response that ended without its
-// {"done":true,"events":N} trailer: the server died, a proxy cut the
-// connection, or the service hit a write error mid-stream. The events
-// received before the cut are valid — the sink already saw them — but
-// the batch is incomplete, and callers must not treat it as a full
-// result set.
-var ErrTruncatedStream = errors.New("dispatch: stream truncated before its trailer")
-
-// HTTP is the client backend for the regshared service: Execute POSTs
-// the request to /v1/run and decodes the Result. The server side runs
+// HTTP is the client for the regshared service: Execute POSTs the
+// request to /v1/run and decodes the Result. The server side runs
 // its own sim.Runner, so requests from many clients deduplicate and
 // share one store there; the client-side runner's own dedup and stores
 // still apply first, making the service a second, shared tier.
@@ -116,119 +107,17 @@ func (h *HTTP) Execute(ctx context.Context, req sim.Request) (*sim.Result, error
 	return &res, nil
 }
 
-// StreamEvent is the client-side form of one /v1/stream completion
-// event: the wire event with its (kind, message) error pair already
-// reconstructed into the typed taxonomy.
-type StreamEvent struct {
-	Index        int
-	Key          string
-	Bench        string
-	Source       string
-	CyclesPerSec float64
-	Result       *sim.Result
-	Err          error
-}
-
-// Stream runs the batch on the remote service's /v1/stream, invoking
-// sink (may be nil) with each completion event as its NDJSON line
-// arrives, and returns the number of events received. A response that
-// ends without the service's terminal trailer — the server shut down,
-// the connection was cut, the service hit a mid-stream write error —
-// returns ErrTruncatedStream (wrapped): the delivered events are valid
-// but the batch is NOT complete, and a rerun resumes the remainder from
-// the service's store. A local cancellation returns the usual
-// sim.ErrCanceled wrap instead.
-func (h *HTTP) Stream(ctx context.Context, reqs []sim.Request, sink func(StreamEvent)) (int, error) {
-	body, err := json.Marshal(struct {
-		Requests []sim.Request `json:"requests"`
-	}{Requests: reqs})
-	if err != nil {
-		return 0, fmt.Errorf("dispatch: encoding request batch: %w", err)
+// Options returns the sim.New options that make h a runner's executor:
+// Execute itself, plus a worker-pool width matching the service rather
+// than this host. The service's capacity lives on the server (which
+// gates with its own runner), so the client just needs enough requests
+// in flight to keep a large remote pool fed — a local GOMAXPROCS gate
+// on a laptop would idle a 64-worker service.
+func (h *HTTP) Options() []sim.Option {
+	return []sim.Option{
+		sim.WithExecutor(h.Execute),
+		sim.WithWorkers(max(16, 4*runtime.GOMAXPROCS(0))),
 	}
-	hreq, err := h.newRequest(ctx, http.MethodPost, "/v1/stream", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	resp, err := h.client.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return 0, canceledErr("stream", ctxCause(ctx))
-		}
-		return 0, fmt.Errorf("dispatch: %s: %w", h.base, err)
-	}
-	defer resp.Body.Close()
-	if err := h.checkSimver(resp); err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, decodeHTTPError(resp)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	seen := 0
-	for sc.Scan() {
-		// One probe shape decodes both event lines and the trailer.
-		var line struct {
-			wireEvent
-			streamTrailer
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return seen, fmt.Errorf("dispatch: bad stream line from %s: %w", h.base, err)
-		}
-		if line.Done {
-			if line.Events != seen {
-				return seen, fmt.Errorf("dispatch: %s: trailer says %d events, received %d: %w",
-					h.base, line.Events, seen, ErrTruncatedStream)
-			}
-			// Drain any keep-alive residue (there should be none).
-			io.Copy(io.Discard, resp.Body)
-			return seen, nil
-		}
-		seen++
-		if sink != nil {
-			sink(fromWire(line.wireEvent))
-		}
-	}
-	if ctx.Err() != nil {
-		return seen, canceledErr("stream", ctxCause(ctx))
-	}
-	if err := sc.Err(); err != nil {
-		return seen, fmt.Errorf("dispatch: %s: reading stream: %w: %w", h.base, err, ErrTruncatedStream)
-	}
-	// Clean EOF without a trailer: the byte-indistinguishable truncation
-	// the trailer exists to unmask.
-	return seen, fmt.Errorf("dispatch: %s: stream ended after %d of %d events without a trailer: %w",
-		h.base, seen, len(reqs), ErrTruncatedStream)
-}
-
-// Result fetches a stored result by key from GET /v1/results/{key}.
-// key is sim.Key of the canonical request: the service's runner stores
-// a gen: workload under workloads.CanonicalName, so a result run as
-// "gen:chase?nodes=4096&seed=3" is fetched by the key of
-// "gen:chase?seed=3". A miss returns an error wrapping ErrNotFound.
-func (h *HTTP) Result(ctx context.Context, key string) (*sim.Result, error) {
-	hreq, err := h.newRequest(ctx, http.MethodGet, "/v1/results/"+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := h.client.Do(hreq)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: %s: %w", h.base, err)
-	}
-	defer resp.Body.Close()
-	if err := h.checkSimver(resp); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeHTTPError(resp)
-	}
-	var res sim.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("dispatch: decoding result from %s: %w", h.base, err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return &res, nil
 }
 
 // Metrics fetches the service's GET /metrics snapshot.
@@ -257,22 +146,6 @@ func (h *HTTP) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 func (h *HTTP) Close() error {
 	h.client.CloseIdleConnections()
 	return nil
-}
-
-// fromWire reconstructs a client-side event from its NDJSON form.
-func fromWire(we wireEvent) StreamEvent {
-	ev := StreamEvent{
-		Index:        we.Index,
-		Key:          we.Key,
-		Bench:        we.Bench,
-		Source:       we.Source,
-		CyclesPerSec: we.CyclesPerSec,
-		Result:       we.Result,
-	}
-	if we.Error != "" {
-		ev.Err = wireError(we.Kind, we.Error)
-	}
-	return ev
 }
 
 // overloadError carries a 429's Retry-After hint alongside the typed

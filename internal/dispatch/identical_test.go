@@ -43,10 +43,10 @@ func backendGrid(t *testing.T) *scenario.Spec {
 }
 
 // TestBackendsBitIdentical is the cross-backend conformance suite: one
-// 112-cell scenario run through the local and http backends produces
-// byte-identical RunReports. Everything above the Executor —
+// 112-cell scenario run in-process and through the regshared service
+// produces byte-identical RunReports. Everything above the Executor —
 // validation, dedup, aggregation — is shared, and the simulator is
-// deterministic, so any byte of divergence means a backend corrupted,
+// deterministic, so any byte of divergence means the wire corrupted,
 // re-ordered or lossily re-encoded a result.
 func TestBackendsBitIdentical(t *testing.T) {
 	spec := backendGrid(t)
@@ -68,13 +68,13 @@ func TestBackendsBitIdentical(t *testing.T) {
 		return data
 	}
 
-	local := run(sim.New(sim.WithExecutor(Local{}.Execute)))
+	local := run(sim.New())
 
 	server := httptest.NewServer(NewService(sim.New(), nil).Handler())
 	defer server.Close()
 	h := NewHTTP(server.URL)
 	defer h.Close()
-	if viaHTTP := run(sim.New(Options(h)...)); string(viaHTTP) != string(local) {
+	if viaHTTP := run(sim.New(h.Options()...)); string(viaHTTP) != string(local) {
 		t.Error("http report differs from the local report")
 	}
 }

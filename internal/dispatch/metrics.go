@@ -12,7 +12,7 @@ import (
 // that reaches the Service is stamped at each stage boundary — accepted,
 // queued, dispatched, settled, encoded — as Unix-ns timestamps in a
 // flat, CSV/JSON-friendly RequestMetrics, aggregated into service-wide
-// counters plus per-endpoint latency histograms, and kept in a
+// counters plus a latency histogram, and kept in a
 // fixed-size ring the /v1/requests/recent endpoint serves. None of this
 // touches simulated results: the determinism contract covers what the
 // simulator computes, and these are wall-clock annotations about when
@@ -25,20 +25,21 @@ func nowNS() int64 {
 
 // RequestMetrics records one request's trip through the service as flat
 // Unix-ns stage stamps. A stamp is zero when the request never reached
-// that stage (a 429 has no DispatchedNS; /v1/results lookups skip the
-// queue entirely, so QueuedNS == DispatchedNS == AcceptedNS there).
+// that stage (a 429 has no DispatchedNS; a malformed body never reaches
+// the queue, so it has no QueuedNS either).
 //
 //repro:wire
 type RequestMetrics struct {
 	// Seq is the service-lifetime sequence number (1-based, assigned
 	// at acceptance).
 	Seq uint64 `json:"seq"`
-	// Endpoint is the logical endpoint: "run", "stream" or "results".
+	// Endpoint is the logical endpoint: "run", the service's one
+	// execution endpoint.
 	Endpoint string `json:"endpoint"`
 	// Client identifies the submitter: the X-Client header if present,
 	// else the remote host.
 	Client string `json:"client"`
-	// Bench echoes the request's benchmark ("run" only).
+	// Bench echoes the request's benchmark.
 	Bench string `json:"bench,omitempty"`
 	// Key is the deduplication/store key, once known.
 	Key string `json:"key,omitempty"`
@@ -54,24 +55,15 @@ type RequestMetrics struct {
 	// EncodedNS: the response was written.
 	EncodedNS int64 `json:"encoded_ns"`
 	// Source is the result's provenance ("simulated", "memory",
-	// "store"), empty on failures and streams.
+	// "store"), empty on failures.
 	Source string `json:"source,omitempty"`
 	// Status is the HTTP status sent.
 	Status int `json:"status"`
-	// Events counts NDJSON events emitted ("stream" only).
-	Events int `json:"events,omitempty"`
 }
 
-// Endpoint indices for the fixed per-endpoint histogram set.
-const (
-	epRun = iota
-	epStream
-	epResults
-	numEndpoints
-)
-
-// endpointNames maps endpoint indices to their wire names.
-var endpointNames = [numEndpoints]string{"run", "stream", "results"}
+// runEndpoint is the wire name of POST /v1/run in RequestMetrics and
+// the /metrics endpoint list.
+const runEndpoint = "run"
 
 // histBuckets is the fixed bucket count: bucket b covers latencies in
 // [1µs·2^(b-1), 1µs·2^b), so 32 buckets reach ~35 minutes.
@@ -126,7 +118,10 @@ func (h *histogram) quantile(q float64) int64 {
 	return h.maxNS
 }
 
-// EndpointMetrics is one endpoint's aggregate in a MetricsSnapshot.
+// EndpointMetrics is one endpoint's aggregate in a MetricsSnapshot:
+// lifetime counts of its finished requests and of the non-2xx answers
+// among them (admission rejections included), and its latency
+// quantiles.
 //
 //repro:wire
 type EndpointMetrics struct {
@@ -140,7 +135,7 @@ type EndpointMetrics struct {
 
 // MetricsSnapshot is the GET /metrics response: service-lifetime
 // counters, the live gauges, the runner's provenance counters and the
-// per-endpoint latency aggregates. All timestamps are Unix ns; all
+// endpoint aggregates (one, "run"). All timestamps are Unix ns; all
 // latencies are ns.
 //
 //repro:wire
@@ -182,15 +177,8 @@ type MetricsSnapshot struct {
 	Endpoints []EndpointMetrics `json:"endpoints"`
 }
 
-// track follows one request through the metrics layer: the wire struct
-// plus the endpoint index the histograms are keyed by.
-type track struct {
-	rm RequestMetrics
-	ep int
-}
-
 // metrics aggregates the service's request observability: counters,
-// per-endpoint histograms and the recent-request ring.
+// the latency histogram and the recent-request ring.
 type metrics struct {
 	startNS int64
 	recentN int
@@ -203,7 +191,7 @@ type metrics struct {
 	errored         uint64
 	rejected        uint64
 	cyclesDelivered uint64
-	hists           [numEndpoints]histogram
+	latency         histogram // accepted → encoded, every finished request
 	ring            []RequestMetrics
 	ringNext        int
 	ringFull        bool
@@ -217,52 +205,49 @@ func newMetrics(n int) *metrics {
 	return &metrics{startNS: nowNS(), recentN: n, ring: make([]RequestMetrics, 0, n)}
 }
 
-// accept opens a request's track and stamps AcceptedNS.
-func (m *metrics) accept(ep int, client string) *track {
+// accept opens a request's record and stamps AcceptedNS.
+func (m *metrics) accept(client string) *RequestMetrics {
 	m.mu.Lock()
 	m.seq++
 	m.accepted++
 	seq := m.seq
 	m.mu.Unlock()
-	return &track{
-		ep: ep,
-		rm: RequestMetrics{
-			Seq:        seq,
-			Endpoint:   endpointNames[ep],
-			Client:     client,
-			AcceptedNS: nowNS(),
-		},
+	return &RequestMetrics{
+		Seq:        seq,
+		Endpoint:   runEndpoint,
+		Client:     client,
+		AcceptedNS: nowNS(),
 	}
 }
 
 // queued stamps the admission-queue entry.
-func (m *metrics) queued(t *track) { t.rm.QueuedNS = nowNS() }
+func (m *metrics) queued(rm *RequestMetrics) { rm.QueuedNS = nowNS() }
 
 // dispatched stamps the hand-off to the runner and raises the in-flight
 // gauge.
-func (m *metrics) dispatched(t *track) {
-	t.rm.DispatchedNS = nowNS()
+func (m *metrics) dispatched(rm *RequestMetrics) {
+	rm.DispatchedNS = nowNS()
 	m.mu.Lock()
 	m.inFlight++
 	m.mu.Unlock()
 }
 
 // settled stamps the outcome (simulated / memory join / store hit).
-func (m *metrics) settled(t *track, source string) {
-	t.rm.SettledNS = nowNS()
-	t.rm.Source = source
+func (m *metrics) settled(rm *RequestMetrics, source string) {
+	rm.SettledNS = nowNS()
+	rm.Source = source
 }
 
 // finish stamps EncodedNS, classifies the outcome by status, credits
-// delivered cycles, feeds the endpoint histogram and pushes the record
-// into the recent ring. It must be called exactly once per track, after
-// the response is written.
-func (m *metrics) finish(t *track, status int, cycles uint64) {
-	t.rm.EncodedNS = nowNS()
-	t.rm.Status = status
+// delivered cycles, feeds the latency histogram and pushes the record
+// into the recent ring. It must be called exactly once per record,
+// after the response is written.
+func (m *metrics) finish(rm *RequestMetrics, status int, cycles uint64) {
+	rm.EncodedNS = nowNS()
+	rm.Status = status
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if t.rm.DispatchedNS != 0 {
+	if rm.DispatchedNS != 0 {
 		m.inFlight--
 	}
 	switch {
@@ -274,14 +259,14 @@ func (m *metrics) finish(t *track, status int, cycles uint64) {
 		m.completed++
 	}
 	m.cyclesDelivered += cycles
-	m.hists[t.ep].observe(t.rm.EncodedNS - t.rm.AcceptedNS)
+	m.latency.observe(rm.EncodedNS - rm.AcceptedNS)
 	if len(m.ring) < m.recentN {
-		m.ring = append(m.ring, t.rm)
+		m.ring = append(m.ring, *rm)
 		m.ringNext = len(m.ring) % m.recentN
 		m.ringFull = len(m.ring) == m.recentN
 		return
 	}
-	m.ring[m.ringNext] = t.rm
+	m.ring[m.ringNext] = *rm
 	m.ringNext = (m.ringNext + 1) % m.recentN
 }
 
@@ -308,7 +293,7 @@ func (m *metrics) snapshot(ctr sim.Counters, queueDepth int, tier objstore.TierS
 		StoreGets:       tier.Gets,
 		StorePuts:       tier.Puts,
 		StoreLists:      tier.Lists,
-		Endpoints:       make([]EndpointMetrics, 0, numEndpoints),
+		Endpoints:       make([]EndpointMetrics, 0, 1),
 	}
 	if settled := ctr.Simulated + ctr.MemHits + ctr.DiskHits; settled > 0 {
 		s.HitRate = float64(ctr.MemHits+ctr.DiskHits) / float64(settled)
@@ -316,34 +301,17 @@ func (m *metrics) snapshot(ctr sim.Counters, queueDepth int, tier objstore.TierS
 	if up := float64(now-m.startNS) / 1e9; up > 0 {
 		s.CyclesPerSec = float64(m.cyclesDelivered) / up
 	}
-	for ep := range numEndpoints {
-		h := &m.hists[ep]
-		if h.count == 0 {
-			continue
-		}
+	if h := &m.latency; h.count > 0 {
 		s.Endpoints = append(s.Endpoints, EndpointMetrics{
-			Endpoint: endpointNames[ep],
+			Endpoint: runEndpoint,
 			Requests: h.count,
-			Errors:   m.endpointErrors(ep),
+			Errors:   m.errored + m.rejected,
 			P50NS:    h.quantile(0.50),
 			P99NS:    h.quantile(0.99),
 			MaxNS:    h.maxNS,
 		})
 	}
 	return s
-}
-
-// endpointErrors counts non-2xx finishes currently in the ring for the
-// endpoint — an approximation scoped to the ring window, which is what
-// the recent endpoint exposes anyway. Callers hold m.mu.
-func (m *metrics) endpointErrors(ep int) uint64 {
-	var n uint64
-	for i := range m.ring {
-		if m.ring[i].Endpoint == endpointNames[ep] && m.ring[i].Status >= 400 {
-			n++
-		}
-	}
-	return n
 }
 
 // recent returns up to n most-recent finished requests, newest first.

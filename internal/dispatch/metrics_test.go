@@ -3,8 +3,12 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestHistogramQuantiles pins the fixed-bucket histogram's contract:
@@ -106,6 +110,37 @@ func TestServiceMetricsSnapshot(t *testing.T) {
 	}
 }
 
+// TestEndpointErrorsOutliveTheRing: the run endpoint's error count
+// covers the service's lifetime, like the request count beside it, not
+// just the requests still in the /v1/requests/recent ring. A one-entry
+// ring has already dropped the failed request when the snapshot is
+// taken.
+func TestEndpointErrorsOutliveTheRing(t *testing.T) {
+	ts := httptest.NewServer(NewService(sim.New(), nil, WithRecent(1)).Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	h := NewHTTP(ts.URL)
+	defer h.Close()
+
+	if _, err := h.Execute(ctx, smallReq("no-such-bench", 3000)); !errors.Is(err, sim.ErrUnknownBenchmark) {
+		t.Fatalf("got %v, want ErrUnknownBenchmark", err)
+	}
+	if _, err := h.Execute(ctx, smallReq("crafty", 3000)); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := h.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Errors != 1 || len(snap.Endpoints) != 1 {
+		t.Fatalf("service errors %d, endpoints %+v; want 1 error and one endpoint", snap.Errors, snap.Endpoints)
+	}
+	if ep := snap.Endpoints[0]; ep.Endpoint != "run" || ep.Requests != 2 || ep.Errors != 1 {
+		t.Fatalf("endpoint %q: %d requests, %d errors; want run, 2, 1", ep.Endpoint, ep.Requests, ep.Errors)
+	}
+}
+
 // TestServiceRecentRequests: /v1/requests/recent serves stage-stamped
 // records newest first, with monotone stage timestamps and the second
 // run's in-memory provenance visible.
@@ -170,8 +205,7 @@ func TestServiceRecentRequests(t *testing.T) {
 func TestMetricsRecentRing(t *testing.T) {
 	m := newMetrics(3)
 	for range 5 {
-		tr := m.accept(epRun, "c")
-		m.finish(tr, 200, 0)
+		m.finish(m.accept("c"), 200, 0)
 	}
 	got := m.recent(0)
 	if len(got) != 3 {

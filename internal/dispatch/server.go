@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -13,32 +12,25 @@ import (
 	"repro/internal/sim"
 )
 
-// Service is the server side of the HTTP backend: the regshared
-// result service. It exposes one sim.Runner — with whatever executor
-// and stores the operator configured — over the execution endpoints
+// Service is the regshared result service. It exposes one sim.Runner —
+// with whatever stores the operator configured — over one execution
+// endpoint
 //
-//	POST /v1/run           one sim.Request in, one sim.Result out
-//	POST /v1/stream        {"requests":[...]} in, NDJSON completion
-//	                       events out, mirroring sim.Stream, closed by
-//	                       a {"done":true,"events":N} trailer
-//	GET  /v1/results/{key} a completed result straight from the sharded
-//	                       on-disk store, by sim.Key of the canonical
-//	                       request
+//	POST /v1/run  one sim.Request in, one sim.Result out
 //
 // and the observability endpoints
 //
-//	GET /metrics             service counters, gauges and per-endpoint
-//	                         latency aggregates (MetricsSnapshot)
+//	GET /metrics             service counters, gauges and the run
+//	                         endpoint's latency aggregate (MetricsSnapshot)
 //	GET /v1/requests/recent  the last-N finished requests' stage-stamped
 //	                         RequestMetrics, newest first (?n= to trim)
 //
-// Execution requests pass a bounded admission gate first: at most
-// max-inflight execute, at most max-queue wait (dequeued round-robin
-// across clients, so one client's sweep cannot starve another), and
-// everything beyond that is refused with 429 + Retry-After. Result and
-// metrics reads bypass admission — they cost a map lookup, and an
-// operator diagnosing an overloaded service needs /metrics to answer
-// precisely then.
+// Runs pass a bounded admission gate first: at most max-inflight
+// execute, at most max-queue wait (dequeued round-robin across clients,
+// so one client's sweep cannot starve another), and everything beyond
+// that is refused with 429 + Retry-After. Metrics reads bypass
+// admission — an operator diagnosing an overloaded service needs
+// /metrics to answer precisely then.
 //
 // Requests execute (and deduplicate, and cache) exactly as they would
 // in-process, so a result served over the wire is bit-identical to a
@@ -76,9 +68,9 @@ func WithRecent(n int) ServiceOption {
 	}
 }
 
-// NewService wraps runner. store may be nil: /v1/results then answers
-// 404 for every key. When the runner was built with the same store
-// (sim.WithStore), every /v1/run result becomes fetchable by key.
+// NewService wraps runner. store is the store the runner was built with
+// (sim.WithStore), or nil when storage is off: /metrics reports its
+// backend operation counters.
 func NewService(runner *sim.Runner, store *sim.Store, opts ...ServiceOption) *Service {
 	s := &Service{
 		runner:   runner,
@@ -100,8 +92,6 @@ func NewService(runner *sim.Runner, store *sim.Store, opts ...ServiceOption) *Se
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/requests/recent", s.handleRecent)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -126,91 +116,40 @@ func clientID(r *http.Request) string {
 	return host
 }
 
-// wireEvent is the NDJSON form of one sim.Event on /v1/stream.
-//
-//repro:wire
-type wireEvent struct {
-	Index        int         `json:"index"`
-	Key          string      `json:"key,omitempty"`
-	Bench        string      `json:"bench"`
-	Source       string      `json:"source,omitempty"`
-	CyclesPerSec float64     `json:"cycles_per_sec,omitempty"`
-	Result       *sim.Result `json:"result,omitempty"`
-	Error        string      `json:"error,omitempty"`
-	Kind         string      `json:"error_kind,omitempty"`
-}
-
-// streamTrailer is the terminal NDJSON line of a complete /v1/stream
-// response: {"done":true,"events":N}. Its absence is the one reliable
-// sign of truncation — without it, a stream cut by a dying server or a
-// broken proxy is byte-indistinguishable from a short but complete one.
-//
-//repro:wire
-type streamTrailer struct {
-	Done   bool `json:"done"`
-	Events int  `json:"events"`
-}
-
-// toWire flattens a completion event for the stream. A non-finite rate
-// (which JSON cannot encode — the whole event would be dropped from the
-// stream) degrades to zero, the same "rate unknown" value store hits
-// report.
-func toWire(ev sim.Event) wireEvent {
-	cps := ev.CyclesPerSec
-	if math.IsInf(cps, 0) || math.IsNaN(cps) {
-		cps = 0
-	}
-	we := wireEvent{
-		Index:        ev.Index,
-		Key:          ev.Key,
-		Bench:        ev.Req.Bench,
-		CyclesPerSec: cps,
-		Result:       ev.Res,
-	}
-	if ev.Err != nil {
-		we.Error = ev.Err.Error()
-		we.Kind = errorKind(ev.Err)
-	} else {
-		we.Source = ev.Source.String()
-	}
-	return we
-}
-
-// maxRequestBody bounds request decoding; a sim.Request is a few KB,
-// a stream batch of thousands still comfortably fits.
+// maxRequestBody bounds request decoding; a sim.Request is a few KB.
 const maxRequestBody = 16 << 20
 
-// admit runs the request's track through the admission gate, writing
-// the 429 (queue full, with Retry-After) or 503 (canceled while
-// waiting) response itself on refusal. A true return means the caller
+// admit runs the request through the admission gate, writing the 429
+// (queue full, with Retry-After) or 503 (canceled while waiting)
+// response itself on refusal. A true return means the caller
 // holds an execution slot and must release it.
-func (s *Service) admit(w http.ResponseWriter, r *http.Request, t *track) bool {
-	s.met.queued(t)
-	if err := s.adm.acquire(r.Context(), t.rm.Client); err != nil {
+func (s *Service) admit(w http.ResponseWriter, r *http.Request, rm *RequestMetrics) bool {
+	s.met.queued(rm)
+	if err := s.adm.acquire(r.Context(), rm.Client); err != nil {
 		status := http.StatusServiceUnavailable
 		if errors.Is(err, ErrOverloaded) {
 			status = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfter()))
 		}
 		writeError(w, status, errorKind(err), err.Error())
-		s.met.finish(t, status, 0)
+		s.met.finish(rm, status, 0)
 		return false
 	}
-	s.met.dispatched(t)
+	s.met.dispatched(rm)
 	return true
 }
 
 // handleRun executes one request synchronously.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epRun, clientID(r))
+	rm := s.met.accept(clientID(r))
 	var req sim.Request
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, kindBadConfig, fmt.Sprintf("decoding request body: %v", err))
-		s.met.finish(t, http.StatusBadRequest, 0)
+		s.met.finish(rm, http.StatusBadRequest, 0)
 		return
 	}
-	t.rm.Bench = req.Bench
-	if !s.admit(w, r, t) {
+	rm.Bench = req.Bench
+	if !s.admit(w, r, rm) {
 		return
 	}
 	defer s.adm.release()
@@ -220,101 +159,16 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	var ev sim.Event
 	_, err := s.runner.Stream(r.Context(), []sim.Request{req}, func(e sim.Event) { ev = e })
 	if err != nil {
-		s.met.settled(t, "")
+		s.met.settled(rm, "")
 		status := statusFor(err)
 		writeError(w, status, errorKind(err), err.Error())
-		s.met.finish(t, status, 0)
+		s.met.finish(rm, status, 0)
 		return
 	}
-	t.rm.Key = ev.Key
-	s.met.settled(t, ev.Source.String())
+	rm.Key = ev.Key
+	s.met.settled(rm, ev.Source.String())
 	writeJSON(w, ev.Res)
-	s.met.finish(t, http.StatusOK, ev.Res.S.Cycles)
-}
-
-// handleStream executes a batch, streaming one NDJSON event per request
-// as it settles — the wire mirror of sim.Stream — and closes a complete
-// stream with the {"done":true,"events":N} trailer. Per-request
-// failures ride inside their events; the response status is already 200
-// by then. The whole batch holds one admission slot: admission is a
-// per-connection gate, fairness across interleaved batches comes from
-// the runner's own scheduling.
-func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epStream, clientID(r))
-	var body struct {
-		Requests []sim.Request `json:"requests"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, kindBadConfig, fmt.Sprintf("decoding request body: %v", err))
-		s.met.finish(t, http.StatusBadRequest, 0)
-		return
-	}
-	if !s.admit(w, r, t) {
-		return
-	}
-	defer s.adm.release()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// Stream serializes sink calls, so the encoder needs no extra lock.
-	// The first failed write means the client is gone; later events are
-	// drained without touching the dead connection, and the stream ends
-	// early rather than resuming mid-sequence with silent gaps — the
-	// missing trailer below is what tells the client.
-	var encErr error
-	events := 0
-	var cycles uint64
-	s.runner.Stream(r.Context(), body.Requests, func(ev sim.Event) {
-		if encErr != nil {
-			return
-		}
-		if encErr = enc.Encode(toWire(ev)); encErr != nil {
-			return
-		}
-		events++
-		if ev.Res != nil {
-			cycles += ev.Res.S.Cycles
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	s.met.settled(t, "")
-	t.rm.Events = events
-	if encErr == nil {
-		// Every event reached the wire: seal the stream. A failed
-		// trailer write is the same dead client the comment above
-		// covers — and the absent trailer already says "truncated".
-		_ = enc.Encode(streamTrailer{Done: true, Events: events})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	s.met.finish(t, http.StatusOK, cycles)
-}
-
-// handleResult serves a stored result by its sim.Key — the key of the
-// canonical request, since the runner stores gen: workloads under
-// workloads.CanonicalName. A miss is 404 with kind "not_found" — an
-// un-run key is a plain miss, not a fault.
-func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	t := s.met.accept(epResults, clientID(r))
-	key := r.PathValue("key")
-	t.rm.Key = key
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, kindNotFound, "no result store configured")
-		s.met.finish(t, http.StatusNotFound, 0)
-		return
-	}
-	res, ok := s.store.Load(r.Context(), key)
-	if !ok {
-		writeError(w, http.StatusNotFound, kindNotFound, fmt.Sprintf("no stored result for key %q", key))
-		s.met.finish(t, http.StatusNotFound, 0)
-		return
-	}
-	s.met.settled(t, sim.SourceStore.String())
-	writeJSON(w, res)
-	s.met.finish(t, http.StatusOK, res.S.Cycles)
+	s.met.finish(rm, http.StatusOK, ev.Res.S.Cycles)
 }
 
 // handleMetrics serves the service counters snapshot.
@@ -355,8 +209,6 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound
 	default:
 		return http.StatusInternalServerError
 	}

@@ -21,15 +21,9 @@ const (
 	kindBadConfig        = "bad_config"
 	kindCanceled         = "canceled"
 	kindSimFault         = "sim_fault"
-	kindNotFound         = "not_found"
 	kindOverloaded       = "overloaded"
 	kindInternal         = "internal"
 )
-
-// ErrNotFound marks a result lookup whose key has no stored result: a
-// plain miss, not a service fault. GET /v1/results answers it with 404
-// and kind "not_found", and the client re-wraps it so errors.Is works.
-var ErrNotFound = errors.New("dispatch: no stored result")
 
 // simverHeader carries each side's simulator identity (sim.Version) on
 // every service request and response, so a version-skewed client/server
@@ -60,8 +54,6 @@ func errorKind(err error) string {
 		return kindCanceled
 	case errors.Is(err, sim.ErrSimFault):
 		return kindSimFault
-	case errors.Is(err, ErrNotFound):
-		return kindNotFound
 	case errors.Is(err, ErrOverloaded):
 		return kindOverloaded
 	default:
@@ -96,8 +88,6 @@ func wireError(kind, msg string) error {
 		sentinel = sim.ErrBadConfig
 	case kindSimFault:
 		sentinel = sim.ErrSimFault
-	case kindNotFound:
-		sentinel = ErrNotFound
 	case kindOverloaded:
 		sentinel = ErrOverloaded
 	case kindCanceled:

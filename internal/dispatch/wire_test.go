@@ -41,11 +41,6 @@ func TestSentinelsSurviveWireRoundTrip(t *testing.T) {
 			sentinel: sim.ErrSimFault,
 		},
 		{
-			name:     "store miss, wrapped",
-			err:      fmt.Errorf("dispatch: %w for key abc123", ErrNotFound),
-			sentinel: ErrNotFound,
-		},
-		{
 			name:     "admission rejection, wrapped",
 			err:      fmt.Errorf("%w: admission queue full (3 queued, 2 in flight)", ErrOverloaded),
 			sentinel: ErrOverloaded,

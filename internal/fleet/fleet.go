@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -494,19 +493,4 @@ func (d *drainer) write(ctx context.Context, s int, cl Claim, ifAbsent bool) (bo
 		return false, fmt.Errorf("fleet: writing shard %d claim: %w", s, err)
 	}
 	return true, nil
-}
-
-// Shards lists the absolute shard indices covering the cell range r of
-// an n-cell matrix at the given shard size — what commands print when
-// describing a drain before starting it.
-func Shards(r Range, n, shardCells int) []int {
-	if r == (Range{}) {
-		r = Range{0, n}
-	}
-	var out []int
-	for s := r.Lo / shardCells; s*shardCells < r.Hi; s++ {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -1,7 +1,7 @@
 // Package objstore is the storage seam behind sim.Store: a small
 // object-store interface over content-addressed entries, with three
 // implementations — fs (the sharded atomic temp+rename layout extracted
-// from sim), mem (tests and ephemeral workers), and s3 (a stdlib-only
+// from sim), mem (tests and single-process runs), and s3 (a stdlib-only
 // client for the MinIO-compatible REST subset) — and the operation
 // counters New wraps around each of them.
 //
@@ -175,7 +175,7 @@ func WithHTTPClient(d httpDoer) Option { return func(c *config) { c.httpClient =
 // New builds a backend from its -store spec:
 //
 //	fs:DIR                 sharded store on the local filesystem
-//	mem:                   in-process map (tests, ephemeral workers)
+//	mem:                   in-process map (tests, results for this process only)
 //	s3://BUCKET[/PREFIX]   S3/MinIO bucket via the stdlib client
 //
 // The returned backend is always a *Metered, so callers can type-assert

@@ -11,7 +11,7 @@ import (
 )
 
 // Mem is the in-process backend: a mutex-guarded map, for tests and
-// ephemeral workers that want store semantics without touching disk.
+// single-process runs that want store semantics without touching disk.
 // Two Services handed the same *Mem share one bucket — the in-process
 // stand-in for a fleet sharing an s3 bucket.
 type Mem struct {

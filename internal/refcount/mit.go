@@ -22,52 +22,26 @@ import (
 // checkpoint must hold the full per-entry architectural bit-vector
 // (#arch_reg bits per entry, vs. the ISRB's n-bit referenced counter).
 type MIT struct {
-	inner ISRB
+	ISRB
 }
 
 // NewMIT builds a MIT with the given number of entries (the patent
 // suggests around 8).
 func NewMIT(entries int) *MIT {
-	return &MIT{inner: *NewISRB(entries, 4)}
+	return &MIT{ISRB: *NewISRB(entries, 4)}
 }
 
 // Name implements Tracker.
-func (m *MIT) Name() string { return fmt.Sprintf("MIT-%d", m.inner.NumEntries()) }
+func (m *MIT) Name() string { return fmt.Sprintf("MIT-%d", m.NumEntries()) }
 
 // TryShare implements Tracker; SMB shares are rejected by construction.
 func (m *MIT) TryShare(p regfile.PhysReg, kind Kind, dst, src isa.Reg) bool {
 	if kind == KindSMB {
-		m.inner.stats.ShareFailsKind++
+		m.stats.ShareFailsKind++
 		return false
 	}
-	return m.inner.TryShare(p, kind, dst, src)
+	return m.ISRB.TryShare(p, kind, dst, src)
 }
-
-// OnCommitOverwrite implements Tracker.
-func (m *MIT) OnCommitOverwrite(p regfile.PhysReg, arch isa.Reg) bool {
-	return m.inner.OnCommitOverwrite(p, arch)
-}
-
-// OnCommitShare implements Tracker.
-func (m *MIT) OnCommitShare(p regfile.PhysReg) { m.inner.OnCommitShare(p) }
-
-// RestoreToCommit implements Tracker.
-func (m *MIT) RestoreToCommit() []regfile.PhysReg { return m.inner.RestoreToCommit() }
-
-// IsShared implements Tracker.
-func (m *MIT) IsShared(p regfile.PhysReg) bool { return m.inner.IsShared(p) }
-
-// Checkpoint implements Tracker.
-func (m *MIT) Checkpoint() Snapshot { return m.inner.Checkpoint() }
-
-// ReleaseSnapshot implements Tracker.
-func (m *MIT) ReleaseSnapshot(s Snapshot) { m.inner.ReleaseSnapshot(s) }
-
-// Restore implements Tracker.
-func (m *MIT) Restore(s Snapshot) []regfile.PhysReg { return m.inner.Restore(s) }
-
-// SquashPenalty implements Tracker.
-func (m *MIT) SquashPenalty(n int) uint64 { return m.inner.SquashPenalty(n) }
 
 // Storage implements Tracker with the patent's accounting: per entry an
 // 8-bit physical register tag, a valid bit and one bit per architectural
@@ -76,14 +50,11 @@ func (m *MIT) SquashPenalty(n int) uint64 { return m.inner.SquashPenalty(n) }
 // propose (#arch_reg bits per entry)").
 func (m *MIT) Storage() StorageCost {
 	archBits := 2 * isa.NumArchRegs
-	n := m.inner.NumEntries()
+	n := m.NumEntries()
 	return StorageCost{
 		CPUBits:        n * (8 + 1 + archBits),
 		CheckpointBits: n * archBits,
 	}
 }
-
-// Stats implements Tracker.
-func (m *MIT) Stats() *Stats { return &m.inner.stats }
 
 var _ Tracker = (*MIT)(nil)

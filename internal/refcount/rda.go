@@ -19,7 +19,7 @@ import (
 //
 // Functional tracking and recovery reuse the dual-counter mechanics.
 type RDA struct {
-	inner ISRB
+	ISRB
 	// liveCheckpoints tracks how many checkpoints currently exist; the
 	// core updates it via NoteLiveCheckpoints.
 	liveCheckpoints int
@@ -30,69 +30,43 @@ type RDA struct {
 
 // NewRDA builds an RDA with the given number of entries.
 func NewRDA(entries int) *RDA {
-	return &RDA{inner: *NewISRB(entries, 4)}
+	return &RDA{ISRB: *NewISRB(entries, 4)}
 }
 
 // Name implements Tracker.
-func (r *RDA) Name() string { return fmt.Sprintf("RDA-%d", r.inner.NumEntries()) }
+func (r *RDA) Name() string { return fmt.Sprintf("RDA-%d", r.NumEntries()) }
 
 // NoteLiveCheckpoints informs the RDA how many checkpoints are currently
 // outstanding; the core calls it whenever the count changes.
 func (r *RDA) NoteLiveCheckpoints(n int) { r.liveCheckpoints = n }
 
-// TryShare implements Tracker.
-func (r *RDA) TryShare(p regfile.PhysReg, kind Kind, dst, src isa.Reg) bool {
-	return r.inner.TryShare(p, kind, dst, src)
-}
-
 // OnCommitOverwrite implements Tracker, accumulating the commit-side
 // checkpoint maintenance the patent requires.
 func (r *RDA) OnCommitOverwrite(p regfile.PhysReg, arch isa.Reg) bool {
-	if r.inner.IsShared(p) {
+	if r.IsShared(p) {
 		r.CheckpointUpdateOps += uint64(r.liveCheckpoints)
 	}
-	return r.inner.OnCommitOverwrite(p, arch)
+	return r.ISRB.OnCommitOverwrite(p, arch)
 }
 
 // OnCommitShare implements Tracker.
 func (r *RDA) OnCommitShare(p regfile.PhysReg) {
-	if r.inner.IsShared(p) {
+	if r.IsShared(p) {
 		r.CheckpointUpdateOps += uint64(r.liveCheckpoints)
 	}
-	r.inner.OnCommitShare(p)
+	r.ISRB.OnCommitShare(p)
 }
-
-// RestoreToCommit implements Tracker.
-func (r *RDA) RestoreToCommit() []regfile.PhysReg { return r.inner.RestoreToCommit() }
-
-// IsShared implements Tracker.
-func (r *RDA) IsShared(p regfile.PhysReg) bool { return r.inner.IsShared(p) }
-
-// Checkpoint implements Tracker.
-func (r *RDA) Checkpoint() Snapshot { return r.inner.Checkpoint() }
-
-// ReleaseSnapshot implements Tracker.
-func (r *RDA) ReleaseSnapshot(s Snapshot) { r.inner.ReleaseSnapshot(s) }
-
-// Restore implements Tracker.
-func (r *RDA) Restore(s Snapshot) []regfile.PhysReg { return r.inner.Restore(s) }
-
-// SquashPenalty implements Tracker.
-func (r *RDA) SquashPenalty(n int) uint64 { return r.inner.SquashPenalty(n) }
 
 // Storage implements Tracker: per entry a tag, a valid bit and ONE counter
 // in the CPU copy, but each checkpoint replicates the full counter per
 // entry (the counters are kept coherent by commit-side updates).
 func (r *RDA) Storage() StorageCost {
-	n := r.inner.NumEntries()
+	n := r.NumEntries()
 	const ctr = 4
 	return StorageCost{
 		CPUBits:        n * (8 + 1 + ctr),
 		CheckpointBits: n * ctr,
 	}
 }
-
-// Stats implements Tracker.
-func (r *RDA) Stats() *Stats { return &r.inner.stats }
 
 var _ Tracker = (*RDA)(nil)

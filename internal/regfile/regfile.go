@@ -242,12 +242,6 @@ func (f *File) SetReady(p PhysReg, value uint64) {
 	f.values[c][p.Index()] = value
 }
 
-// MarkNotReady clears p's ready bit (used when a register is re-popped
-// after a head restore).
-func (f *File) MarkNotReady(p PhysReg) {
-	f.ready[p.Class()][p.Index()] = false
-}
-
 // InFreeList reports whether p is currently free (used by the core's
 // register-conservation audit).
 func (f *File) InFreeList(p PhysReg) bool {

@@ -118,10 +118,6 @@ func TestValuesAndReadiness(t *testing.T) {
 	if !f.Ready(p) || f.Value(p) != 0xDEAD {
 		t.Fatal("SetReady did not publish the value")
 	}
-	f.MarkNotReady(p)
-	if f.Ready(p) {
-		t.Fatal("MarkNotReady did not clear readiness")
-	}
 }
 
 // TestFreeListConservation: random alloc/free sequences never lose or

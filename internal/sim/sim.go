@@ -404,9 +404,9 @@ func (r *Runner) fill(ctx context.Context, key string, req Request) (*Result, So
 	}
 	secs := time.Since(start).Seconds() //repro:allow nodeterm -- wall-clock measurement metadata, not a simulated result
 	if secs <= 0 {
-		// A sub-clock-resolution run must not produce a +Inf rate: it is
-		// not JSON-encodable, which would drop the event from the
-		// regshared NDJSON stream.
+		// A sub-clock-resolution run must not produce a +Inf rate:
+		// Event.CyclesPerSec is public, and an infinite rate poisons any
+		// sum a caller takes over events and cannot be JSON-encoded.
 		secs = 1e-9
 	}
 	cps := float64(res.S.Cycles) / secs
