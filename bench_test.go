@@ -26,9 +26,10 @@ import (
 func BenchmarkTAGEBranchPredict(b *testing.B) {
 	p := tage.NewBranchPredictor(tage.DefaultBranchConfig())
 	var h tage.History
+	var pr tage.BranchPrediction
 	for i := 0; i < b.N; i++ {
 		pc := uint64(0x1000 + (i%64)*4)
-		pr := p.Predict(pc, &h)
+		p.Predict(pc, &h, &pr)
 		taken := i%3 == 0
 		p.Update(pc, &pr, taken)
 		h.Push(taken, pc)

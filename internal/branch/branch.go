@@ -145,23 +145,20 @@ type Prediction struct {
 	// TAGE carries the direction predictor's update state for
 	// conditional branches.
 	TAGE tage.BranchPrediction
-	// HistAtPredict is the history before this branch was inserted;
-	// the trainer needs it at resolve time.
-	HistAtPredict tage.History
 }
 
-// Predict predicts the branch µop u and speculatively updates the history
-// and RAS. The returned Prediction must be handed back to Resolve.
-func (p *Predictor) Predict(u *isa.Uop) Prediction {
+// Predict predicts the branch µop u into pr and speculatively updates the
+// history and RAS. pr must be handed back to Resolve.
+func (p *Predictor) Predict(u *isa.Uop, pr *Prediction) {
 	p.Lookups++
-	pr := Prediction{HistAtPredict: p.hist}
+	pr.Taken, pr.Target = false, 0
 
 	target, btbHit := p.btbLookup(u.PC)
 
 	switch u.Kind {
 	case isa.BrCond:
 		p.CondLookups++
-		pr.TAGE = p.tage.Predict(u.PC, &p.hist)
+		p.tage.Predict(u.PC, &p.hist, &pr.TAGE)
 		pr.Taken = pr.TAGE.Taken
 		if pr.Taken {
 			if btbHit {
@@ -198,7 +195,6 @@ func (p *Predictor) Predict(u *isa.Uop) Prediction {
 	if !pr.Taken {
 		pr.Target = u.FallThrough
 	}
-	return pr
 }
 
 // Resolve trains the predictors with the architecturally-correct outcome.

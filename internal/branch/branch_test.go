@@ -6,6 +6,13 @@ import (
 	"repro/internal/isa"
 )
 
+// predict runs Predict into a fresh record.
+func predict(p *Predictor, u *isa.Uop) Prediction {
+	var pr Prediction
+	p.Predict(u, &pr)
+	return pr
+}
+
 func condBranch(pc, target, fallthru uint64, taken bool) *isa.Uop {
 	return &isa.Uop{
 		PC: pc, Op: isa.Branch, Kind: isa.BrCond,
@@ -21,7 +28,7 @@ func TestBTBLearnsTargets(t *testing.T) {
 
 	// Cold: TAGE may predict taken but the BTB has no target, so the
 	// front end must fall through (it cannot redirect).
-	pr := p.Predict(u)
+	pr := predict(p, u)
 	if pr.Taken && pr.Target == 0x500 {
 		t.Fatal("cold BTB produced the target out of thin air")
 	}
@@ -30,10 +37,10 @@ func TestBTBLearnsTargets(t *testing.T) {
 
 	// Train direction for a while.
 	for i := 0; i < 50; i++ {
-		pr := p.Predict(u)
+		pr := predict(p, u)
 		p.Resolve(u, &pr)
 	}
-	pr = p.Predict(u)
+	pr = predict(p, u)
 	if !pr.Taken || pr.Target != 0x500 {
 		t.Fatalf("after training: taken=%v target=%#x, want taken->0x500", pr.Taken, pr.Target)
 	}
@@ -45,11 +52,11 @@ func TestRASPairsCallsAndReturns(t *testing.T) {
 	p := New(DefaultConfig())
 	call := func(pc, target uint64) {
 		u := &isa.Uop{PC: pc, Op: isa.Branch, Kind: isa.BrCall, Taken: true, Target: target, FallThrough: pc + 4}
-		p.Predict(u)
+		predict(p, u)
 	}
 	ret := func(pc uint64) uint64 {
 		u := &isa.Uop{PC: pc, Op: isa.Branch, Kind: isa.BrRet, Taken: true, FallThrough: pc + 4}
-		pr := p.Predict(u)
+		pr := predict(p, u)
 		return pr.Target
 	}
 	call(0x100, 0x1000)  // pushes 0x104
@@ -68,23 +75,23 @@ func TestSnapshotRestore(t *testing.T) {
 	p := New(DefaultConfig())
 	u := condBranch(0x100, 0x200, 0x104, true)
 	for i := 0; i < 10; i++ {
-		p.Predict(u)
+		predict(p, u)
 	}
 	snap := p.Snapshot()
 	before := p.History().Bits()
 
 	// Speculate down a path: more predictions, a call.
 	for i := 0; i < 20; i++ {
-		p.Predict(u)
+		predict(p, u)
 	}
-	p.Predict(&isa.Uop{PC: 0x300, Op: isa.Branch, Kind: isa.BrCall, Taken: true, Target: 0x900, FallThrough: 0x304})
+	predict(p, &isa.Uop{PC: 0x300, Op: isa.Branch, Kind: isa.BrCall, Taken: true, Target: 0x900, FallThrough: 0x304})
 
 	p.Restore(&snap)
 	if p.History().Bits() != before {
 		t.Fatal("history not restored")
 	}
 	// The restored RAS must behave as before the speculation.
-	pr := p.Predict(&isa.Uop{PC: 0x500, Op: isa.Branch, Kind: isa.BrRet, Taken: true, FallThrough: 0x504})
+	pr := predict(p, &isa.Uop{PC: 0x500, Op: isa.Branch, Kind: isa.BrRet, Taken: true, FallThrough: 0x504})
 	snap2 := p.Snapshot()
 	p.Restore(&snap2)
 	_ = pr
@@ -97,7 +104,7 @@ func TestCondMispredictCounting(t *testing.T) {
 	// mispredictions must be recorded.
 	for i := 0; i < 100; i++ {
 		u := condBranch(0x700, 0x900, 0x704, i%7 == 0)
-		pr := p.Predict(u)
+		pr := predict(p, u)
 		p.Resolve(u, &pr)
 	}
 	if p.CondLookups == 0 {
@@ -116,12 +123,12 @@ func TestCondMispredictCounting(t *testing.T) {
 func TestUncondAndCallPredictedTaken(t *testing.T) {
 	p := New(DefaultConfig())
 	u := &isa.Uop{PC: 0x100, Op: isa.Branch, Kind: isa.BrUncond, Taken: true, Target: 0x800, FallThrough: 0x104}
-	pr := p.Predict(u)
+	pr := predict(p, u)
 	if !pr.Taken {
 		t.Fatal("unconditional jump predicted not-taken")
 	}
 	p.Resolve(u, &pr)
-	pr = p.Predict(u)
+	pr = predict(p, u)
 	if !pr.Taken || pr.Target != 0x800 {
 		t.Fatalf("trained uncond: taken=%v target=%#x", pr.Taken, pr.Target)
 	}
@@ -134,10 +141,10 @@ func TestUncondAndCallPredictedTaken(t *testing.T) {
 func TestSnapshotJournalRewind(t *testing.T) {
 	p := New(DefaultConfig())
 	call := func(pc, target uint64) {
-		p.Predict(&isa.Uop{PC: pc, Op: isa.Branch, Kind: isa.BrCall, Taken: true, Target: target, FallThrough: pc + 4})
+		predict(p, &isa.Uop{PC: pc, Op: isa.Branch, Kind: isa.BrCall, Taken: true, Target: target, FallThrough: pc + 4})
 	}
 	ret := func(pc uint64) uint64 {
-		return p.Predict(&isa.Uop{PC: pc, Op: isa.Branch, Kind: isa.BrRet, Taken: true, FallThrough: pc + 4}).Target
+		return predict(p, &isa.Uop{PC: pc, Op: isa.Branch, Kind: isa.BrRet, Taken: true, FallThrough: pc + 4}).Target
 	}
 
 	// Build some real stack depth, then checkpoint at three nesting

@@ -49,9 +49,6 @@ func steadyCore(tb testing.TB, kind TrackerKind, bench string) *Core {
 // TestSteadyStateCycleDoesNotAllocate pins zero heap allocations per
 // cycle in the steady-state loop for every tracker scheme.
 func TestSteadyStateCycleDoesNotAllocate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation regression needs the long warmup")
-	}
 	for _, kind := range []TrackerKind{TrackerISRB, TrackerUnlimited, TrackerRDA, TrackerMIT, TrackerCounters} {
 		c := steadyCore(t, kind, "crafty")
 		per := testing.AllocsPerRun(10, func() {

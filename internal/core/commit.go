@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/isa"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // commit retires up to CommitWidth completed µops in order. Retiring an
 // instruction that overwrites an architectural mapping reclaims the old
@@ -37,7 +41,12 @@ func (c *Core) commit() {
 }
 
 func (c *Core) retire(e *robEntry) {
-	u := &e.u
+	u := e.u
+	if u.Seq != e.streamIdx {
+		// The trace window holds maxInFlight µops, so the slot of an
+		// in-flight µop is never reused; the oldest is reused first.
+		panic(fmt.Sprintf("core: trace window slot of in-flight µop %d was reused (holds %d)", e.streamIdx, u.Seq))
+	}
 	myCSN := e.csn
 	if c.tracer != nil {
 		c.tracer.Committed(c.cycle, myCSN)
@@ -204,7 +213,7 @@ func (c *Core) setCRMFlag(r isa.Reg, v bool) {
 // the tracker rolls back to its architectural reference counts; fetch
 // restarts at the offending µop.
 func (c *Core) commitFlush(e *robEntry) {
-	u := &e.u
+	u := e.u
 	switch e.needsFlush {
 	case flushMemOrder:
 		c.stats.MemTraps++

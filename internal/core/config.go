@@ -224,6 +224,8 @@ const (
 	maxTableEntries   = 1 << 16 // BTB, RAS, SSIT, LFST and stride-prefetcher entries
 	maxDDTEntries     = 1 << 18 // SMB Data Dependency Table entries
 	maxLogEntries     = 16      // log2 size of each branch TAGE table
+	maxTagBits        = 32      // branch TAGE tag width: History.Fold folds into at most 32 bits
+	maxTAGECtrBits    = 8       // branch TAGE counter and useful-counter widths: they are int8 and uint8
 	maxCacheKB        = 16384   // per cache level
 	maxWays           = 64      // cache and BTB associativity
 	maxMSHRs          = 1024    // per cache level
@@ -268,6 +270,8 @@ func (c *Config) Check() error {
 		{"RAS entries", c.Branch.RASEntries, 0, maxTableEntries},
 		{"TAGE base log2 entries", c.Branch.TAGE.LogBaseEntries, 0, maxLogEntries},
 		{"TAGE tagged tables", len(c.Branch.TAGE.Tagged), 0, tage.MaxComponents},
+		{"TAGE counter bits", c.Branch.TAGE.CounterBits, 1, maxTAGECtrBits},
+		{"TAGE useful bits", c.Branch.TAGE.UsefulBits, 0, maxTAGECtrBits},
 		{"L1I KB", m.L1I.SizeKB, 0, maxCacheKB},
 		{"L1I ways", m.L1I.Ways, 1, maxWays},
 		{"L1I MSHRs", m.L1I.MSHRs, 0, maxMSHRs},
@@ -291,6 +295,9 @@ func (c *Config) Check() error {
 	for i, t := range c.Branch.TAGE.Tagged {
 		if t.LogEntries < 0 || t.LogEntries > maxLogEntries {
 			return fmt.Errorf("TAGE table %d log2 entries %d out of range 0..%d", i, t.LogEntries, maxLogEntries)
+		}
+		if t.TagBits < 1 || t.TagBits > maxTagBits {
+			return fmt.Errorf("TAGE table %d tag bits %d out of range 1..%d", i, t.TagBits, maxTagBits)
 		}
 	}
 	switch c.Tracker.Kind {

@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -46,7 +47,7 @@ const (
 
 type robEntry struct {
 	valid     bool
-	u         isa.Uop
+	u         *isa.Uop // in the trace window, or in wrongPath for a wrong-path µop
 	csn       uint64
 	streamIdx uint64 // correct-path trace index (wrong path: ^0)
 
@@ -75,13 +76,11 @@ type robEntry struct {
 	dispatchAt uint64
 	needsFlush uint8
 
-	pred         branch.Prediction
-	bpSnap       branch.Snapshot
-	fetchMispred bool
-	resumePos    uint64
-	histSnap     tage.History
-	smbDist      uint16
-	smbConf      bool
+	fetchMispred bool // branches: fetch followed the wrong path
+	// Loads: the fetch-time history and distance prediction (SMB).
+	histSnap tage.History
+	smbDist  uint16
+	smbConf  bool
 }
 
 type winEntry struct {
@@ -118,6 +117,10 @@ type sqEntry struct {
 	wrong    bool // wrong-path store
 }
 
+// checkpoint is the recovery state of one in-flight branch (§4.1). Every
+// renamed branch holds one until it retires or is squashed, so the
+// branch's fetch-time prediction lives here too, for writeback to
+// resolve.
 type checkpoint struct {
 	inUse     bool
 	csn       uint64
@@ -126,22 +129,41 @@ type checkpoint struct {
 	flHead    [2]uint64
 	tracker   refcount.Snapshot
 	bp        branch.Snapshot
+	pred      branch.Prediction
 	resumePos uint64
 	renameCSN uint64
 }
 
+// fqEntry is one fetch-queue slot, built in place by fetch. Rename reads
+// the branch fields only for branches and the load fields only for
+// loads, which is all fetch writes.
 type fqEntry struct {
-	u            isa.Uop
-	streamIdx    uint64
-	readyAt      uint64
+	u         *isa.Uop // as in robEntry
+	streamIdx uint64
+	readyAt   uint64
+	// Branches.
 	pred         branch.Prediction
 	bpSnap       branch.Snapshot
 	fetchMispred bool
 	resumePos    uint64
-	histSnap     tage.History
-	smbDist      uint16
-	smbConf      bool
+	// Loads.
+	histSnap tage.History
+	smbDist  uint16
+	smbConf  bool
 }
+
+// fetchQueueSize is the front-end queue's capacity in µops.
+const fetchQueueSize = 512
+
+// windowSize is the producer window's capacity in CSNs.
+const windowSize = 1024
+
+// maxInFlight bounds how many µops are fetched and not yet retired or
+// squashed, counting the one fetch may read without enqueueing it: the
+// ROB holds ROBSize and the fetch queue fewer than fetchQueueSize. The
+// ROB and the fetch queue point into the trace window and the
+// wrong-path ring, so each holds at least this many µops.
+func maxInFlight(cfg *Config) int { return cfg.ROBSize + fetchQueueSize }
 
 type inflightRef struct {
 	robIdx int
@@ -184,6 +206,13 @@ type Core struct {
 	lastICachePC   uint64
 	fq             []fqEntry
 	fqHead, fqTail uint64
+	// wrongPath holds the wrong-path µops in flight, a power-of-two ring
+	// over maxInFlight indexed by wrongTail: fetch enqueues them in
+	// order, and every one fetched after an in-flight one is itself
+	// still in flight, since only a correct-path branch or a commit
+	// flush squashes wrong-path µops.
+	wrongPath []isa.Uop
+	wrongTail uint64
 
 	// Rename.
 	renameCSN uint64
@@ -250,7 +279,7 @@ func New(cfg Config, prog *program.Program) *Core {
 	c := &Core{
 		cfg:            cfg,
 		prog:           prog,
-		trace:          program.NewTraceWindow(program.NewExecutor(prog), 4096),
+		trace:          program.NewTraceWindow(program.NewExecutor(prog), max(4096, maxInFlight(&cfg))),
 		bp:             branch.New(cfg.Branch),
 		mem:            cache.NewHierarchy(cfg.Mem),
 		ss:             storesets.New(cfg.StoreSets),
@@ -259,7 +288,7 @@ func New(cfg Config, prog *program.Program) *Core {
 		me:             moveelim.New(cfg.ME),
 		lastAddr:       make([]uint64, prog.NumInsts()),
 		rob:            make([]robEntry, cfg.ROBSize),
-		window:         make([]winEntry, 1024),
+		window:         make([]winEntry, windowSize),
 		readySet:       make([]uint64, slotWords),
 		unready:        make([]uint8, cfg.ROBSize),
 		consumerSets:   make([]uint64, 2*cfg.PhysRegsPerClass*slotWords),
@@ -269,7 +298,8 @@ func New(cfg Config, prog *program.Program) *Core {
 		lq:             make([]lqEntry, cfg.LQSize),
 		sq:             make([]sqEntry, cfg.SQSize),
 		ckpts:          make([]checkpoint, cfg.MaxCheckpoints),
-		fq:             make([]fqEntry, 512),
+		fq:             make([]fqEntry, fetchQueueSize),
+		wrongPath:      make([]isa.Uop, 1<<bits.Len(uint(maxInFlight(&cfg)-1))),
 		fpDivBusyUntil: make([]uint64, cfg.NumFPMulDiv),
 		commitRAS:      make([]uint64, cfg.Branch.RASEntries),
 		pendingReclaim: make([]reclaimItem, 0, 2*cfg.ROBSize),
@@ -416,7 +446,7 @@ func (c *Core) forEachROB(f func(idx int, e *robEntry) bool) {
 }
 
 func (c *Core) windowAt(csn uint64) *winEntry {
-	return &c.window[csn%uint64(len(c.window))]
+	return &c.window[csn%windowSize]
 }
 
 func (c *Core) epochOf(p regfile.PhysReg) uint32 {

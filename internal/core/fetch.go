@@ -17,8 +17,10 @@ func (c *Core) fetch() {
 	if c.cycle < c.fetchStallUntil {
 		return
 	}
-	if c.fqTail-c.fqHead >= uint64(len(c.fq))-uint64(c.cfg.FetchWidth) {
-		return // front-end queue full
+	// The front-end queue is full with at most a fetch width free. The
+	// sum cannot wrap, as fetchQueueSize minus a wider width would.
+	if c.fqTail-c.fqHead+uint64(c.cfg.FetchWidth) >= fetchQueueSize {
+		return
 	}
 
 	fetched := 0
@@ -28,23 +30,23 @@ func (c *Core) fetch() {
 	haveBlock := false
 
 	for fetched < c.cfg.FetchWidth {
-		var u isa.Uop
-		var streamIdx uint64
-
+		fe := &c.fq[c.fqTail%fetchQueueSize]
 		if !c.diverged {
-			u = *c.trace.At(c.fetchPos)
-			streamIdx = c.fetchPos
+			fe.u = c.trace.At(c.fetchPos)
+			fe.streamIdx = c.fetchPos
 		} else {
 			var lastAddr uint64
 			if si := c.prog.StaticIndex(c.wrongPC); si >= 0 {
 				lastAddr = c.lastAddr[si]
 			}
-			if !program.WrongPathUop(c.prog, c.wrongPC, 1<<63|c.wrongSeq, lastAddr, &u) {
+			fe.u = &c.wrongPath[c.wrongTail&uint64(len(c.wrongPath)-1)]
+			if !program.WrongPathUop(c.prog, c.wrongPC, 1<<63|c.wrongSeq, lastAddr, fe.u) {
 				break // fell off static code; wait for recovery
 			}
 			c.wrongSeq++
-			streamIdx = ^uint64(0)
+			fe.streamIdx = ^uint64(0)
 		}
+		u := fe.u
 
 		// Block accounting: two 16B blocks per cycle, one taken branch.
 		blk := u.PC >> 4
@@ -66,14 +68,10 @@ func (c *Core) fetch() {
 			haveBlock = true
 		}
 
-		fe := fqEntry{
-			u:         u,
-			streamIdx: streamIdx,
-			readyAt:   c.cycle + c.cfg.FrontEndDepth,
-		}
-
+		fe.readyAt = c.cycle + c.cfg.FrontEndDepth
 		if u.Op == isa.Load {
 			fe.histSnap = *c.bp.History()
+			fe.smbDist, fe.smbConf = 0, false
 			if c.dist != nil {
 				fe.smbDist, fe.smbConf = c.dist.Predict(u.PC, c.bp.History())
 			}
@@ -82,7 +80,8 @@ func (c *Core) fetch() {
 		endCycle := false
 		if u.IsBranch() {
 			fe.bpSnap = c.bp.Snapshot()
-			fe.pred = c.bp.Predict(&u)
+			c.bp.Predict(u, &fe.pred)
+			fe.fetchMispred, fe.resumePos = false, 0
 			predNext := u.FallThrough
 			if fe.pred.Taken {
 				predNext = fe.pred.Target
@@ -123,7 +122,9 @@ func (c *Core) fetch() {
 			}
 		}
 
-		c.fq[c.fqTail%uint64(len(c.fq))] = fe
+		if u.WrongPath {
+			c.wrongTail++
+		}
 		c.fqTail++
 		fetched++
 		c.stats.FetchedUops++

@@ -49,13 +49,13 @@ func (c *Core) issue() {
 			if alu < c.cfg.NumALU {
 				alu++
 				ok = true
-				c.execute(idx, e, ExecLatency(&e.u))
+				c.execute(idx, e, ExecLatency(e.u))
 			}
 		case isa.MulDiv:
 			if !mulDivUsed && c.cycle >= c.mulDivBusyUntil {
 				mulDivUsed = true
 				ok = true
-				lat := ExecLatency(&e.u)
+				lat := ExecLatency(e.u)
 				if e.u.Heavy {
 					c.mulDivBusyUntil = c.cycle + lat // not pipelined
 				}
@@ -65,14 +65,14 @@ func (c *Core) issue() {
 			if fp < c.cfg.NumFP {
 				fp++
 				ok = true
-				c.execute(idx, e, ExecLatency(&e.u))
+				c.execute(idx, e, ExecLatency(e.u))
 			}
 		case isa.FPMulDiv:
 			if fpDiv < c.cfg.NumFPMulDiv {
 				if unit := c.freeFPDivUnit(); unit >= 0 {
 					fpDiv++
 					ok = true
-					lat := ExecLatency(&e.u)
+					lat := ExecLatency(e.u)
 					if e.u.Heavy {
 						c.fpDivBusyUntil[unit] = c.cycle + lat
 					}

@@ -36,7 +36,7 @@ func (c *Core) recoverFromBranch(brIdx int) {
 	// Front-end restore: the snapshot was taken before the branch was
 	// predicted; re-apply the now-known outcome.
 	c.bp.Restore(&ck.bp)
-	c.bp.FixHistoryAfterResolve(&br.u)
+	c.bp.FixHistoryAfterResolve(br.u)
 
 	// Fetch redirect onto the architecturally correct path.
 	c.fetchPos = ck.resumePos

@@ -17,7 +17,7 @@ func (c *Core) rename() {
 		if c.fqHead == c.fqTail {
 			return
 		}
-		fe := &c.fq[c.fqHead%uint64(len(c.fq))]
+		fe := &c.fq[c.fqHead%fetchQueueSize]
 		if fe.readyAt > c.cycle {
 			if n == 0 {
 				c.stats.StallFrontEnd++
@@ -30,7 +30,7 @@ func (c *Core) rename() {
 			}
 			return
 		}
-		u := &fe.u
+		u := fe.u
 
 		// Resource checks before any state change. Eliminated moves will
 		// not occupy the scheduler, but rename conservatively requires a
@@ -88,26 +88,24 @@ func (c *Core) rename() {
 		idx := c.robTail
 		c.robTail = c.robNext(c.robTail)
 		c.robCount++
+		// Filled in place: a composite literal stored through a
+		// pointer is built in a temporary and then copied.
 		e := &c.rob[idx]
-		*e = robEntry{
-			valid:        true,
-			u:            *u,
-			csn:          c.renameCSN,
-			streamIdx:    fe.streamIdx,
-			destPhys:     regfile.NoPhysReg,
-			oldDestPhys:  regfile.NoPhysReg,
-			bypassPhys:   regfile.NoPhysReg,
-			lqIdx:        -1,
-			sqIdx:        -1,
-			ckptIdx:      ckptIdx,
-			pred:         fe.pred,
-			bpSnap:       fe.bpSnap,
-			fetchMispred: fe.fetchMispred,
-			resumePos:    fe.resumePos,
-			histSnap:     fe.histSnap,
-			smbDist:      fe.smbDist,
-			smbConf:      fe.smbConf,
-			dispatchAt:   c.cycle + c.cfg.RenameToDispatch + 1,
+		*e = robEntry{}
+		e.valid = true
+		e.u = u
+		e.csn = c.renameCSN
+		e.streamIdx = fe.streamIdx
+		e.destPhys, e.oldDestPhys, e.bypassPhys = regfile.NoPhysReg, regfile.NoPhysReg, regfile.NoPhysReg
+		e.lqIdx, e.sqIdx = -1, -1
+		e.ckptIdx = ckptIdx
+		e.dispatchAt = c.cycle + c.cfg.RenameToDispatch + 1
+		switch u.Op {
+		case isa.Branch:
+			e.fetchMispred = fe.fetchMispred
+		case isa.Load:
+			e.histSnap = fe.histSnap
+			e.smbDist, e.smbConf = fe.smbDist, fe.smbConf
 		}
 		c.renameCSN++
 
@@ -141,7 +139,7 @@ func (c *Core) rename() {
 		// Move Elimination.
 		if c.me.Candidate(u) {
 			if c.tryEliminate(e) {
-				c.finishRename(e, idx)
+				c.finishRename(e, idx, fe)
 				continue
 			}
 		}
@@ -162,14 +160,14 @@ func (c *Core) rename() {
 		}
 
 		c.applyFlagRules(e)
-		c.finishRename(e, idx)
+		c.finishRename(e, idx, fe)
 	}
 }
 
 // traceRenamed reports a rename event to an attached tracer.
 func (c *Core) traceRenamed(e *robEntry) {
 	if c.tracer != nil {
-		c.tracer.Renamed(c.cycle, &e.u, e.csn, e.eliminated, e.bypassed)
+		c.tracer.Renamed(c.cycle, e.u, e.csn, e.eliminated, e.bypassed)
 	}
 }
 
@@ -178,7 +176,7 @@ func (c *Core) traceRenamed(e *robEntry) {
 // the tracking structure rejects the share (the move then executes
 // normally).
 func (c *Core) tryEliminate(e *robEntry) bool {
-	u := &e.u
+	u := e.u
 	src := u.Src[0]
 	p := c.rf.RM.Get(src)
 
@@ -220,7 +218,7 @@ func (c *Core) tryEliminate(e *robEntry) bool {
 // producer window (pending-dispatch µops, ROB entries, and — with lazy
 // reclaim — recently committed entries, §3.2-3.3).
 func (c *Core) trySMB(e *robEntry) {
-	u := &e.u
+	u := e.u
 	if e.csn < uint64(e.smbDist) {
 		return
 	}
@@ -262,7 +260,7 @@ func (c *Core) trySMB(e *robEntry) {
 // clear their destination's flag (ME flagged both already in
 // tryEliminate).
 func (c *Core) applyFlagRules(e *robEntry) {
-	u := &e.u
+	u := e.u
 	switch u.Op {
 	case isa.Load:
 		c.setFlag(u.Dest, true)
@@ -282,9 +280,9 @@ func (c *Core) applyFlagRules(e *robEntry) {
 }
 
 // finishRename inserts the renamed µop into the scheduler/LSQ/producer
-// window and takes the branch checkpoint.
-func (c *Core) finishRename(e *robEntry, idx int) {
-	u := &e.u
+// window and takes the branch checkpoint from its fetch-queue slot fe.
+func (c *Core) finishRename(e *robEntry, idx int, fe *fqEntry) {
+	u := e.u
 	c.traceRenamed(e)
 
 	// Producer window entry (reachable by SMB's ROB indexing).
@@ -319,8 +317,8 @@ func (c *Core) finishRename(e *robEntry, idx int) {
 	}
 
 	// Branch checkpoint, capturing post-branch renamer state and the
-	// fetch-time front-end snapshot (§4.1).
-	if u.IsBranch() && e.ckptIdx >= 0 {
+	// fetch-time front-end snapshot and prediction (§4.1).
+	if u.IsBranch() {
 		ck := &c.ckpts[e.ckptIdx]
 		ck.inUse = true
 		ck.csn = e.csn
@@ -329,8 +327,9 @@ func (c *Core) finishRename(e *robEntry, idx int) {
 		ck.flHead[0] = c.rf.FreeList(isa.IntReg).Head()
 		ck.flHead[1] = c.rf.FreeList(isa.FPReg).Head()
 		ck.tracker = c.tracker.Checkpoint()
-		ck.bp = e.bpSnap
-		ck.resumePos = e.resumePos
+		ck.bp = fe.bpSnap
+		ck.pred = fe.pred
+		ck.resumePos = fe.resumePos
 		ck.renameCSN = c.renameCSN
 		c.liveCkpts++
 		c.noteCheckpointCount()

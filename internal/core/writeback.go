@@ -70,7 +70,7 @@ func (c *Core) complete(idx int, e *robEntry) {
 	if c.tracer != nil {
 		c.tracer.Completed(c.cycle, e.csn)
 	}
-	u := &e.u
+	u := e.u
 
 	// Produce the result and wake its consumers.
 	if u.HasDest() && !e.eliminated && !e.bypassed {
@@ -97,7 +97,7 @@ func (c *Core) complete(idx int, e *robEntry) {
 		}
 	case isa.Branch:
 		if !u.WrongPath {
-			c.bp.Resolve(u, &e.pred)
+			c.bp.Resolve(u, &c.ckpts[e.ckptIdx].pred)
 		}
 	}
 }

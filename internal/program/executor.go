@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -106,6 +107,27 @@ func (e *Executor) evalCond(in *SInst) bool {
 	}
 }
 
+// fillStatic overwrites every field of u with the static part of in,
+// leaving the dynamic fields zero. It assigns field by field: a
+// composite literal stored through a pointer is built in a temporary
+// and then copied.
+func fillStatic(u *isa.Uop, in *SInst, seq uint64) {
+	u.PC = in.PC
+	u.Seq = seq
+	u.Op = in.Op
+	u.Kind = in.Kind
+	u.Heavy = in.Heavy
+	u.Src = [isa.MaxSrcRegs]isa.Reg{in.Src[0], in.Src[1], isa.NoReg}
+	u.Dest = in.Dest
+	u.Width = in.Width
+	u.MemAddr = 0
+	u.Value = 0
+	u.Taken = false
+	u.Target = 0
+	u.FallThrough = in.PC + 4
+	u.WrongPath = false
+}
+
 // Next executes one instruction and fills u with the dynamic µop. It
 // returns false only if the program flows off defined code, which is a
 // workload construction bug.
@@ -114,17 +136,7 @@ func (e *Executor) Next(u *isa.Uop) bool {
 	if !ok {
 		return false
 	}
-	*u = isa.Uop{
-		PC:          in.PC,
-		Seq:         e.seq,
-		Op:          in.Op,
-		Kind:        in.Kind,
-		Heavy:       in.Heavy,
-		Src:         [isa.MaxSrcRegs]isa.Reg{in.Src[0], in.Src[1], isa.NoReg},
-		Dest:        in.Dest,
-		Width:       in.Width,
-		FallThrough: in.PC + 4,
-	}
+	fillStatic(u, in, e.seq)
 	e.seq++
 
 	var addr uint64
@@ -192,19 +204,9 @@ func WrongPathUop(p *Program, pc, seq, memAddr uint64, u *isa.Uop) bool {
 	if !ok {
 		return false
 	}
-	*u = isa.Uop{
-		PC:          in.PC,
-		Seq:         seq,
-		Op:          in.Op,
-		Kind:        in.Kind,
-		Heavy:       in.Heavy,
-		Src:         [isa.MaxSrcRegs]isa.Reg{in.Src[0], in.Src[1], isa.NoReg},
-		Dest:        in.Dest,
-		Width:       in.Width,
-		FallThrough: in.PC + 4,
-		Target:      in.Target,
-		WrongPath:   true,
-	}
+	fillStatic(u, in, seq)
+	u.Target = in.Target
+	u.WrongPath = true
 	if in.Op == isa.Load || in.Op == isa.Store {
 		u.MemAddr = memAddr &^ 7
 		if in.Op == isa.Store {
@@ -223,25 +225,25 @@ func WrongPathUop(p *Program, pc, seq, memAddr uint64, u *isa.Uop) bool {
 // bounds how far back a rewind can reach.
 type TraceWindow struct {
 	exec *Executor
-	buf  []isa.Uop
-	base uint64 // stream index of buf slot (base % len)
-	next uint64 // first index not yet generated
+	buf  []isa.Uop // a power-of-two ring
+	base uint64    // oldest stream index still in buf
+	next uint64    // first index not yet generated
 }
 
-// NewTraceWindow wraps exec with a window of the given capacity, which
-// must exceed the maximum in-flight µop count (ROB + front-end buffering).
+// NewTraceWindow wraps exec with a window of at least the given capacity
+// (rounded up to a power of two, and to at least 1024), which must cover
+// every µop the caller still refers to: generating a new µop reuses the
+// slot of the oldest.
 func NewTraceWindow(exec *Executor, capacity int) *TraceWindow {
-	if capacity < 1024 {
-		capacity = 1024
-	}
-	return &TraceWindow{exec: exec, buf: make([]isa.Uop, capacity)}
+	capacity = max(capacity, 1024)
+	return &TraceWindow{exec: exec, buf: make([]isa.Uop, 1<<bits.Len(uint(capacity-1)))}
 }
 
 // At returns the correct-path µop at stream index idx. Indexes must not
 // precede the window (enforced by panic — it would be a core bug).
 func (w *TraceWindow) At(idx uint64) *isa.Uop {
 	for idx >= w.next {
-		slot := &w.buf[w.next%uint64(len(w.buf))]
+		slot := &w.buf[w.next&uint64(len(w.buf)-1)]
 		if !w.exec.Next(slot) {
 			panic(fmt.Sprintf("program: %s ran off code at stream index %d", w.exec.prog.Name, w.next))
 		}
@@ -254,5 +256,5 @@ func (w *TraceWindow) At(idx uint64) *isa.Uop {
 	if idx < w.base {
 		panic(fmt.Sprintf("program: trace window rewind too deep (idx %d < base %d)", idx, w.base))
 	}
-	return &w.buf[idx%uint64(len(w.buf))]
+	return &w.buf[idx&uint64(len(w.buf)-1)]
 }

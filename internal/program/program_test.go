@@ -218,3 +218,38 @@ func TestTraceWindowDeepRewindPanics(t *testing.T) {
 	}()
 	w.At(10)
 }
+
+// TestFillStaticOverwritesEveryField: fillStatic assigns isa.Uop field by
+// field, so a field added to Uop must be added there too, or a reused
+// slot would keep the previous µop's value.
+func TestFillStaticOverwritesEveryField(t *testing.T) {
+	var setAll func(v reflect.Value)
+	setAll = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(0x55)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(0x55)
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				setAll(v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				setAll(v.Field(i))
+			}
+		default:
+			t.Fatalf("isa.Uop has a %s field; teach this test and fillStatic about it", v.Kind())
+		}
+	}
+	in := &SInst{PC: 0x40, Op: isa.ALU, Src: [2]isa.Reg{isa.IntR(1), isa.IntR(2)}, Dest: isa.IntR(3), Width: 64}
+	var dirty, clean isa.Uop
+	setAll(reflect.ValueOf(&dirty).Elem())
+	fillStatic(&dirty, in, 9)
+	fillStatic(&clean, in, 9)
+	if dirty != clean {
+		t.Fatalf("fillStatic left stale fields:\n got %+v\nwant %+v", dirty, clean)
+	}
+}

@@ -54,8 +54,8 @@ type taggedTable struct {
 const MaxComponents = 16
 
 // BranchPrediction carries the state the predictor needs back at update
-// time. The core stores it (with the history snapshot) in the ROB entry of
-// each in-flight branch.
+// time. The core keeps it, with the history snapshot, in the checkpoint
+// of each in-flight branch.
 type BranchPrediction struct {
 	Taken      bool
 	provider   int  // index of the providing tagged component, -1 = base
@@ -81,6 +81,7 @@ type BranchPredictor struct {
 	// when the provider entry is freshly allocated (standard TAGE).
 	useAltOnNA int8
 	tick       uint32 // periodic useful-bit reset
+	folds      foldSet
 }
 
 // NewBranchPredictor builds a predictor from cfg.
@@ -96,6 +97,7 @@ func NewBranchPredictor(cfg BranchConfig) *BranchPredictor {
 		useMax:   uint8(1)<<cfg.UsefulBits - 1,
 	}
 	p.ctrMin = -p.ctrMax - 1
+	p.folds = newFoldSet(cfg.Tagged)
 	for _, spec := range cfg.Tagged {
 		p.tables = append(p.tables, taggedTable{
 			spec:    spec,
@@ -126,35 +128,20 @@ func (p *BranchPredictor) Entries() int {
 	return n
 }
 
-func (p *BranchPredictor) index(t *taggedTable, pc uint64, h *History) uint32 {
-	w := t.spec.LogEntries
-	idx := uint32(pc>>2) ^ uint32(pc>>(2+uint(w))) ^
-		h.Fold(t.spec.HistLen, w) ^
-		h.FoldPath(t.spec.PathLen, w)
-	return idx & t.mask
-}
-
-func (p *BranchPredictor) tag(t *taggedTable, pc uint64, h *History) uint32 {
-	w := t.spec.TagBits
-	tg := uint32(pc>>2) ^ h.Fold(t.spec.HistLen, w) ^ (h.Fold(t.spec.HistLen, w-1) << 1)
-	return tg & t.tagMask
-}
-
-// Predict returns the direction prediction for the branch at pc under
-// history h.
-func (p *BranchPredictor) Predict(pc uint64, h *History) BranchPrediction {
-	pr := BranchPrediction{
-		provider:  -1,
-		altProv:   -1,
-		baseIndex: uint32(pc>>2) & p.baseMask,
-	}
+// Predict fills pr with the direction prediction for the branch at pc
+// under history h.
+func (p *BranchPredictor) Predict(pc uint64, h *History, pr *BranchPrediction) {
+	p.folds.sync(h)
+	pr.provider, pr.altProv = -1, -1
+	pr.provCtr, pr.newlyAlloc = 0, false
+	pr.baseIndex = uint32(pc>>2) & p.baseMask
 	baseTaken := p.base[pr.baseIndex] >= 0
 	pr.Taken, pr.altTaken = baseTaken, baseTaken
 
 	for i := range p.tables {
 		t := &p.tables[i]
-		pr.indices[i] = p.index(t, pc, h)
-		pr.tags[i] = p.tag(t, pc, h)
+		pr.indices[i] = p.folds.index(i, pc, t.mask)
+		pr.tags[i] = p.folds.tag(i, pc, t.tagMask)
 	}
 	// Longest-history match provides; second-longest is the alternate.
 	for i := len(p.tables) - 1; i >= 0; i-- {
@@ -180,7 +167,6 @@ func (p *BranchPredictor) Predict(pc uint64, h *History) BranchPrediction {
 	if pr.provider >= 0 && pr.newlyAlloc && p.useAltOnNA >= 0 {
 		pr.Taken = pr.altTaken
 	}
-	return pr
 }
 
 func satInc(c int8, max int8) int8 {

@@ -80,7 +80,8 @@ func TestBranchPredictorLearnsLoop(t *testing.T) {
 	for iter := 0; iter < 400; iter++ {
 		for i := 0; i < 16; i++ {
 			taken := i != 15
-			pr := p.Predict(pc, &h)
+			var pr BranchPrediction
+			p.Predict(pc, &h, &pr)
 			if iter > 200 {
 				total++
 				if pr.Taken != taken {
@@ -106,7 +107,8 @@ func TestBranchPredictorLearnsAlternating(t *testing.T) {
 	mis, total := 0, 0
 	for i := 0; i < 3000; i++ {
 		taken := i%2 == 0
-		pr := p.Predict(pc, &h)
+		var pr BranchPrediction
+		p.Predict(pc, &h, &pr)
 		if i > 1000 {
 			total++
 			if pr.Taken != taken {
@@ -130,7 +132,8 @@ func TestBranchPredictorBiased(t *testing.T) {
 	mis, total := 0, 0
 	for i := 0; i < 5000; i++ {
 		taken := !r.Bool(0.02)
-		pr := p.Predict(0x1234, &h)
+		var pr BranchPrediction
+		p.Predict(0x1234, &h, &pr)
 		if i > 1000 {
 			total++
 			if pr.Taken != taken {
@@ -272,7 +275,9 @@ func foldReference(h *History, length, width int) uint32 {
 
 // TestHistoryFoldMatchesBitByBitReference: the optimized Fold must be
 // bit-identical to the naive definition for every (length, width),
-// including the word-straddling chunks and the short tail chunk.
+// including the word-straddling chunks and the short tail chunk. A
+// foldSet's incremental registers, in turn, must equal Fold after every
+// step of random push, restore and re-push sequences.
 func TestHistoryFoldMatchesBitByBitReference(t *testing.T) {
 	r := rng.New(7)
 	h := &History{}
@@ -289,4 +294,81 @@ func TestHistoryFoldMatchesBitByBitReference(t *testing.T) {
 			}
 		}
 	}
+
+	// Every (length, width) pair of both default geometries, plus the
+	// edges: length 0 and negative, length below and equal to the width,
+	// lengths past MaxHistoryBits (clamped), widths 0, 1 and 32, and the
+	// TagBits-1 fold of a 1-bit tag.
+	specs := append(append([]TaggedSpec(nil), DefaultBranchConfig().Tagged...), DefaultDistanceConfig().Tagged...)
+	specs = append(specs,
+		TaggedSpec{LogEntries: 1, TagBits: 32, HistLen: 0, PathLen: 0},
+		TaggedSpec{LogEntries: 5, TagBits: 5, HistLen: -3, PathLen: -1},
+		TaggedSpec{LogEntries: 7, TagBits: 3, HistLen: 3, PathLen: 3},
+		TaggedSpec{LogEntries: 32, TagBits: 32, HistLen: 32, PathLen: 32},
+		TaggedSpec{LogEntries: 32, TagBits: 1, HistLen: 256, PathLen: 64},
+		TaggedSpec{LogEntries: 9, TagBits: 13, HistLen: 300, PathLen: 70},
+		TaggedSpec{LogEntries: 16, TagBits: 32, HistLen: 1000, PathLen: 16},
+		TaggedSpec{LogEntries: 0, TagBits: 2, HistLen: 64, PathLen: 8},
+		TaggedSpec{LogEntries: 31, TagBits: 2, HistLen: 255, PathLen: 63},
+	)
+	s := newFoldSet(specs)
+	var spec History      // the walk's speculative history
+	var committed History // an older history of the same walk
+	var snaps []History   // the last 64 histories synced, oldest first
+	steps := map[string]int{}
+	for step := 0; step < 20000; step++ {
+		switch x := r.Intn(100); {
+		case x < 55: // a branch predicted
+			spec.Push(r.Bool(0.5), r.Uint64())
+		case x < 70: // several branches between two lookups
+			for n := r.Range(2, 7); n > 0; n-- {
+				spec.Push(r.Bool(0.5), r.Uint64())
+			}
+		case x < 80: // a checkpoint restore, then the corrected outcome
+			spec = snaps[r.Intn(len(snaps))]
+			spec.Push(r.Bool(0.5), r.Uint64())
+		case x < 85: // a flush to the committed history
+			spec = committed
+		case x < 92: // another lookup under the same history
+		default: // the same outcomes under other branch PCs
+			spec.path ^= r.Uint64()
+		}
+		switch {
+		case spec == s.hist:
+			steps["unchanged"]++
+		case spec.bits == s.hist.bits:
+			steps["path only"]++
+		case pushedOnce(&s.hist.bits, &spec.bits):
+			steps["one push"]++
+		default:
+			steps["refold"]++
+		}
+		s.sync(&spec)
+		for i, reg := range s.regs {
+			if want := spec.Fold(int(reg.length), int(reg.width)); reg.val != want {
+				t.Fatalf("step %d: register %d (length %d, width %d) = %#x, want %#x", step, i, reg.length, reg.width, reg.val, want)
+			}
+		}
+		for i, c := range s.comps {
+			ts := specs[i]
+			index := spec.Fold(ts.HistLen, ts.LogEntries) ^ spec.FoldPath(ts.PathLen, ts.LogEntries)
+			tag := spec.Fold(ts.HistLen, ts.TagBits) ^ spec.Fold(ts.HistLen, ts.TagBits-1)<<1
+			if c.index != index || c.tag != tag {
+				t.Fatalf("step %d: component %d %+v folds index %#x tag %#x, want %#x %#x", step, i, ts, c.index, c.tag, index, tag)
+			}
+		}
+		snaps = append(snaps, spec)
+		if len(snaps) > 64 {
+			snaps = snaps[1:]
+		}
+		if step%16 == 0 {
+			committed = snaps[0]
+		}
+	}
+	for _, kind := range []string{"unchanged", "path only", "one push", "refold"} {
+		if steps[kind] == 0 {
+			t.Errorf("the walk never synced a %s step: %v", kind, steps)
+		}
+	}
+	t.Logf("sync steps: %v", steps)
 }

@@ -59,33 +59,36 @@ type ValuePrediction struct {
 	Confident bool
 	// Hit reports whether any component's tag matched.
 	Hit bool
-
-	provider int // -1 = base table
-	indices  [MaxComponents]uint32
-	tags     [MaxComponents]uint32
-	baseIdx  uint32
-	baseTag  uint32
 }
 
 // ValuePredictor is a TAGE-like predictor for small integer payloads.
+//
+// It keeps two sets of history folds: one for Predict, which the front
+// end calls on the speculative history, and one for Train, which the
+// commit stage calls on fetch-time snapshots in commit order. Each
+// sequence advances a push at a time, so each set stays incremental.
 type ValuePredictor struct {
-	cfg     ValueConfig
-	base    []valueEntry
-	baseMsk uint32
-	baseTag uint32
-	tables  []valueTable
-	confMax uint8
-	tick    uint32
+	cfg        ValueConfig
+	base       []valueEntry
+	baseMsk    uint32
+	baseTag    uint32
+	tables     []valueTable
+	confMax    uint8
+	tick       uint32
+	predFolds  foldSet
+	trainFolds foldSet
 }
 
 // NewValuePredictor builds a ValuePredictor from cfg.
 func NewValuePredictor(cfg ValueConfig) *ValuePredictor {
 	p := &ValuePredictor{
-		cfg:     cfg,
-		base:    make([]valueEntry, 1<<cfg.LogBaseEntries),
-		baseMsk: uint32(1)<<cfg.LogBaseEntries - 1,
-		baseTag: uint32(1)<<cfg.BaseTagBits - 1,
-		confMax: uint8(1)<<cfg.ConfBits - 1,
+		cfg:        cfg,
+		base:       make([]valueEntry, 1<<cfg.LogBaseEntries),
+		baseMsk:    uint32(1)<<cfg.LogBaseEntries - 1,
+		baseTag:    uint32(1)<<cfg.BaseTagBits - 1,
+		confMax:    uint8(1)<<cfg.ConfBits - 1,
+		predFolds:  newFoldSet(cfg.Tagged),
+		trainFolds: newFoldSet(cfg.Tagged),
 	}
 	for _, spec := range cfg.Tagged {
 		p.tables = append(p.tables, valueTable{
@@ -118,18 +121,6 @@ func (p *ValuePredictor) Entries() int {
 	return n
 }
 
-func (p *ValuePredictor) vindex(t *valueTable, pc uint64, h *History) uint32 {
-	w := t.spec.LogEntries
-	return (uint32(pc>>2) ^ uint32(pc>>(2+uint(w))) ^
-		h.Fold(t.spec.HistLen, w) ^
-		h.FoldPath(t.spec.PathLen, w)) & t.mask
-}
-
-func (p *ValuePredictor) vtag(t *valueTable, pc uint64, h *History) uint32 {
-	w := t.spec.TagBits
-	return (uint32(pc>>2) ^ h.Fold(t.spec.HistLen, w) ^ (h.Fold(t.spec.HistLen, w-1) << 1)) & t.tagMask
-}
-
 func (p *ValuePredictor) baseIndexTag(pc uint64) (uint32, uint32) {
 	idx := uint32(pc>>2) & p.baseMsk
 	tag := uint32(pc>>(2+uint(p.cfg.LogBaseEntries))) & p.baseTag
@@ -138,29 +129,29 @@ func (p *ValuePredictor) baseIndexTag(pc uint64) (uint32, uint32) {
 
 // Predict looks up the payload for pc under history h.
 func (p *ValuePredictor) Predict(pc uint64, h *History) ValuePrediction {
-	pr := ValuePrediction{provider: -1}
-	pr.baseIdx, pr.baseTag = p.baseIndexTag(pc)
-	for i := range p.tables {
-		pr.indices[i] = p.vindex(&p.tables[i], pc, h)
-		pr.tags[i] = p.vtag(&p.tables[i], pc, h)
+	p.predFolds.sync(h)
+	if _, e := p.provider(&p.predFolds, pc); e != nil {
+		return ValuePrediction{Value: e.value, Confident: e.conf == p.confMax, Hit: true}
 	}
+	idx, tag := p.baseIndexTag(pc)
+	if be := &p.base[idx]; be.tag == tag && be.conf > 0 {
+		return ValuePrediction{Value: be.value, Confident: be.conf == p.confMax, Hit: true}
+	}
+	return ValuePrediction{}
+}
+
+// provider returns the longest tagged component whose entry for pc, under
+// the history f describes, matches with a nonzero confidence, and that
+// entry; or -1 and nil.
+func (p *ValuePredictor) provider(f *foldSet, pc uint64) (int, *valueEntry) {
 	for i := len(p.tables) - 1; i >= 0; i-- {
-		e := &p.tables[i].entries[pr.indices[i]]
-		if e.tag == pr.tags[i] && e.conf > 0 {
-			pr.provider = i
-			pr.Hit = true
-			pr.Value = e.value
-			pr.Confident = e.conf == p.confMax
-			return pr
+		t := &p.tables[i]
+		e := &t.entries[f.index(i, pc, t.mask)]
+		if e.tag == f.tag(i, pc, t.tagMask) && e.conf > 0 {
+			return i, e
 		}
 	}
-	be := &p.base[pr.baseIdx]
-	if be.tag == pr.baseTag && be.conf > 0 {
-		pr.Hit = true
-		pr.Value = be.value
-		pr.Confident = be.conf == p.confMax
-	}
-	return pr
+	return -1, nil
 }
 
 // Train updates the predictor with the observed payload for pc under the
@@ -169,10 +160,8 @@ func (p *ValuePredictor) Predict(pc uint64, h *History) ValuePrediction {
 // mismatch (§3.1); a mismatch in a tagged provider also triggers an
 // allocation in a longer-history component, standard TAGE style.
 func (p *ValuePredictor) Train(pc uint64, h *History, actual uint16) {
-	pr := p.lookupState(pc, h)
-
-	if pr.provider >= 0 {
-		e := &p.tables[pr.provider].entries[pr.indices[pr.provider]]
+	p.trainFolds.sync(h)
+	if provider, e := p.provider(&p.trainFolds, pc); e != nil {
 		if e.value == actual {
 			if e.conf < p.confMax {
 				e.conf++
@@ -189,13 +178,14 @@ func (p *ValuePredictor) Train(pc uint64, h *History, actual uint16) {
 		if e.useful > 0 {
 			e.useful--
 		}
-		p.allocateLonger(&pr, actual)
+		p.allocateLonger(pc, provider, actual)
 		return
 	}
 
 	// Base provider (or total miss).
-	be := &p.base[pr.baseIdx]
-	if be.tag == pr.baseTag && be.conf > 0 {
+	idx, tag := p.baseIndexTag(pc)
+	be := &p.base[idx]
+	if be.tag == tag && be.conf > 0 {
 		if be.value == actual {
 			if be.conf < p.confMax {
 				be.conf++
@@ -204,47 +194,33 @@ func (p *ValuePredictor) Train(pc uint64, h *History, actual uint16) {
 		}
 		be.conf = 1
 		be.value = actual
-		p.allocateLonger(&pr, actual)
+		p.allocateLonger(pc, -1, actual)
 		return
 	}
 	// Cold miss: claim the base entry.
-	be.tag = pr.baseTag
+	be.tag = tag
 	be.value = actual
 	be.conf = 1
 }
 
-// lookupState recomputes indices/tags and the providing component without
-// returning a user-facing prediction.
-func (p *ValuePredictor) lookupState(pc uint64, h *History) ValuePrediction {
-	pr := ValuePrediction{provider: -1}
-	pr.baseIdx, pr.baseTag = p.baseIndexTag(pc)
-	for i := range p.tables {
-		pr.indices[i] = p.vindex(&p.tables[i], pc, h)
-		pr.tags[i] = p.vtag(&p.tables[i], pc, h)
-	}
-	for i := len(p.tables) - 1; i >= 0; i-- {
-		e := &p.tables[i].entries[pr.indices[i]]
-		if e.tag == pr.tags[i] && e.conf > 0 {
-			pr.provider = i
-			break
-		}
-	}
-	return pr
-}
-
-func (p *ValuePredictor) allocateLonger(pr *ValuePrediction, actual uint16) {
-	start := pr.provider + 1
+// allocateLonger claims an entry for pc in a component longer than
+// provider, under the history trainFolds describes.
+func (p *ValuePredictor) allocateLonger(pc uint64, provider int, actual uint16) {
+	f := &p.trainFolds
+	start := provider + 1
 	for i := start; i < len(p.tables); i++ {
-		e := &p.tables[i].entries[pr.indices[i]]
+		t := &p.tables[i]
+		e := &t.entries[f.index(i, pc, t.mask)]
 		if e.useful == 0 {
-			e.tag = pr.tags[i]
+			e.tag = f.tag(i, pc, t.tagMask)
 			e.value = actual
 			e.conf = 1
 			return
 		}
 	}
 	for i := start; i < len(p.tables); i++ {
-		e := &p.tables[i].entries[pr.indices[i]]
+		t := &p.tables[i]
+		e := &t.entries[f.index(i, pc, t.mask)]
 		if e.useful > 0 {
 			e.useful--
 		}
