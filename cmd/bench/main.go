@@ -8,7 +8,7 @@
 //	bench -o BENCH_2.json                 # full pinned set
 //	bench -quick -o /tmp/smoke.json       # 3-point CI smoke subset
 //	bench -o BENCH_2.json -baseline BENCH_1.json   # embed speedup
-//	bench -quick -baseline BENCH_2.json -gate 0.90 # CI regression gate
+//	bench -quick -baseline base.json -gate 0.90    # regression check
 //
 // The workload set, machine configuration and run lengths are pinned in
 // internal/sim so reports from different PRs are comparable; -quick
@@ -16,7 +16,9 @@
 // (any earlier report) is embedded into the output together with the
 // gmean cycles/sec speedup against it; -gate then turns the comparison
 // into a pass/fail check (exit status 2 on a regression past the
-// threshold), which is what the CI perf gate runs.
+// threshold). CI's perf gate reads the matched-point speedup of three
+// -quick pairs, each run against a base-commit report made just before
+// it on the same runner, and fails on their median.
 //
 // The measurement drives the core directly — no runner, store or
 // dispatch layer between the wall clock and the cycle loop. The
@@ -105,9 +107,8 @@ func main() {
 		fmt.Println("wrote", *out)
 	}
 
-	// The regression gate runs after the report is written, so CI can
-	// upload the failing run as an artifact before the job dies. It
-	// thresholds the matched-point speedup — the -quick subset against a
+	// The regression gate runs after the report is written, so a
+	// failing run still leaves its report. It thresholds the matched-point speedup — the -quick subset against a
 	// full-set baseline compares only the points both actually ran. A
 	// baseline sharing no points is a gate misconfiguration, not a
 	// verdict: gmean ratios across disjoint point sets measure the sets,

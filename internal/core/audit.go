@@ -2,13 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/regfile"
 )
 
-// DrainAndAudit stops fetching, drains the pipeline, checks that the
-// scheduler emptied with it, forces all deferred (lazy) reclaims, and
+// DrainAndAudit checks the scheduler's ready count against its ready
+// set, stops fetching, drains the pipeline, checks that the scheduler
+// emptied with it, forces all deferred (lazy) reclaims, and
 // then audits physical register conservation: every
 // register must be accounted for exactly once as free, architecturally
 // mapped, or retained by the reference-counting structure. With register
@@ -19,6 +21,9 @@ import (
 // It returns an error describing the first discrepancy found. The test
 // suite runs it after full simulations under every tracker scheme.
 func (c *Core) DrainAndAudit() error {
+	if err := c.auditReadyCount(); err != nil {
+		return err
+	}
 	// Drain: stop fetch by clearing the front-end queue and refusing to
 	// refill it, then cycle until the ROB empties. A recovery during the
 	// drain redirects fetch, so fetch is stopped again every cycle.
@@ -35,6 +40,9 @@ func (c *Core) DrainAndAudit() error {
 	}
 	// The drained scheduler must hold nothing: no entry counted, ready,
 	// or reading a register.
+	if err := c.auditReadyCount(); err != nil {
+		return err
+	}
 	if c.iqCount != 0 {
 		return fmt.Errorf("core: drained scheduler still counts %d entries", c.iqCount)
 	}
@@ -111,6 +119,19 @@ func (c *Core) DrainAndAudit() error {
 			return fmt.Errorf("core: %s conservation broken: free=%d mapped=%d tracked-only=%d of %d",
 				cls, free, nMapped, trackedOnly, c.cfg.PhysRegsPerClass)
 		}
+	}
+	return nil
+}
+
+// auditReadyCount reports a scheduler ready count that disagrees with
+// the ready set it counts: issue and runUntil trust the count.
+func (c *Core) auditReadyCount() error {
+	n := 0
+	for _, m := range c.readySet {
+		n += bits.OnesCount64(m)
+	}
+	if n != c.readyCount {
+		return fmt.Errorf("core: scheduler counts %d ready entries, its ready set holds %d", c.readyCount, n)
 	}
 	return nil
 }

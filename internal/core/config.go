@@ -163,6 +163,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// Canonical returns the configuration with the tracker sizes its scheme
+// never reads set to zero. NewTracker is their only reader: it sizes
+// the ISRB by both, per-register counters by CounterBits alone, the MIT
+// and the RDA by Entries alone, and the unlimited tracker by neither.
+// Configurations with one canonical form therefore simulate one machine
+// and give one result.
+func (c Config) Canonical() Config {
+	switch c.Tracker.Kind {
+	case TrackerISRB:
+	case TrackerCounters:
+		c.Tracker.Entries = 0
+	case TrackerMIT, TrackerRDA:
+		c.Tracker.CounterBits = 0
+	default:
+		c.Tracker.Entries, c.Tracker.CounterBits = 0, 0
+	}
+	return c
+}
+
 // NewTracker instantiates the configured reference counting scheme.
 func (c *Config) NewTracker() refcount.Tracker {
 	tc := c.Tracker
@@ -256,6 +275,9 @@ func (c *Config) Check() error {
 		v      int
 		lo, hi int
 	}{
+		// Fetch fills its queue only when a whole fetch width fits, so a
+		// width of fetchQueueSize or more never fetches.
+		{"fetch width", c.FetchWidth, 1, fetchQueueSize - 1},
 		{"rob", c.ROBSize, 1, maxWindow},
 		{"iq", c.IQSize, 1, maxWindow},
 		{"lq", c.LQSize, 1, maxWindow},

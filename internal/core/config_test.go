@@ -126,3 +126,25 @@ func TestCheckRejectsBrokenTAGEGeometry(t *testing.T) {
 	}
 	New(cfg, moveChainProgram()).Run(0, 1000)
 }
+
+// TestCheckBoundsFetchWidth: fetch fills its queue only when a whole
+// fetch width fits, so a machine fetching fetchQueueSize µops or more a
+// cycle never fetched, and its run ended at the commit deadlock
+// detector: a simulator fault for what is a bad configuration. Check
+// rejects such widths, and the widest width it admits runs.
+func TestCheckBoundsFetchWidth(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, w := range []int{fetchQueueSize, fetchQueueSize + 1, 4096} {
+		cfg.FetchWidth = w
+		if err := cfg.Check(); err == nil {
+			t.Errorf("fetch width %d: Check accepted it", w)
+		}
+	}
+	cfg.FetchWidth = fetchQueueSize - 1
+	if err := cfg.Check(); err != nil {
+		t.Fatalf("fetch width %d: %v", cfg.FetchWidth, err)
+	}
+	if st := New(cfg, moveChainProgram()).Run(0, 5000); st.Committed < 5000 {
+		t.Fatalf("fetch width %d: committed %d µops, want 5000", cfg.FetchWidth, st.Committed)
+	}
+}

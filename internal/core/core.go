@@ -230,6 +230,7 @@ type Core struct {
 	// over ROB slots, slotWords words each.
 	iqCount      int      // µops renamed into the scheduler, not yet issued or squashed
 	readySet     []uint64 // entries whose register sources are all ready
+	readyCount   int      // bits set in readySet
 	unready      []uint8  // per slot: distinct register sources not yet ready
 	consumerSets []uint64 // per physical register, the entries that read it
 	slotWords    int
@@ -387,15 +388,34 @@ func (c *Core) RunContext(ctx context.Context, warmup, measure uint64) (*Stats, 
 	return &c.stats, nil
 }
 
+// deadlockCycles is how many cycles in a row may pass without a commit
+// before runUntil declares the machine deadlocked.
+const deadlockCycles = 200000
+
+// runUntil cycles the machine until committedTarget µops have committed.
+// Before each cycle it skips the quiet cycles ahead, in which no stage
+// can act (see quietCycles): they only advance the clock and charge a
+// rename stall, so the skip adds them to both and leaves every result
+// as cycling through them would. The skip never crosses a commit, so it
+// cannot cross the run's end, and it stops short of the deadlock
+// detector, which then fires at the same cycle with the same state.
 func (c *Core) runUntil(ctx context.Context, committedTarget uint64) error {
 	lastCommitted := c.stats.Committed
 	stuck := uint64(0)
 	check := uint64(cancelCheckInterval)
 	for c.stats.Committed < committedTarget {
+		if n, stall := c.quietCycles(deadlockCycles - stuck); n > 0 {
+			c.cycle += n
+			c.stats.Cycles += n
+			if stall != nil {
+				*stall += n
+			}
+			stuck += n
+		}
 		c.Cycle()
 		if c.stats.Committed == lastCommitted {
 			stuck++
-			if stuck > 200000 {
+			if stuck > deadlockCycles {
 				panic(fmt.Sprintf("core: no commit for %d cycles at cycle %d (%s)", stuck, c.cycle, c.debugState()))
 			}
 		} else {
@@ -411,6 +431,56 @@ func (c *Core) runUntil(ctx context.Context, committedTarget uint64) error {
 		}
 	}
 	return nil
+}
+
+// quietCycles returns how many cycles, from this one on and at most
+// limit, no stage can act in, and the rename stall counter each of them
+// charges (nil when the fetch queue is empty). A cycle is quiet when
+// commit's head has not completed or is a wrong-path µop, no in-flight
+// µop completes, no scheduler entry is ready, fetch is stalled or its
+// queue full, and rename is blocked by something other than an empty
+// free list that lazy reclaim could refill. None of that changes until
+// the earliest of the next completion, the end of the fetch stall and
+// the fetch-queue head's arrival at rename, so the cycles before it are
+// all quiet.
+//
+//repro:hotpath
+func (c *Core) quietCycles(limit uint64) (n uint64, stall *uint64) {
+	if c.readyCount != 0 {
+		return 0, nil
+	}
+	if c.robCount > 0 {
+		if e := &c.rob[c.robHead]; e.completed && !e.u.WrongPath {
+			return 0, nil
+		}
+	}
+	until := ^uint64(0)
+	if c.cycle < c.fetchStallUntil {
+		until = c.fetchStallUntil
+	} else if !c.fetchQueueFull() {
+		return 0, nil
+	}
+	if c.fqHead != c.fqTail {
+		fe := &c.fq[c.fqHead%fetchQueueSize]
+		stall = c.renameStall(fe)
+		if stall == nil || stall == &c.stats.StallFreeList && c.cfg.SMB.BypassCommitted && len(c.pendingReclaim) > 0 {
+			return 0, nil
+		}
+		if fe.readyAt > c.cycle {
+			until = min(until, fe.readyAt)
+		}
+	}
+	for _, ref := range c.inflight {
+		e := c.inflightEntry(ref)
+		if e == nil {
+			continue
+		}
+		if e.readyAt <= c.cycle {
+			return 0, nil
+		}
+		until = min(until, e.readyAt)
+	}
+	return min(until-c.cycle, limit), stall
 }
 
 func (c *Core) debugState() string {

@@ -14,12 +14,7 @@ import (
 //
 //repro:hotpath
 func (c *Core) fetch() {
-	if c.cycle < c.fetchStallUntil {
-		return
-	}
-	// The front-end queue is full with at most a fetch width free. The
-	// sum cannot wrap, as fetchQueueSize minus a wider width would.
-	if c.fqTail-c.fqHead+uint64(c.cfg.FetchWidth) >= fetchQueueSize {
+	if c.cycle < c.fetchStallUntil || c.fetchQueueFull() {
 		return
 	}
 
@@ -132,4 +127,11 @@ func (c *Core) fetch() {
 			break
 		}
 	}
+}
+
+// fetchQueueFull reports whether the front-end queue has less than a
+// fetch width free. The sum cannot wrap, as fetchQueueSize minus a
+// wider width would.
+func (c *Core) fetchQueueFull() bool {
+	return c.fqTail-c.fqHead+uint64(c.cfg.FetchWidth) >= fetchQueueSize
 }

@@ -57,6 +57,7 @@ func fuzzConfig(machine uint64) Config {
 
 // FuzzCore runs a random gen: program on a random small machine and
 // checks the core against the functional executor: it must not panic,
+// a stepped twin core must end in the same state (see twinRun),
 // DrainAndAudit must pass, and after the drain every architectural
 // register the committed prefix wrote must be mapped, in the commit
 // map, to a ready physical register holding the result the executor
@@ -89,8 +90,10 @@ func FuzzCore(f *testing.F) {
 			cfg.ME.Enabled, cfg.SMB.Enabled, cfg.SMB.BypassCommitted, cfg.Tracker.Entries, cfg.Tracker.CounterBits)
 
 		prog := workloads.Build(spec)
-		c := New(cfg, prog)
-		c.Run(0, fuzzCoreUops)
+		c, fault := twinRun(t, desc, cfg, prog, 0, fuzzCoreUops)
+		if fault != "" {
+			t.Fatalf("%s: %s", desc, fault)
+		}
 		if err := c.DrainAndAudit(); err != nil {
 			t.Fatalf("%s: %v", desc, err)
 		}

@@ -14,7 +14,8 @@ import (
 // ready, wakes its consumers: an entry whose count reaches zero joins
 // the ready set, another bitmask over ROB slots. Walking the ready set
 // from robHead visits ready entries in age order, and nothing on the
-// path allocates.
+// path allocates. A count of the ready entries lets issue return at
+// once while nothing is ready, and tells runUntil the scheduler is idle.
 //
 // The ready set is exactly the set of entries whose sources are all
 // ready, the entries a scan of every entry would find, because every
@@ -33,6 +34,9 @@ import (
 //
 //repro:hotpath
 func (c *Core) issue() {
+	if c.readyCount == 0 {
+		return
+	}
 	issued := 0
 	alu, fp, fpDiv, ldst, st := 0, 0, 0, 0, 0
 	mulDivUsed := false
@@ -155,6 +159,7 @@ func (c *Core) enterIQ(idx int, e *robEntry) {
 	}
 	if c.unready[idx] == 0 {
 		c.readySet[idx>>6] |= 1 << (idx & 63)
+		c.readyCount++
 	}
 }
 
@@ -181,7 +186,10 @@ func (c *Core) leaveIQ(idx int, e *robEntry) {
 	e.inIQ = false
 	c.iqCount--
 	bit := uint64(1) << (idx & 63)
-	c.readySet[idx>>6] &^= bit
+	if c.readySet[idx>>6]&bit != 0 {
+		c.readySet[idx>>6] &^= bit
+		c.readyCount--
+	}
 	for _, p := range e.srcPhys {
 		if p.Valid() {
 			c.consumers(p)[idx>>6] &^= bit
@@ -201,6 +209,7 @@ func (c *Core) wake(p regfile.PhysReg) {
 			c.unready[idx]--
 			if c.unready[idx] == 0 {
 				c.readySet[w] |= 1 << (idx & 63)
+				c.readyCount++
 			}
 		}
 	}
@@ -222,6 +231,7 @@ func (c *Core) allocReg(cl isa.RegClass) regfile.PhysReg {
 				idx := w<<6 + bits.TrailingZeros64(m)
 				if c.unready[idx] == 0 {
 					c.readySet[w] &^= 1 << (idx & 63)
+					c.readyCount--
 				}
 				c.unready[idx]++
 			}

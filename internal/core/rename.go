@@ -18,63 +18,24 @@ func (c *Core) rename() {
 			return
 		}
 		fe := &c.fq[c.fqHead%fetchQueueSize]
-		if fe.readyAt > c.cycle {
-			if n == 0 {
-				c.stats.StallFrontEnd++
-			}
-			return
+		stall := c.renameStall(fe)
+		if stall == &c.stats.StallFreeList && c.cfg.SMB.BypassCommitted {
+			// Conservative: even a bypassed µop stalls when no register is
+			// free, matching a machine that checks availability up front;
+			// lazy reclaim gets one chance to refill the list first.
+			c.drainPendingReclaim(c.cfg.RenameWidth)
+			stall = c.renameStall(fe)
 		}
-		if c.robCount >= c.cfg.ROBSize {
+		if stall != nil {
 			if n == 0 {
-				c.stats.StallROB++
+				*stall++
 			}
 			return
 		}
 		u := fe.u
-
-		// Resource checks before any state change. Eliminated moves will
-		// not occupy the scheduler, but rename conservatively requires a
-		// free slot (elimination can still be rejected by the tracker).
-		if c.iqCount >= c.cfg.IQSize {
-			if n == 0 {
-				c.stats.StallIQ++
-			}
-			return
-		}
-		if u.Op == isa.Load && c.lqTail-c.lqHead >= uint64(c.cfg.LQSize) {
-			if n == 0 {
-				c.stats.StallLQ++
-			}
-			return
-		}
-		if u.Op == isa.Store && c.sqTail-c.sqHead >= uint64(c.cfg.SQSize) {
-			if n == 0 {
-				c.stats.StallSQ++
-			}
-			return
-		}
-		if u.HasDest() && c.rf.FreeList(u.Dest.Class).Len() == 0 {
-			// Conservative: even a bypassed µop stalls when no register is
-			// free, matching a machine that checks availability up front.
-			if c.cfg.SMB.BypassCommitted {
-				c.drainPendingReclaim(c.cfg.RenameWidth)
-			}
-			if c.rf.FreeList(u.Dest.Class).Len() == 0 {
-				if n == 0 {
-					c.stats.StallFreeList++
-				}
-				return
-			}
-		}
 		ckptIdx := -1
 		if u.IsBranch() {
 			ckptIdx = c.freeCheckpointSlot()
-			if ckptIdx < 0 {
-				if n == 0 {
-					c.stats.StallCkpt++
-				}
-				return // out of checkpoints
-			}
 		}
 		if c.cfg.SMB.BypassCommitted &&
 			c.rf.FreeList(isa.IntReg).Len() < c.cfg.LazyReclaimLowWater {
@@ -162,6 +123,34 @@ func (c *Core) rename() {
 		c.applyFlagRules(e)
 		c.finishRename(e, idx, fe)
 	}
+}
+
+// renameStall returns the stall counter of the first resource that
+// keeps rename from renaming fe, the fetch-queue head, this cycle, in
+// the order rename checks them, or nil when none does. Eliminated moves
+// will not occupy the scheduler, but rename conservatively requires a
+// free slot (elimination can still be rejected by the tracker). The
+// checks change no state, so runUntil asks them too, to find cycles in
+// which rename cannot act.
+func (c *Core) renameStall(fe *fqEntry) *uint64 {
+	u := fe.u
+	switch {
+	case fe.readyAt > c.cycle:
+		return &c.stats.StallFrontEnd
+	case c.robCount >= c.cfg.ROBSize:
+		return &c.stats.StallROB
+	case c.iqCount >= c.cfg.IQSize:
+		return &c.stats.StallIQ
+	case u.Op == isa.Load && c.lqTail-c.lqHead >= uint64(c.cfg.LQSize):
+		return &c.stats.StallLQ
+	case u.Op == isa.Store && c.sqTail-c.sqHead >= uint64(c.cfg.SQSize):
+		return &c.stats.StallSQ
+	case u.HasDest() && c.rf.FreeList(u.Dest.Class).Len() == 0:
+		return &c.stats.StallFreeList
+	case u.IsBranch() && c.liveCkpts == len(c.ckpts):
+		return &c.stats.StallCkpt // out of checkpoints
+	}
+	return nil
 }
 
 // traceRenamed reports a rename event to an attached tracer.

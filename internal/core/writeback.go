@@ -20,9 +20,9 @@ func (c *Core) writeback() {
 	keep := c.inflight[:0]
 	completing := c.completing[:0]
 	for _, ref := range c.inflight {
-		e := &c.rob[ref.robIdx]
-		if !e.valid || e.csn != ref.csn || !e.issued || e.completed {
-			continue // squashed, or the slot was recycled
+		e := c.inflightEntry(ref)
+		if e == nil {
+			continue
 		}
 		if e.readyAt > c.cycle {
 			keep = append(keep, ref) //repro:allow hotalloc -- amortized: appends into a buffer retained on c and resliced to [:0]; steady state never grows
@@ -63,6 +63,16 @@ func (c *Core) writeback() {
 	if mispredIdx >= 0 {
 		c.recoverFromBranch(mispredIdx)
 	}
+}
+
+// inflightEntry returns the ROB entry of in-flight µop ref, or nil
+// when the µop was squashed, its slot recycled, or it has completed.
+func (c *Core) inflightEntry(ref inflightRef) *robEntry {
+	e := &c.rob[ref.robIdx]
+	if !e.valid || e.csn != ref.csn || !e.issued || e.completed {
+		return nil
+	}
+	return e
 }
 
 func (c *Core) complete(idx int, e *robEntry) {

@@ -25,6 +25,10 @@
 //     re-running it — e.g. every figure's speedup series shares one
 //     baseline sweep. A canceled leader does not poison the slot: the
 //     failed call is dropped and surviving waiters retry it themselves;
+//   - execution sharing: after a store miss, requests that describe one
+//     machine — their configurations differ only in tracker sizes their
+//     scheme never reads (core.Config.Canonical) — share one simulation
+//     the same way, and each is stored under its own key;
 //   - an in-memory result store (the simulator is deterministic, so a
 //     result never goes stale) with an optional sharded on-disk store
 //     (see Store) so separate invocations — and separate concurrent
@@ -101,7 +105,7 @@ type Result struct {
 // Counters reports what the Runner did, for tests and -v diagnostics.
 type Counters struct {
 	Simulated uint64 // runs actually executed
-	MemHits   uint64 // served from the in-memory store (incl. singleflight waits)
+	MemHits   uint64 // served from the in-memory store (incl. singleflight waits and equivalent requests)
 	DiskHits  uint64 // served from the on-disk cache
 }
 
@@ -150,12 +154,13 @@ type Runner struct {
 	exec    Executor
 
 	mu    sync.Mutex
-	calls map[string]*call
+	calls map[string]*call // by request key: one slot per request
+	execs map[string]*call // by canonical key: one slot per simulated machine
 	ctr   Counters
 }
 
-// call is one singleflight slot: the first requester simulates, everyone
-// else blocks on done.
+// call is one singleflight slot: the first requester produces the
+// outcome, everyone else blocks on done.
 type call struct {
 	done chan struct{}
 	res  *Result
@@ -173,7 +178,8 @@ const (
 	// SourceSimulated: this call executed the simulation.
 	SourceSimulated Source = iota
 	// SourceMemory: served by the in-memory store — a singleflight join
-	// with a concurrent caller, or a repeat of a completed request.
+	// with a concurrent caller, a repeat of a completed request, or the
+	// simulation of an equivalent request (see Runner.fill).
 	SourceMemory
 	// SourceStore: loaded from the sharded on-disk store.
 	SourceStore
@@ -226,6 +232,7 @@ func New(opts ...Option) *Runner {
 	r := &Runner{
 		workers: runtime.GOMAXPROCS(0),
 		calls:   make(map[string]*call),
+		execs:   make(map[string]*call),
 		exec:    Simulate,
 	}
 	for _, o := range opts {
@@ -314,10 +321,7 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Result, error) {
 
 // do executes one request and packages the outcome as an Event. It is
 // the single execution path under Run and Stream: validation, then the
-// singleflight map, then fill. A caller that joins a leader which gets
-// canceled — while its own context is still live — retries the request
-// itself rather than inheriting the leader's cancellation, so one
-// aborted Stream never fails an unrelated concurrent caller.
+// request's singleflight slot, then fill.
 func (r *Runner) do(ctx context.Context, idx int, req Request) Event {
 	// Canonicalize the workload name before anything keys on it, so the
 	// many equivalent spellings of a gen: point share one singleflight
@@ -332,35 +336,45 @@ func (r *Runner) do(ctx context.Context, idx int, req Request) Event {
 		return ev
 	}
 	ev.Key = Key(req)
+	ev.Res, ev.Source, ev.CyclesPerSec, ev.Err = r.share(ctx, r.calls, ev.Key, req.Bench,
+		func() (*Result, Source, float64, error) { return r.fill(ctx, ev.Key, req) })
+	return ev
+}
+
+// share is the Runner's singleflight over slots: the first caller for
+// key runs produce and keeps its outcome in the slot, and every other
+// caller, concurrent or later, waits for that outcome and gets it as a
+// memory hit. A failed outcome, cancellation included, is not kept: the
+// slot is dropped before the waiters wake, so their retries cannot
+// rejoin the dead call, and a later caller runs produce again. A waiter
+// whose leader was canceled while its own context is still live retries
+// itself rather than inheriting the cancellation, so one aborted Stream
+// never fails an unrelated concurrent caller.
+func (r *Runner) share(ctx context.Context, slots map[string]*call, key, bench string,
+	produce func() (*Result, Source, float64, error)) (*Result, Source, float64, error) {
 	for {
 		r.mu.Lock()
-		c, ok := r.calls[ev.Key]
+		c, ok := slots[key]
 		if !ok {
 			c = &call{done: make(chan struct{})}
-			r.calls[ev.Key] = c
+			slots[key] = c
 			r.mu.Unlock()
 
-			c.res, c.src, c.cps, c.err = r.fill(ctx, ev.Key, req)
+			c.res, c.src, c.cps, c.err = produce()
 			if c.err != nil {
-				// Do not poison the slot with a failure (cancellation
-				// included): drop it — before waking the waiters, so
-				// their retries cannot rejoin the dead call — and let
-				// any later caller re-run the request.
 				r.mu.Lock()
-				delete(r.calls, ev.Key)
+				delete(slots, key)
 				r.mu.Unlock()
 			}
 			close(c.done)
-			ev.Res, ev.Source, ev.CyclesPerSec, ev.Err = c.res, c.src, c.cps, c.err
-			return ev
+			return c.res, c.src, c.cps, c.err
 		}
 		r.mu.Unlock()
 
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			ev.Err = canceledErr(req.Bench, ctx.Err())
-			return ev
+			return nil, 0, 0, canceledErr(bench, ctx.Err())
 		}
 		if c.err != nil && errors.Is(c.err, ErrCanceled) && ctx.Err() == nil {
 			continue // the leader was canceled, this caller was not: retry
@@ -371,17 +385,18 @@ func (r *Runner) do(ctx context.Context, idx int, req Request) Event {
 		r.mu.Lock()
 		r.ctr.MemHits++
 		r.mu.Unlock()
-		ev.Res, ev.Err = c.res, c.err
-		ev.Source, ev.CyclesPerSec = SourceMemory, c.cps
-		return ev
+		return c.res, SourceMemory, c.cps, c.err
 	}
 }
 
-// fill produces the result for key: disk cache first, then a worker slot
-// and a real simulation (written back to the disk cache on the way out).
-// Cancellation is honored while queuing for a worker slot and, through
-// core.RunContext, inside the simulation itself; only a completed
-// simulation reaches the on-disk store.
+// fill produces the result for key: the on-disk store first, then an
+// execution, shared by every request of this Runner that describes the
+// same machine. Requests whose configurations have one canonical form
+// (core.Config.Canonical) differ only in tracker sizes their scheme
+// never reads, so the first of them executes and the others wait for it
+// as memory hits. Each request's result is written back to the store
+// under its own key. The canonical key is computed only here, after a
+// store miss, so a stored request stays a store hit.
 func (r *Runner) fill(ctx context.Context, key string, req Request) (*Result, Source, float64, error) {
 	if res, ok := r.loadDisk(ctx, key); ok {
 		r.mu.Lock()
@@ -389,7 +404,21 @@ func (r *Runner) fill(ctx context.Context, key string, req Request) (*Result, So
 		r.mu.Unlock()
 		return res, SourceStore, 0, nil
 	}
+	canon := req
+	canon.Config = req.Config.Canonical()
+	res, src, cps, err := r.share(ctx, r.execs, Key(canon), req.Bench,
+		func() (*Result, Source, float64, error) { return r.execute(ctx, req) })
+	if err == nil {
+		r.storeDisk(ctx, key, res)
+	}
+	return res, src, cps, err
+}
 
+// execute runs req on the executor in a worker slot. Cancellation is
+// honored while queuing for the slot and, through core.RunContext,
+// inside the simulation itself, so only a completed simulation reaches
+// the on-disk store.
+func (r *Runner) execute(ctx context.Context, req Request) (*Result, Source, float64, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -409,12 +438,10 @@ func (r *Runner) fill(ctx context.Context, key string, req Request) (*Result, So
 		// sum a caller takes over events and cannot be JSON-encoded.
 		secs = 1e-9
 	}
-	cps := float64(res.S.Cycles) / secs
 	r.mu.Lock()
 	r.ctr.Simulated++
 	r.mu.Unlock()
-	r.storeDisk(ctx, key, res)
-	return res, SourceSimulated, cps, nil
+	return res, SourceSimulated, float64(res.S.Cycles) / secs, nil
 }
 
 // Stream fans the requests out over the worker pool and invokes sink —

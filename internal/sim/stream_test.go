@@ -305,37 +305,42 @@ func TestCancelMidSimulationDoesNotPoisonStores(t *testing.T) {
 // TestCanceledLeaderDoesNotFailLiveJoiner: caller A (canceled mid-run)
 // is the singleflight leader; caller B joined with a live context and
 // must get a real result — by retrying the simulation itself — not A's
-// cancellation.
+// cancellation. B joins A's request slot when it sends the same
+// request, and A's execution slot when its request only describes the
+// same machine.
 func TestCanceledLeaderDoesNotFailLiveJoiner(t *testing.T) {
-	r := New()
 	req := quickReq("crafty")
 	req.Measure = 500_000
+	equivalent := req
+	equivalent.Config.Tracker.Entries++ // the unlimited tracker reads no size
+	for _, reqB := range []Request{req, equivalent} {
+		r := New()
+		ctxA, cancelA := context.WithCancel(context.Background())
+		errA := make(chan error, 1)
+		go func() {
+			_, err := r.Run(ctxA, req)
+			errA <- err
+		}()
+		// Let A become the leader, then join with B and cancel A.
+		time.Sleep(20 * time.Millisecond)
+		resB := make(chan error, 1)
+		go func() {
+			_, err := r.Run(context.Background(), reqB)
+			resB <- err
+		}()
+		time.Sleep(20 * time.Millisecond)
+		cancelA()
 
-	ctxA, cancelA := context.WithCancel(context.Background())
-	errA := make(chan error, 1)
-	go func() {
-		_, err := r.Run(ctxA, req)
-		errA <- err
-	}()
-	// Let A become the leader, then join with B and cancel A.
-	time.Sleep(20 * time.Millisecond)
-	resB := make(chan error, 1)
-	go func() {
-		_, err := r.Run(context.Background(), req)
-		resB <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancelA()
-
-	if err := <-errA; !errors.Is(err, ErrCanceled) {
-		// A may legitimately have finished first on a fast machine; in
-		// that case B trivially succeeds and the test still holds.
-		if err != nil {
-			t.Fatalf("caller A: %v", err)
+		if err := <-errA; !errors.Is(err, ErrCanceled) {
+			// A may legitimately have finished first on a fast machine; in
+			// that case B trivially succeeds and the test still holds.
+			if err != nil {
+				t.Fatalf("caller A: %v", err)
+			}
 		}
-	}
-	if err := <-resB; err != nil {
-		t.Fatalf("caller B inherited the leader's fate: %v", err)
+		if err := <-resB; err != nil {
+			t.Fatalf("caller B inherited the leader's fate: %v", err)
+		}
 	}
 }
 
