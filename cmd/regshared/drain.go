@@ -31,11 +31,11 @@ type drainConfig struct {
 }
 
 // runDrain is the fleet one-shot: expand the scenario, lease-shard its
-// cells over the shared bucket's lease area, drain this host's share
+// cells over the shared directory's lease area, drain this host's share
 // through the ordinary runner, and print the drain summary JSON.
 func runDrain(runner *sim.Runner, store *sim.Store, rf *cliflags.Flags, dc drainConfig) error {
 	if store == nil {
-		return fmt.Errorf("regshared: -drain needs a shared -store (fs:DIR or s3://bucket/prefix)")
+		return fmt.Errorf("regshared: -drain needs a shared -store fs:DIR")
 	}
 	spec, err := scenario.Resolve(dc.scenario)
 	if err != nil {
@@ -50,7 +50,7 @@ func runDrain(runner *sim.Runner, store *sim.Store, rf *cliflags.Flags, dc drain
 	if err != nil {
 		return err
 	}
-	leases, err := objstore.New(leaseSpec, rf.StoreOptions()...)
+	leases, err := objstore.New(leaseSpec)
 	if err != nil {
 		return err
 	}

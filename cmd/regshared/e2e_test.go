@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
@@ -19,13 +18,15 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/fleet"
+	"repro/internal/sim"
 )
 
 // TestEndToEnd builds every command and drives the real binaries
 // through the paths only a multi-process run exercises: a service under
 // loadgen, a sweep executing on a service through -backend, two drain
-// processes racing on one fs: lease area, and the s3 store against the
-// fake. It also pins each command's flag set.
+// processes racing on one fs: lease area, and a drain host killed
+// mid-lease whose shard another host finishes. It also pins each
+// command's flag set.
 // Properties the in-process tests already pin are left to them.
 func TestEndToEnd(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -43,12 +44,6 @@ func TestEndToEnd(t *testing.T) {
 	regshared := filepath.Join(bin, "regshared")
 	sweep := filepath.Join(bin, "sweep")
 	loadgen := filepath.Join(bin, "loadgen")
-	fakes3 := filepath.Join(bin, "fakes3")
-
-	// The s3 subtest's processes sign with these; the fake checks them.
-	t.Setenv("AWS_ACCESS_KEY_ID", "e2e")
-	t.Setenv("AWS_SECRET_ACCESS_KEY", "e2e-secret")
-	t.Setenv("AWS_REGION", "us-east-1")
 
 	t.Run("service", func(t *testing.T) {
 		url := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0",
@@ -142,16 +137,25 @@ func TestEndToEnd(t *testing.T) {
 		if again := drainSummary(t, run(t, regshared, drain(shared, "c")...)); again.Simulated != 0 {
 			t.Errorf("re-drain simulated %d requests, want 0", again.Simulated)
 		}
-	})
 
-	t.Run("s3", func(t *testing.T) {
-		endpoint := "http://" + serve(t, "listening on ", fakes3, "-addr", "127.0.0.1:0", "-bucket", "simstore",
-			"-access-key", os.Getenv("AWS_ACCESS_KEY_ID"), "-secret-key", os.Getenv("AWS_SECRET_ACCESS_KEY"),
-			"-region", os.Getenv("AWS_REGION"))
-		run(t, sweep, "-scenario", "ddt", "-bench", "crafty", "-warmup", "200", "-measure", "1500",
-			"-store", "s3://simstore/grid", "-s3-endpoint", endpoint)
-		if _, entries := printedManifest(t, run(t, regshared, "-store", "s3://simstore/grid", "-s3-endpoint", endpoint, "-manifest")); entries == 0 {
-			t.Error("the bucket's manifest lists no entries after the sweep")
+		// A host killed mid-lease. One shard spans the whole range, so
+		// the kill lands before its claim is done. The next host seizes
+		// the stale claim, takes every result the dead host stored from
+		// the store, and simulates none of them again.
+		dir := t.TempDir()
+		chaos := func(host string) []string {
+			return []string{"-store", "fs:" + dir, "-drain", "fleet-grid", "-host", host, "-cells", "0:200",
+				"-shard-cells", "200", "-poll", "50ms", "-stale-polls", "2", "-warmup", "200", "-measure", "1500"}
+		}
+		stored := killWhenStored(t, sim.NewStore(dir), regshared, chaos("killed")...)
+		finish := drainSummary(t, run(t, regshared, chaos("finisher")...))
+		if finish.TakenOver != 1 || finish.StoreHits != stored ||
+			finish.Simulated+finish.MemHits+finish.StoreHits != finish.Requests {
+			t.Errorf("after a kill that left %d stored results, the finishing host reported %+v; want 1 takeover, %d store hits and every request accounted for",
+				stored, finish, stored)
+		}
+		if root, _ := printedManifest(t, run(t, regshared, "-store", "fs:"+dir, "-manifest")); root != rootC {
+			t.Errorf("store root after the kill and takeover %s, control root %s", root, rootC)
 		}
 	})
 
@@ -182,13 +186,12 @@ func TestEndToEnd(t *testing.T) {
 // added or removed anywhere shows up as a change to this table.
 var commandFlags = map[string][]string{
 	"bench":       {"baseline", "gate", "label", "list", "o", "quick"},
-	"fakes3":      {"access-key", "addr", "bucket", "region", "secret-key"},
 	"loadgen":     {"bench", "check", "duration", "grid", "measure", "points", "url", "warmup"},
-	"paperfigs":   {"backend", "exp", "measure", "s3-endpoint", "simver", "store", "warmup"},
-	"regshared":   {"addr", "cells", "drain", "host", "manifest", "max-inflight", "max-queue", "measure", "poll", "recent", "s3-endpoint", "shard-cells", "simver", "stale-polls", "store", "warmup", "workers"},
-	"regsim":      {"bench", "committed", "ctrbits", "ddt", "entries", "json", "list", "loadload", "me", "measure", "pred", "s3-endpoint", "simver", "smb", "store", "trace", "tracker", "v", "warmup"},
-	"storagecost": {"bench", "frontier", "measure", "s3-endpoint", "simver", "store", "warmup"},
-	"sweep":       {"backend", "bench", "json", "kind", "list", "measure", "s3-endpoint", "scenario", "simver", "spec", "store", "v", "warmup"},
+	"paperfigs":   {"backend", "exp", "measure", "simver", "store", "warmup"},
+	"regshared":   {"addr", "cells", "drain", "host", "manifest", "max-inflight", "max-queue", "measure", "poll", "recent", "shard-cells", "simver", "stale-polls", "store", "warmup", "workers"},
+	"regsim":      {"bench", "committed", "ctrbits", "ddt", "entries", "json", "list", "loadload", "me", "measure", "pred", "simver", "smb", "store", "trace", "tracker", "v", "warmup"},
+	"storagecost": {"bench", "frontier", "measure", "simver", "store", "warmup"},
+	"sweep":       {"backend", "bench", "json", "kind", "list", "measure", "scenario", "simver", "spec", "store", "v", "warmup"},
 }
 
 // flagNames runs a command with -h, which must exit 0 with its usage on
@@ -234,6 +237,43 @@ func run(t *testing.T, path string, args ...string) string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// killWhenStored starts a command that writes results into store,
+// SIGKILLs it as soon as the store holds one entry, and returns how
+// many entries the store holds once the process is gone. It fails the
+// test unless the process died from the kill.
+func killWhenStored(t *testing.T, store *sim.Store, path string, args ...string) int {
+	t.Helper()
+	cmd := exec.Command(path, args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	timeout := time.After(time.Minute)
+	for store.Len() == 0 {
+		select {
+		case err := <-exited:
+			t.Fatalf("%s exited before it stored a result: %v\n%s", filepath.Base(path), err, stderr.Bytes())
+		case <-timeout:
+			_ = cmd.Process.Kill()
+			<-exited
+			t.Fatalf("%s stored no result within a minute\n%s", filepath.Base(path), stderr.Bytes())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		<-exited
+		t.Fatalf("killing %s: %v\n%s", filepath.Base(path), err, stderr.Bytes())
+	}
+	var exit *exec.ExitError
+	if err := <-exited; !errors.As(err, &exit) || exit.ExitCode() != -1 {
+		t.Fatalf("%s did not die from the kill: %v\n%s", filepath.Base(path), err, stderr.Bytes())
+	}
+	return store.Len()
 }
 
 // serve starts a long-lived server and returns the host:port it prints

@@ -22,19 +22,20 @@
 // service answers 429 with a Retry-After hint instead of queueing
 // unboundedly. cmd/loadgen drives the saturation curve.
 //
-// Hosts share results through one -store bucket (a shared fs:
-// directory or an s3:// bucket): every host's runner reads and writes
-// the same entries. N such hosts drain a fleet-scale grid
-// cooperatively: `regshared -store fs:DIR -drain fleet-grid` leases
-// contiguous cell shards via claim objects in the bucket's lease area
-// (see internal/fleet), simulates its share, and exits with a drain
-// summary — resumable, exactly-once across hosts, with the store's
-// manifest root as the single source of truth.
+// Hosts share results through one -store fs:DIR directory on a shared
+// POSIX filesystem where rename(2) and link(2) are atomic (not NFS):
+// every host's runner reads and writes the same entries. N such hosts
+// drain a fleet-scale grid cooperatively: `regshared -store fs:DIR
+// -drain fleet-grid` leases contiguous cell shards via claim objects
+// in the directory's lease area (see internal/fleet), simulates its
+// share, and exits with a drain summary — resumable, exactly-once
+// across hosts, with the store's manifest root as the single source of
+// truth.
 //
 // Usage:
 //
 //	regshared -addr :8347 -store fs:/var/lib/regshared
-//	regshared -addr :8347 -store s3://simstore/grid -s3-endpoint http://minio:9000
+//	regshared -addr :8347 -store fs:/shared/grid   # one directory for a fleet
 //	regshared -addr :8347 -max-inflight 16 -max-queue 256
 //	regshared -addr 127.0.0.1:0 -store mem:   # any free port; the startup log line names it
 //	regshared -simver          # print the store envelope version and exit
@@ -72,7 +73,7 @@ func main() {
 		recent      = flag.Int("recent", 256, "size of the /v1/requests/recent ring buffer")
 		manifest    = flag.Bool("manifest", false, "print the -store store's manifest summary and exit")
 
-		drainSpec  = flag.String("drain", "", "drain a scenario's grid as one fleet host and exit: a builtin name or .scenario path (needs a shared fs:/s3:// -store)")
+		drainSpec  = flag.String("drain", "", "drain a scenario's grid as one fleet host and exit: a builtin name or .scenario path (needs a shared -store fs:DIR)")
 		host       = flag.String("host", "", "-drain: this host's name in lease claims (default hostname.pid)")
 		shardCells = flag.Int("shard-cells", 64, "-drain: cells per lease shard (every host draining a grid must agree)")
 		cellRange  = flag.String("cells", "", "-drain: restrict to cell range LO:HI (shard-aligned; default the whole grid)")
@@ -195,7 +196,7 @@ func storeDesc(store *sim.Store) string {
 }
 
 // printManifest prints the store's manifest summary: hosts sharing one
-// bucket print the same root.
+// directory print the same root.
 func printManifest(store *sim.Store) error {
 	m, err := store.Manifest(sim.SignalContext())
 	if err != nil {

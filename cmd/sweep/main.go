@@ -14,8 +14,8 @@
 // All simulations go through one internal/sim runner, so shared cells —
 // notably the baseline, which every grid cell compares against — run
 // exactly once, and -store persists results in the sharded
-// content-addressed store (fs:DIR, mem:, or s3://bucket/prefix) shared
-// with every other command.
+// content-addressed store (fs:DIR or mem:) shared with every other
+// command.
 //
 // Usage:
 //
@@ -25,7 +25,7 @@
 //	sweep -spec my.scenario -json     # a spec file, machine-readable report
 //	sweep -list                       # list the committed scenarios
 //	sweep -store fs:.simcache         # persist results between runs
-//	sweep -store s3://simstore/grid   # share one bucket across a fleet
+//	sweep -store fs:/shared/grid      # share one directory across a fleet
 //	sweep -backend http://host:8347   # farm out to a regshared service
 package main
 

@@ -38,16 +38,14 @@ var Analyzer = &analysis.Analyzer{
 
 // resultPackages are the import paths under the determinism contract.
 var resultPackages = map[string]bool{
-	"repro/internal/core":            true,
-	"repro/internal/sim":             true,
-	"repro/internal/scenario":        true,
-	"repro/internal/dispatch":        true,
-	"repro/internal/fleet":           true,
-	"repro/internal/workloads":       true,
-	"repro/internal/objstore":        true,
-	"repro/internal/objstore/sigv4":  true,
-	"repro/internal/objstore/s3test": true,
-	"repro/internal/cliflags":        true,
+	"repro/internal/core":      true,
+	"repro/internal/sim":       true,
+	"repro/internal/scenario":  true,
+	"repro/internal/dispatch":  true,
+	"repro/internal/fleet":     true,
+	"repro/internal/workloads": true,
+	"repro/internal/objstore":  true,
+	"repro/internal/cliflags":  true,
 }
 
 // rngPackage is the one sanctioned home for seeded randomness.

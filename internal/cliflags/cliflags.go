@@ -1,5 +1,5 @@
 // Package cliflags registers the runner flag set the simulation
-// commands share — -backend, -simver, -store and -s3-endpoint — and
+// commands share — -backend, -simver and -store — and
 // resolves it into the regshared client and result store a runner is
 // built from. Centralizing the registration keeps the flag names and
 // help strings identical across cmd/sweep, cmd/paperfigs, cmd/regsim,
@@ -22,7 +22,7 @@
 // like cmd/storagecost, and cmd/regshared, which always executes
 // in-process) register with WithoutBackend; commands that open a store
 // or an objstore backend of their own from the -store spec read
-// StoreSpec, StoreOptions and OpenStore à la carte.
+// StoreSpec and OpenStore à la carte.
 package cliflags
 
 import (
@@ -31,7 +31,6 @@ import (
 	"io"
 
 	"repro/internal/dispatch"
-	"repro/internal/objstore"
 	"repro/internal/sim"
 )
 
@@ -52,10 +51,9 @@ func WithoutBackend() Option {
 // Flags holds the registered runner flags until the command parses and
 // resolves them.
 type Flags struct {
-	backend  *string
-	simver   *bool
-	store    *string
-	endpoint *string
+	backend *string
+	simver  *bool
+	store   *string
 }
 
 // RegisterRunnerFlags installs the shared runner flags on fs and
@@ -66,8 +64,7 @@ func RegisterRunnerFlags(fs *flag.FlagSet, opts ...Option) *Flags {
 		o(&c)
 	}
 	f := &Flags{
-		store:    fs.String("store", "", "result store spec: fs:DIR | mem: | s3://bucket/prefix (empty: storage off)"),
-		endpoint: fs.String("s3-endpoint", "", "override the s3 endpoint URL for -store s3:// (MinIO / fake server; default AWS_ENDPOINT_URL or the AWS regional endpoint)"),
+		store: fs.String("store", "", "result store spec: fs:DIR | mem: (empty: storage off)"),
 	}
 	if !c.noBackend {
 		f.backend = fs.String("backend", "local", "execution backend: local | http://addr")
@@ -91,19 +88,10 @@ func (f *Flags) PrintVersion(w io.Writer) bool {
 // storage off.
 func (f *Flags) StoreSpec() string { return *f.store }
 
-// StoreOptions returns the objstore options -s3-endpoint implies, for
-// commands that open a backend from StoreSpec themselves.
-func (f *Flags) StoreOptions() []objstore.Option {
-	if *f.endpoint == "" {
-		return nil
-	}
-	return []objstore.Option{objstore.WithEndpoint(*f.endpoint)}
-}
-
 // OpenStore resolves the store flags to a store. A nil store with a nil
 // error means storage off.
 func (f *Flags) OpenStore() (*sim.Store, error) {
-	return sim.OpenStore(f.StoreSpec(), f.StoreOptions()...)
+	return sim.OpenStore(f.StoreSpec())
 }
 
 // Built is the resolved runner material: the regshared client

@@ -19,19 +19,18 @@ func registered(fs *flag.FlagSet) []string {
 }
 
 // TestSharedRegistration: one call registers exactly the shared
-// contract — backend, simver and the two store flags — and nothing
-// else.
+// contract — backend, simver and store — and nothing else.
 func TestSharedRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	RegisterRunnerFlags(fs)
-	want := []string{"backend", "s3-endpoint", "simver", "store"}
+	want := []string{"backend", "simver", "store"}
 	if got := registered(fs); !reflect.DeepEqual(got, want) {
 		t.Errorf("registered flags %v, want %v", got, want)
 	}
 
 	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
 	RegisterRunnerFlags(fs2, WithoutBackend())
-	want = []string{"s3-endpoint", "simver", "store"}
+	want = []string{"simver", "store"}
 	if got := registered(fs2); !reflect.DeepEqual(got, want) {
 		t.Errorf("WithoutBackend registered flags %v, want %v", got, want)
 	}
@@ -75,28 +74,25 @@ func parse(t *testing.T, args ...string) *Flags {
 }
 
 // TestStoreSpecPassesThrough: StoreSpec returns every -store value
-// unchanged, the empty storage-off spec included.
+// unchanged, the empty storage-off spec and one no backend accepts
+// included; specs are checked when the store opens.
 func TestStoreSpecPassesThrough(t *testing.T) {
-	for _, spec := range []string{"", "fs:/tmp/x", "mem:", "s3://bucket/prefix"} {
+	for _, spec := range []string{"", "fs:/tmp/x", "mem:", "gopher://nope"} {
 		if got := parse(t, "-store", spec).StoreSpec(); got != spec {
 			t.Errorf("-store %q: StoreSpec() = %q", spec, got)
 		}
 	}
 }
 
-// TestStoreOpenResolvesBackends: fs:, mem: and s3:// open (-s3-endpoint
-// reaches the backend through StoreOptions), no -store means storage
-// off, and a bad spec surfaces the objstore error.
+// TestStoreOpenResolvesBackends: fs: and mem: open, no -store means
+// storage off, and every other spec fails with the objstore error.
 func TestStoreOpenResolvesBackends(t *testing.T) {
-	t.Setenv("AWS_ACCESS_KEY_ID", "test")
-	t.Setenv("AWS_SECRET_ACCESS_KEY", "testsecret")
 	for _, tc := range []struct {
 		args      []string
 		wantStore string // substring of the opened store's Spec
 	}{
 		{[]string{"-store", "fs:" + t.TempDir()}, "fs:"},
 		{[]string{"-store", "mem:"}, "mem:"},
-		{[]string{"-store", "s3://bucket/prefix", "-s3-endpoint", "http://127.0.0.1:9"}, "s3://bucket/prefix"},
 	} {
 		s, err := parse(t, tc.args...).OpenStore()
 		if err != nil {
@@ -111,11 +107,10 @@ func TestStoreOpenResolvesBackends(t *testing.T) {
 	if s, err := parse(t).OpenStore(); s != nil || err != nil {
 		t.Fatalf("OpenStore() with no flags = (%v, %v), want (nil, nil)", s, err)
 	}
-	if _, err := parse(t, "-store", "gopher://nope").OpenStore(); err == nil {
-		t.Fatal("bad -store spec did not error")
-	}
-	if _, err := parse(t, "-store", "s3://bucket/prefix", "-s3-endpoint", "no-scheme").OpenStore(); err == nil {
-		t.Fatal("a bad -s3-endpoint did not reach the s3 backend")
+	for _, spec := range []string{"gopher://nope", "s3://bucket/prefix", "mem", "fs:"} {
+		if _, err := parse(t, "-store", spec).OpenStore(); err == nil || !strings.HasPrefix(err.Error(), "objstore: ") {
+			t.Errorf("-store %q opened with error %v, want objstore's bad-spec error", spec, err)
+		}
 	}
 }
 

@@ -163,17 +163,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Canonical returns the configuration with the tracker sizes its scheme
-// never reads set to zero. NewTracker is their only reader: it sizes
-// the ISRB by both, per-register counters by CounterBits alone, the MIT
-// and the RDA by Entries alone, and the unlimited tracker by neither.
-// Configurations with one canonical form therefore simulate one machine
-// and give one result.
+// Canonical returns the configuration with the tracker sizes its
+// simulation never reads set to zero. NewTracker is their only reader:
+// it sizes the ISRB by both, the MIT and the RDA by Entries alone, and
+// the unlimited tracker by neither. Per-register counters keep
+// CounterBits only for their storage figure, which no simulated result
+// carries, so their simulation reads neither. Configurations with one
+// canonical form therefore simulate one machine and give one result.
 func (c Config) Canonical() Config {
 	switch c.Tracker.Kind {
 	case TrackerISRB:
-	case TrackerCounters:
-		c.Tracker.Entries = 0
 	case TrackerMIT, TrackerRDA:
 		c.Tracker.CounterBits = 0
 	default:

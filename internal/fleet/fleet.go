@@ -1,8 +1,8 @@
 // Package fleet drains one expanded scenario matrix across many hosts
-// sharing one object-store bucket, with no coordinator. The grid is cut
+// sharing one fs: store directory, with no coordinator. The grid is cut
 // into shards of ShardCells consecutive cells; a host leases a shard by
 // creating a claim object with PutIfAbsent in a lease area of the
-// shared bucket, simulates the shard's requests through the ordinary
+// shared directory, simulates the shard's requests through the ordinary
 // sim.Runner (so results land in the shared store exactly as a
 // single-host run would write them), and marks the claim done. Progress
 // is a generation token bumped on every completed request: a challenger
@@ -44,7 +44,7 @@ import (
 // schema rather than misreading them.
 const ClaimSchema = "fl1"
 
-// Claim is one shard's lease object in the shared bucket's lease area.
+// Claim is one shard's lease object in the shared store's lease area.
 //
 //repro:wire
 type Claim struct {
@@ -94,25 +94,21 @@ func claimName(grid string, shard int) string {
 }
 
 // LeaseSpec derives the lease-area store spec from a results-store
-// spec: a "leases" subtree of the same bucket, so the fleet needs no
-// second deployment — but one that no manifest walk ever reads (the
-// manifest visits only the 256 two-hex shard directories), keeping the
-// results store byte-identical to a single-host run. mem: stores are
-// rejected: each open creates a private map, so a lease area there
-// could never be shared.
+// spec: a "leases" subdirectory of the same fs: directory, so the fleet
+// needs no second shared mount — but one that no manifest walk ever
+// reads (the manifest visits only the 256 two-hex shard directories),
+// keeping the results store byte-identical to a single-host run. Every
+// other spec is rejected: mem: creates a private map on each open, so
+// a lease area there could never be shared.
 func LeaseSpec(storeSpec string) (string, error) {
-	switch {
-	case strings.HasPrefix(storeSpec, "fs:"):
-		dir := strings.TrimPrefix(storeSpec, "fs:")
-		if dir == "" {
-			return "", fmt.Errorf("fleet: store spec %q has no directory", storeSpec)
-		}
-		return "fs:" + strings.TrimRight(dir, "/") + "/leases", nil
-	case strings.HasPrefix(storeSpec, "s3://"):
-		return strings.TrimRight(storeSpec, "/") + "/leases", nil
-	default:
-		return "", fmt.Errorf("fleet: store spec %q cannot host a shared lease area (want fs: or s3://)", storeSpec)
+	dir, ok := strings.CutPrefix(storeSpec, "fs:")
+	if !ok {
+		return "", fmt.Errorf("fleet: store spec %q cannot host a shared lease area (want fs:DIR)", storeSpec)
 	}
+	if dir == "" {
+		return "", fmt.Errorf("fleet: store spec %q has no directory", storeSpec)
+	}
+	return "fs:" + strings.TrimRight(dir, "/") + "/leases", nil
 }
 
 // Range is a half-open cell range [Lo, Hi).

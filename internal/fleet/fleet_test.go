@@ -56,20 +56,19 @@ func expandFleet(t *testing.T) *scenario.Matrix {
 func fastSleep(ctx context.Context) error { return ctx.Err() }
 
 // TestLeaseSpec: the lease area derives from the results spec inside the
-// same bucket, and mem: is rejected (not shareable across opens).
+// same directory; mem: (not shareable across opens) and every spec
+// objstore cannot open are rejected.
 func TestLeaseSpec(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"fs:/data/store", "fs:/data/store/leases"},
 		{"fs:/data/store/", "fs:/data/store/leases"},
-		{"s3://bucket/fleet", "s3://bucket/fleet/leases"},
-		{"s3://bucket", "s3://bucket/leases"},
 	} {
 		got, err := LeaseSpec(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("LeaseSpec(%q) = %q, %v; want %q", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"mem:", "fs:", "http://host", ""} {
+	for _, bad := range []string{"mem:", "fs:", "http://host", "s3://bucket/prefix", ""} {
 		if _, err := LeaseSpec(bad); err == nil {
 			t.Errorf("LeaseSpec(%q) accepted", bad)
 		}
@@ -159,7 +158,7 @@ func TestDrainSingleHostAndResume(t *testing.T) {
 }
 
 // TestDrainTwoHostsByteIdentical is the fleet contract: two hosts
-// racing for shards over one shared bucket simulate every request
+// racing for shards over one shared directory simulate every request
 // exactly once between them, and the resulting store is byte-identical
 // — same manifest root, same entry count — to a single-host control run.
 func TestDrainTwoHostsByteIdentical(t *testing.T) {
@@ -175,14 +174,14 @@ func TestDrainTwoHostsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fleet: two hosts, one shared results dir, one shared lease area,
-	// both draining the full cell range concurrently. A live peer must
-	// never be seized, so no poll count is stale: hot polls reach any
-	// finite count in milliseconds while a peer's simulation is slow.
-	// Each poll yields so the peer gets the CPU. TestDrainStaleTakeover
-	// pins takeover.
-	dir := t.TempDir()
-	leases := objstore.NewMem()
+	// Fleet: two hosts, one shared results dir, one shared lease dir
+	// that each host opens on its own, as separate processes would, so
+	// their claims race through link(2). Both drain the full cell range
+	// concurrently. A live peer must never be seized, so no poll count
+	// is stale: hot polls reach any finite count in milliseconds while a
+	// peer's simulation is slow. Each poll yields so the peer gets the
+	// CPU. TestDrainStaleTakeover pins takeover.
+	dir, leaseDir := t.TempDir(), t.TempDir()
 	yield := func(ctx context.Context) error {
 		runtime.Gosched()
 		return ctx.Err()
@@ -198,7 +197,7 @@ func TestDrainTwoHostsByteIdentical(t *testing.T) {
 		go func(i int, host string) {
 			defer wg.Done()
 			r := sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2))
-			sums[i], errs[i] = Drain(bg, m, r, leases, cfg(host))
+			sums[i], errs[i] = Drain(bg, m, r, objstore.NewFS(leaseDir), cfg(host))
 		}(i, host)
 	}
 	wg.Wait()

@@ -1,9 +1,9 @@
 // Package objstore is the storage seam behind sim.Store: a small
-// object-store interface over content-addressed entries, with three
+// object-store interface over content-addressed entries, with two
 // implementations — fs (the sharded atomic temp+rename layout extracted
-// from sim), mem (tests and single-process runs), and s3 (a stdlib-only
-// client for the MinIO-compatible REST subset) — and the operation
-// counters New wraps around each of them.
+// from sim, shared by every process and host that mounts its directory)
+// and mem (tests and single-process runs) — and the operation counters
+// New wraps around each of them.
 //
 // Entries are named by the 64-hex SHA-256 of their sim.Key and grouped
 // into 256 shards by the first digest byte; backends only ever see
@@ -15,7 +15,6 @@ package objstore
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"sync/atomic"
 )
@@ -24,12 +23,7 @@ import (
 type Object struct {
 	// Name is the entry's 64-hex name.
 	Name string
-	// Size is the entry's byte length.
-	Size int64
-	// SHA256 is an optional digest hint: the hex SHA-256 of the
-	// entry's bytes when the backend can report it without a read
-	// ("" otherwise). Consumers that need the digest fall back to
-	// Get + hash.
+	// SHA256 is the hex SHA-256 of the entry's bytes.
 	SHA256 string
 }
 
@@ -52,10 +46,11 @@ type Backend interface {
 	// so exactly one host wins a shard.
 	PutIfAbsent(ctx context.Context, name string, data []byte) (bool, error)
 
-	// List returns the shard's entries sorted by name. A shard with
-	// no entries returns an empty list, not an error. An entry deleted
-	// while the shard is listed may be left out; an entry that exists
-	// but cannot be read is an error, never silently skipped.
+	// List returns the shard's entries sorted by name, each with the
+	// digest of its bytes. A shard with no entries returns an empty
+	// list, not an error. An entry deleted while the shard is listed
+	// may be left out; an entry that exists but cannot be read is an
+	// error, never silently skipped.
 	List(ctx context.Context, shard string) ([]Object, error)
 
 	// String describes the backend in -store spec form.
@@ -141,78 +136,24 @@ func (m *Metered) List(ctx context.Context, shard string) ([]Object, error) {
 	return m.Backend.List(ctx, shard)
 }
 
-// config collects the optional knobs New accepts.
-type config struct {
-	endpoint   string
-	region     string
-	creds      s3Credentials
-	httpClient httpDoer
-}
-
-// Option configures New.
-type Option func(*config)
-
-// WithEndpoint overrides the s3 endpoint URL (MinIO / fake-server
-// deployments). Empty keeps the AWS_ENDPOINT_URL environment value or
-// the AWS default.
-func WithEndpoint(url string) Option { return func(c *config) { c.endpoint = url } }
-
-// WithRegion overrides the signing region.
-func WithRegion(region string) Option { return func(c *config) { c.region = region } }
-
-// WithCredentials overrides the s3 access-key pair taken from
-// AWS_ACCESS_KEY_ID / AWS_SECRET_ACCESS_KEY.
-func WithCredentials(accessKeyID, secretAccessKey string) Option {
-	return func(c *config) {
-		c.creds = s3Credentials{AccessKeyID: accessKeyID, SecretAccessKey: secretAccessKey}
-	}
-}
-
-// WithHTTPClient overrides the HTTP client the s3 backend uses
-// (tests inject an httptest client).
-func WithHTTPClient(d httpDoer) Option { return func(c *config) { c.httpClient = d } }
-
 // New builds a backend from its -store spec:
 //
-//	fs:DIR                 sharded store on the local filesystem
-//	mem:                   in-process map (tests, results for this process only)
-//	s3://BUCKET[/PREFIX]   S3/MinIO bucket via the stdlib client
+//	fs:DIR   sharded store in DIR, shared by every process that opens it
+//	mem:     in-process map (tests, results for this process only)
 //
 // The returned backend is always a *Metered, so callers can type-assert
 // for TierStats without tracking what spec produced it.
-func New(spec string, opts ...Option) (*Metered, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var (
-		b   Backend
-		err error
-	)
+func New(spec string) (*Metered, error) {
 	switch {
 	case strings.HasPrefix(spec, "fs:"):
 		dir := strings.TrimPrefix(spec, "fs:")
 		if dir == "" {
 			return nil, fmt.Errorf("objstore: spec %q: fs: needs a directory", spec)
 		}
-		b = NewFS(dir)
-	case spec == "mem:" || spec == "mem":
-		b = NewMem()
-	case strings.HasPrefix(spec, "s3://"):
-		b, err = newS3FromSpec(spec, &cfg)
-		if err != nil {
-			return nil, err
-		}
+		return Meter(NewFS(dir)), nil
+	case spec == "mem:":
+		return Meter(NewMem()), nil
 	default:
-		return nil, fmt.Errorf("objstore: bad store spec %q: want fs:DIR, mem: or s3://bucket/prefix", spec)
+		return nil, fmt.Errorf("objstore: bad store spec %q: want fs:DIR or mem:", spec)
 	}
-	return Meter(b), nil
-}
-
-// envOr returns the environment variable's value, or def when unset.
-func envOr(key, def string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return def
 }

@@ -1,10 +1,10 @@
 package objstore_test
 
-// The backend conformance suite: every Backend implementation — fs,
-// mem, and s3 against the in-process fake — must satisfy the same
-// contract, because sim.Store and the fleet's lease area are written
-// against the interface, not any one implementation. Each subtest runs
-// against a fresh backend of each flavor.
+// The backend conformance suite: every Backend implementation — fs
+// and mem — must satisfy the same contract, because sim.Store and the
+// fleet's lease area are written against the interface, not any one
+// implementation. Each subtest runs against a fresh backend of each
+// flavor.
 
 import (
 	"bytes"
@@ -14,35 +14,24 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"net/http/httptest"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/objstore"
-	"repro/internal/objstore/s3test"
-	"repro/internal/objstore/sigv4"
 	"repro/internal/sim"
 )
 
 var bg = context.Background()
 
 // flavor builds one backend implementation for the conformance table.
-// The cleanup for the s3 flavors closes the httptest server.
 type flavor struct {
 	name  string
 	build func(t *testing.T) objstore.Backend
 }
 
 func flavors() []flavor {
-	creds := sigv4.Credentials{AccessKeyID: "AKIDCONFORM", SecretAccessKey: "conform-secret"}
-	newFake := func(t *testing.T) *httptest.Server {
-		t.Helper()
-		ts := httptest.NewServer(s3test.New("conformance", creds, "us-east-1"))
-		t.Cleanup(ts.Close)
-		return ts
-	}
 	return []flavor{
 		{"fs", func(t *testing.T) objstore.Backend {
 			b, err := objstore.New("fs:" + t.TempDir())
@@ -53,17 +42,6 @@ func flavors() []flavor {
 		}},
 		{"mem", func(t *testing.T) objstore.Backend {
 			b, err := objstore.New("mem:")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		{"s3", func(t *testing.T) objstore.Backend {
-			ts := newFake(t)
-			b, err := objstore.New("s3://conformance/grid",
-				objstore.WithEndpoint(ts.URL),
-				objstore.WithCredentials(creds.AccessKeyID, creds.SecretAccessKey),
-				objstore.WithRegion("us-east-1"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,11 +234,9 @@ func TestConformanceListByShard(t *testing.T) {
 				if o.Name != want[i] {
 					t.Fatalf("shard %s: List[%d] = %s, want %s (sorted order)", shard, i, o.Name, want[i])
 				}
-				if o.SHA256 != "" {
-					sum := sha256.Sum256([]byte("entry " + o.Name))
-					if o.SHA256 != hex.EncodeToString(sum[:]) {
-						t.Fatalf("shard %s: entry %s digest hint is wrong", shard, o.Name)
-					}
+				sum := sha256.Sum256([]byte("entry " + o.Name))
+				if o.SHA256 != hex.EncodeToString(sum[:]) {
+					t.Fatalf("shard %s: entry %s digest %q, want the SHA-256 of its bytes", shard, o.Name, o.SHA256)
 				}
 			}
 		}

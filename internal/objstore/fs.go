@@ -16,7 +16,12 @@ import (
 // sim.Store has always written, extracted behind the Backend interface.
 // Entries live at <root>/<name[:2]>/<name>.json; writes are temp file +
 // rename inside the shard directory, so a reader never observes a
-// partial entry; one root can be shared by many concurrent processes.
+// partial entry, and PutIfAbsent links the temp file into place, so
+// exactly one writer wins. One root can be shared by many concurrent
+// processes, on one host or on many that mount it, on any POSIX
+// filesystem where rename(2) and link(2) are atomic. NFS is not one: a
+// retransmitted link can report EEXIST after it succeeded, and
+// PutIfAbsent would then report a lost race for a claim it won.
 type FS struct {
 	root string
 }
@@ -147,11 +152,7 @@ func (f *FS) List(ctx context.Context, shard string) ([]Object, error) {
 			return nil, fmt.Errorf("objstore: reading entry %s: %w", stem, err)
 		}
 		d := sha256.Sum256(data)
-		objs = append(objs, Object{
-			Name:   stem,
-			Size:   int64(len(data)),
-			SHA256: hex.EncodeToString(d[:]),
-		})
+		objs = append(objs, Object{Name: stem, SHA256: hex.EncodeToString(d[:])})
 	}
 	return objs, nil
 }

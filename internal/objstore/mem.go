@@ -12,8 +12,8 @@ import (
 
 // Mem is the in-process backend: a mutex-guarded map, for tests and
 // single-process runs that want store semantics without touching disk.
-// Two Services handed the same *Mem share one bucket — the in-process
-// stand-in for a fleet sharing an s3 bucket.
+// Two Services handed the same *Mem share one store — the in-process
+// stand-in for a fleet sharing an fs: directory.
 type Mem struct {
 	mu      sync.Mutex
 	entries map[string]memEntry
@@ -103,7 +103,7 @@ func (m *Mem) List(ctx context.Context, shard string) ([]Object, error) {
 		if name[:2] != shard {
 			continue
 		}
-		objs = append(objs, Object{Name: name, Size: int64(len(e.data)), SHA256: e.sha256})
+		objs = append(objs, Object{Name: name, SHA256: e.sha256})
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].Name < objs[j].Name })
 	return objs, nil

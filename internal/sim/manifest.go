@@ -4,14 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io/fs"
 )
 
 // The manifest of the sharded content-addressed store: one digest per
 // shard plus a root over all 256 of them, so two stores — or two hosts
-// reading one shared bucket — agree exactly when their roots are
+// reading one shared directory — agree exactly when their roots are
 // equal. The manifest is computed over the raw envelope bytes on disk:
 // envelopes are written deterministically (MarshalIndent of a fixed
 // header plus the Result), so two stores holding the same results
@@ -77,11 +75,10 @@ func (s *Store) Manifest(ctx context.Context) (*Manifest, error) {
 	return m, nil
 }
 
-// shardState returns one shard's entry count and digest. An entry's
-// digest is the backend's hint when List supplies one (fs, mem);
-// otherwise the entry is read and hashed (s3). An entry deleted between
-// List and Get is skipped; any other read error fails the scan, since
-// dropping the entry would yield a wrong root.
+// shardState returns one shard's entry count and digest, from the
+// entry digests List reports. A backend that cannot read an entry
+// fails List, so an unreadable entry fails the scan rather than drop
+// out of the root.
 func (s *Store) shardState(ctx context.Context, shard string) (int, string, error) {
 	objs, err := s.backend.List(ctx, shard)
 	if err != nil {
@@ -92,23 +89,9 @@ func (s *Store) shardState(ctx context.Context, shard string) (int, string, erro
 		// indistinguishable.
 		return 0, emptyShardDigest(), nil
 	}
-	entries := 0
 	h := sha256.New()
 	for _, obj := range objs { // List returns name-sorted entries
-		digest := obj.SHA256
-		if digest == "" {
-			data, err := s.backend.Get(ctx, obj.Name)
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			if err != nil {
-				return 0, "", fmt.Errorf("sim: reading entry %s: %w", obj.Name, err)
-			}
-			d := sha256.Sum256(data)
-			digest = hex.EncodeToString(d[:])
-		}
-		entries++
-		h.Write([]byte(obj.Name + " " + digest + "\n"))
+		h.Write([]byte(obj.Name + " " + obj.SHA256 + "\n"))
 	}
-	return entries, hex.EncodeToString(h.Sum(nil)), nil
+	return len(objs), hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -66,68 +65,40 @@ func TestManifestEmptyStore(t *testing.T) {
 	}
 }
 
-// hintless reads a backend the way the manifest reads s3: List carries
-// no digest hint, so every entry is fetched with Get. A non-nil getErr
-// replaces every Get's result.
-type hintless struct {
+// failingList is a backend whose List fails on one shard.
+type failingList struct {
 	objstore.Backend
-	getErr error
+	shard string
+	err   error
 }
 
-func (b hintless) List(ctx context.Context, shard string) ([]objstore.Object, error) {
-	objs, err := b.Backend.List(ctx, shard)
-	for i := range objs {
-		objs[i].SHA256 = ""
+func (b failingList) List(ctx context.Context, shard string) ([]objstore.Object, error) {
+	if shard == b.shard {
+		return nil, b.err
 	}
-	return objs, err
+	return b.Backend.List(ctx, shard)
 }
 
-func (b hintless) Get(ctx context.Context, name string) ([]byte, error) {
-	if b.getErr != nil {
-		return nil, b.getErr
-	}
-	return b.Backend.Get(ctx, name)
-}
-
-// TestManifestReadErrors: an entry that cannot be read fails the
-// manifest with the backend's error, where skipping it would report
-// the root of a store without it. Only an entry that vanished between
-// List and Get is skipped.
+// TestManifestReadErrors: a shard whose listing fails fails the
+// manifest with the backend's error, where skipping the shard would
+// report the root of a store without its entries. fs: fails List on an
+// entry it cannot read (TestFSListFailsOnUnreadableEntry), so an
+// unreadable entry cannot drop out of a root either.
 func TestManifestReadErrors(t *testing.T) {
 	mem := objstore.NewMem()
-	putKeys(t, NewStoreWith(mem), []string{"r-1", "r-2", "r-3"})
-	want, err := NewStoreWith(mem).Manifest(bg)
-	if err != nil {
+	s := NewStoreWith(mem)
+	putKeys(t, s, []string{"r-1", "r-2", "r-3"})
+	if _, err := s.Manifest(bg); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := NewStoreWith(hintless{Backend: mem}).Manifest(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Root != want.Root || got.Entries != 3 {
-		t.Fatalf("hint-less manifest has root %s over %d entries, want %s over 3", got.Root, got.Entries, want.Root)
-	}
-
-	slowDown := errors.New("s3 GET: status 503 SlowDown")
-	if got, err := NewStoreWith(hintless{Backend: mem, getErr: slowDown}).Manifest(bg); !errors.Is(err, slowDown) {
+	listErr := errors.New("reading shard: input/output error")
+	bad := failingList{Backend: mem, shard: entryName("r-2")[:2], err: listErr}
+	if got, err := NewStoreWith(bad).Manifest(bg); !errors.Is(err, listErr) {
 		if err == nil {
-			t.Fatalf("manifest with failing reads has root %s over %d entries and no error, want an error wrapping %v", got.Root, got.Entries, slowDown)
+			t.Fatalf("manifest with a failing shard has root %s over %d entries and no error, want an error wrapping %v", got.Root, got.Entries, listErr)
 		}
-		t.Fatalf("manifest with failing reads failed with %v, want an error wrapping %v", err, slowDown)
-	}
-
-	empty, err := NewStore(t.TempDir()).Manifest(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone := fmt.Errorf("deleted mid-scan: %w", fs.ErrNotExist)
-	got, err = NewStoreWith(hintless{Backend: mem, getErr: gone}).Manifest(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Entries != 0 || got.Root != empty.Root {
-		t.Fatalf("manifest with vanished entries has root %s over %d entries, want the empty store's root %s", got.Root, got.Entries, empty.Root)
+		t.Fatalf("manifest with a failing shard failed with %v, want an error wrapping %v", err, listErr)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestCanonicalConfigSimulatesTheSameMachine(t *testing.T) {
 }
 
 // TestEquivalentRequestsShareOneSimulation: two requests that differ
-// only in a tracker size their scheme never reads make one simulation,
+// only in tracker sizes their simulation never reads make one simulation,
 // and each is stored under its own key, so a fresh runner serves both
 // from the store. Requests whose scheme reads the size stay apart.
 func TestEquivalentRequestsShareOneSimulation(t *testing.T) {
@@ -60,7 +60,7 @@ func TestEquivalentRequestsShareOneSimulation(t *testing.T) {
 	a.Config.ME.Enabled = true
 	a.Config.Tracker = core.TrackerConfig{Kind: core.TrackerCounters, Entries: 16, CounterBits: 3}
 	b := a
-	b.Config.Tracker.Entries = 64
+	b.Config.Tracker.Entries, b.Config.Tracker.CounterBits = 64, 5
 	if Key(a) == Key(b) {
 		t.Fatal("the two requests share a key")
 	}

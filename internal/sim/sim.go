@@ -27,7 +27,7 @@
 //     failed call is dropped and surviving waiters retry it themselves;
 //   - execution sharing: after a store miss, requests that describe one
 //     machine — their configurations differ only in tracker sizes their
-//     scheme never reads (core.Config.Canonical) — share one simulation
+//     simulation never reads (core.Config.Canonical) — share one simulation
 //     the same way, and each is stored under its own key;
 //   - an in-memory result store (the simulator is deterministic, so a
 //     result never goes stale) with an optional sharded on-disk store

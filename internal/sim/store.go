@@ -17,18 +17,18 @@ const storeSchema = "rs1"
 
 // Store is the sharded, content-addressed result store behind the
 // -store flag. It is a thin envelope-validation layer over a
-// pluggable objstore.Backend — the local filesystem, an
-// in-process map, or an s3/MinIO bucket shared by a whole fleet — and
-// one store (or one shared bucket) can serve many concurrent processes
-// and grids of many thousands of cells:
+// pluggable objstore.Backend — a filesystem directory, shared by a
+// whole fleet when its hosts mount it, or an in-process map — and one
+// store can serve many concurrent processes and grids of many
+// thousands of cells:
 //
 //   - entries are addressed by the request's content — the entry name is
 //     the SHA-256 digest of the sim.Key, so identical requests from any
 //     process land on the same entry and distinct requests never collide;
 //   - entries fan out into 256 shards keyed by the digest's first byte,
 //     keeping any single shard small even for very large grids;
-//   - backends write atomically (temp+rename on fs, conditional PUT on
-//     s3), so a reader never observes a partial entry;
+//   - backends write atomically (temp+rename on fs, under a lock on
+//     mem), so a reader never observes a partial entry;
 //   - every entry carries a versioned header (store schema + simulator
 //     identity + the full key); a mismatch on any of them is a miss, so
 //     a long-lived store survives simulator rebuilds without ever
@@ -38,7 +38,7 @@ const storeSchema = "rs1"
 // plus the Result), so two stores holding the same results under the
 // same simulator version are byte-identical across backends — which is
 // what makes the manifest root (manifest.go) comparable between an fs
-// host and an s3 bucket.
+// directory and an in-process map.
 type Store struct {
 	backend objstore.Backend
 	dir     string // fs root when filesystem-backed, "" otherwise
@@ -74,14 +74,14 @@ func NewStoreWith(b objstore.Backend) *Store {
 	return s
 }
 
-// OpenStore builds a store from its -store spec (fs:DIR, mem:, or
-// s3://bucket/prefix — see objstore.New). An empty spec returns a nil
-// store and no error: storage off.
-func OpenStore(spec string, opts ...objstore.Option) (*Store, error) {
+// OpenStore builds a store from its -store spec (fs:DIR or mem:, see
+// objstore.New). An empty spec returns a nil store and no error:
+// storage off.
+func OpenStore(spec string) (*Store, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	m, err := objstore.New(spec, opts...)
+	m, err := objstore.New(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -103,10 +103,6 @@ func (s *Store) TierStats() objstore.TierStats {
 // Close releases the backend's resources.
 func (s *Store) Close() error { return s.backend.Close() }
 
-// Dir returns the store's root directory when it is filesystem-backed,
-// "" otherwise.
-func (s *Store) Dir() string { return s.dir }
-
 // entryName returns the 64-hex entry name for key.
 func entryName(key string) string {
 	d := sha256.Sum256([]byte(key))
@@ -115,8 +111,8 @@ func entryName(key string) string {
 
 // Path returns the entry path for key on a filesystem-backed store:
 // <dir>/<shard>/<digest>.json where shard is the first byte of the
-// key's SHA-256 digest. Only meaningful when Dir() is non-empty; tests
-// use it to inspect and tamper with raw entries.
+// key's SHA-256 digest. Only meaningful on a filesystem-backed store;
+// tests use it to inspect and tamper with raw entries.
 func (s *Store) Path(key string) string {
 	name := entryName(key)
 	return filepath.Join(s.dir, name[:2], name+".json")

@@ -17,7 +17,7 @@ import (
 // TestCanonicalNameGolden pins the canonical spelling of generator
 // names: keys sorted, values in shortest exact decimal form, defaults
 // elided. These strings are load-bearing — they name store envelopes and
-// matrix cells — so a change here invalidates every fleet bucket.
+// matrix cells — so a change here invalidates every fleet store.
 func TestCanonicalNameGolden(t *testing.T) {
 	cases := []struct{ in, want string }{
 		// A bare family is already canonical.
