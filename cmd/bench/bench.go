@@ -1,4 +1,4 @@
-package sim
+package main
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -79,14 +80,8 @@ type BenchBaseline struct {
 //
 //repro:wire
 type BenchReport struct {
-	Schema string `json:"schema"`
-	Label  string `json:"label,omitempty"`
-	// Backend named the execution backend the points ran through when
-	// it was not the in-process core ("http://..."). Nothing writes it
-	// any more; it stays so that reports from earlier binaries still
-	// load, and so that the bench gate can refuse one that measured a
-	// backend as its baseline.
-	Backend     string        `json:"backend,omitempty"`
+	Schema      string        `json:"schema"`
+	Label       string        `json:"label,omitempty"`
 	GoVersion   string        `json:"go_version"`
 	GOARCH      string        `json:"goarch"`
 	NumCPU      int           `json:"num_cpu"`
@@ -154,7 +149,7 @@ func BenchPoints(quick bool) []BenchPoint {
 // measurement is wall-clock, so the harness must not share the machine
 // with its own sibling runs) and aggregates the report. Canceling ctx
 // aborts the current point mid-simulation and returns a typed
-// ErrCanceled wrap. progress may be nil; otherwise it is invoked after
+// sim.ErrCanceled wrap. progress may be nil; otherwise it is invoked after
 // each point.
 func RunBench(ctx context.Context, points []BenchPoint, quick bool, progress func(BenchResult)) (*BenchReport, error) {
 	rep := &BenchReport{
@@ -190,16 +185,16 @@ func RunBench(ctx context.Context, points []BenchPoint, quick bool, progress fun
 func directPoint(ctx context.Context, pt BenchPoint) (BenchResult, error) {
 	spec, err := workloads.Resolve(pt.Bench)
 	if err != nil {
-		return BenchResult{}, fmt.Errorf("sim: %w %q", ErrUnknownBenchmark, pt.Bench)
+		return BenchResult{}, fmt.Errorf("bench: %w %q", sim.ErrUnknownBenchmark, pt.Bench)
 	}
 	prog := workloads.Build(spec)
 	c := core.New(benchConfig(pt.Tracker), prog)
-	start := time.Now() //repro:allow nodeterm -- wall-clock measurement metadata, not a simulated result
+	start := time.Now()
 	st, err := c.RunContext(ctx, pt.Warmup, pt.Measure)
 	if err != nil {
-		return BenchResult{}, canceledErr(pt.Bench, err)
+		return BenchResult{}, fmt.Errorf("bench: %s: %w: %w", pt.Bench, sim.ErrCanceled, err)
 	}
-	wall := time.Since(start) //repro:allow nodeterm -- wall-clock measurement metadata, not a simulated result
+	wall := time.Since(start)
 	if wall <= 0 {
 		wall = time.Nanosecond
 	}
@@ -295,7 +290,7 @@ func LoadBenchReport(path string) (*BenchReport, error) {
 	}
 	var rep BenchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("sim: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("bench: parsing %s: %w", path, err)
 	}
 	return &rep, nil
 }

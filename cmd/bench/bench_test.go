@@ -1,4 +1,4 @@
-package sim
+package main
 
 import (
 	"context"
@@ -145,5 +145,37 @@ func TestAttachBaselineMatchedPoints(t *testing.T) {
 	}
 	if s := shortRun.SpeedupVsBaselineMatched; s < 1.99 || s > 2.01 {
 		t.Fatalf("length-aware matched speedup = %f, want 2.0", s)
+	}
+}
+
+// TestCommittedReportsMatchPinnedPoints: every BENCH_*.json at the
+// repository root still loads, and, as the baseline of a run of the
+// pinned full set and then of the quick set, matches every point. The
+// reports that predate run lengths match on benchmark and tracker.
+func TestCommittedReportsMatchPinnedPoints(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no BENCH_*.json at the repository root (%v)", err)
+	}
+	for _, path := range paths {
+		base, err := LoadBenchReport(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Schema != BenchSchema {
+			t.Errorf("%s has schema %q, want %q", path, base.Schema, BenchSchema)
+		}
+		for _, quick := range []bool{false, true} {
+			rep := &BenchReport{Schema: BenchSchema, GMeanCPS: 1}
+			for _, pt := range BenchPoints(quick) {
+				rep.Points = append(rep.Points, BenchResult{Bench: pt.Bench, Tracker: string(pt.Tracker),
+					Warmup: pt.Warmup, Measure: pt.Measure, CyclesPerSec: 1})
+			}
+			rep.AttachBaseline(base, path)
+			if got, want := rep.Baseline.MatchedPoints, len(rep.Points); got != want || rep.SpeedupVsBaselineMatched <= 0 {
+				t.Errorf("%s as the baseline of the pinned set (quick %v): %d of %d points matched, speedup %g",
+					path, quick, got, want, rep.SpeedupVsBaselineMatched)
+			}
+		}
 	}
 }

@@ -22,11 +22,10 @@ import (
 )
 
 // TestEndToEnd builds every command and drives the real binaries
-// through the paths only a multi-process run exercises: a service under
-// loadgen, a sweep executing on a service through -backend, two drain
-// processes racing on one fs: lease area, and a drain host killed
-// mid-lease whose shard another host finishes. It also pins each
-// command's flag set.
+// through the paths only a multi-process run exercises: a sweep
+// executing on a service through -backend, two drain processes racing
+// on one fs: lease area, and a drain host killed mid-lease whose shard
+// another host finishes. It also pins each command's flag set.
 // Properties the in-process tests already pin are left to them.
 func TestEndToEnd(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -43,18 +42,6 @@ func TestEndToEnd(t *testing.T) {
 	}
 	regshared := filepath.Join(bin, "regshared")
 	sweep := filepath.Join(bin, "sweep")
-	loadgen := filepath.Join(bin, "loadgen")
-
-	t.Run("service", func(t *testing.T) {
-		url := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0",
-			"-store", "fs:"+t.TempDir(), "-max-inflight", "4", "-max-queue", "16")
-		run(t, loadgen, "-url", url, "-points", "2,4", "-duration", "1s", "-check")
-		// A point that completes no request checks nothing, even when
-		// the service already served others.
-		if out, err := output(loadgen, "-url", url, "-points", "2", "-duration", "1ns", "-check"); err == nil {
-			t.Errorf("loadgen -check passed a point with zero ok requests:\n%s", out)
-		}
-	})
 
 	t.Run("backend", func(t *testing.T) {
 		url := "http://" + serve(t, "serving on ", regshared, "-addr", "127.0.0.1:0")
@@ -185,13 +172,12 @@ func TestEndToEnd(t *testing.T) {
 // commandFlags is every command's flag set, sorted by name. A flag
 // added or removed anywhere shows up as a change to this table.
 var commandFlags = map[string][]string{
-	"bench":       {"baseline", "gate", "label", "list", "o", "quick"},
-	"loadgen":     {"bench", "check", "duration", "grid", "measure", "points", "url", "warmup"},
+	"bench":       {"baseline", "label", "list", "o", "quick"},
 	"paperfigs":   {"backend", "exp", "measure", "simver", "store", "warmup"},
 	"regshared":   {"addr", "cells", "drain", "host", "manifest", "max-inflight", "max-queue", "measure", "poll", "recent", "shard-cells", "simver", "stale-polls", "store", "warmup", "workers"},
 	"regsim":      {"bench", "committed", "ctrbits", "ddt", "entries", "json", "list", "loadload", "me", "measure", "pred", "simver", "smb", "store", "trace", "tracker", "v", "warmup"},
 	"storagecost": {"bench", "frontier", "measure", "simver", "store", "warmup"},
-	"sweep":       {"backend", "bench", "json", "kind", "list", "measure", "scenario", "simver", "spec", "store", "v", "warmup"},
+	"sweep":       {"backend", "bench", "json", "list", "measure", "scenario", "simver", "store", "v", "warmup"},
 }
 
 // flagNames runs a command with -h, which must exit 0 with its usage on

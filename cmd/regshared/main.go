@@ -20,7 +20,8 @@
 // Run requests pass a bounded admission gate (-max-inflight,
 // -max-queue) with per-client fair dequeue; beyond both bounds the
 // service answers 429 with a Retry-After hint instead of queueing
-// unboundedly. cmd/loadgen drives the saturation curve.
+// unboundedly. perfbench's serve-warm workload measures the service
+// under load.
 //
 // Hosts share results through one -store fs:DIR directory on a shared
 // POSIX filesystem where rename(2) and link(2) are atomic (not NFS):

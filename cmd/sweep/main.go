@@ -1,14 +1,15 @@
 // Command sweep runs declarative parameter sweeps: every grid — axes,
 // configuration patches, benchmark set, run lengths, report shape —
 // comes from a scenario spec (see internal/scenario and docs/SCENARIOS.md),
-// either a committed builtin or a `.scenario` file.
+// either a committed builtin or a `.scenario` file, both named by
+// -scenario.
 //
-// The paper's design-point sweeps remain available under their original
-// -kind names, now as committed specs:
+// The paper's design-point sweeps are committed specs:
 //
-//   - isrb:   ISRB entries × counter width (ME+SMB, the §6.3 trade space)
-//   - rob:    ROB size × ISRB entries (SMB)
-//   - stlf:   store-to-load forwarding latency × SMB on/off (the §3
+//   - sweep-isrb: ISRB entries × counter width (ME+SMB, the §6.3 trade
+//     space); the default
+//   - sweep-rob:  ROB size × ISRB entries (SMB)
+//   - sweep-stlf: store-to-load forwarding latency × SMB on/off (the §3
 //     motivation: SMB gains grow with the STLF latency)
 //
 // All simulations go through one internal/sim runner, so shared cells —
@@ -19,10 +20,10 @@
 //
 // Usage:
 //
-//	sweep -kind isrb -bench hmmer
-//	sweep -kind stlf                  # geometric mean over the whole suite
+//	sweep -bench hmmer                # the ISRB sweep on one benchmark
+//	sweep -scenario sweep-stlf        # geometric mean over the whole suite
 //	sweep -scenario isrb-rob-grid     # any builtin scenario by name
-//	sweep -spec my.scenario -json     # a spec file, machine-readable report
+//	sweep -scenario my.scenario -json # a spec file, machine-readable report
 //	sweep -list                       # list the committed scenarios
 //	sweep -store fs:.simcache         # persist results between runs
 //	sweep -store fs:/shared/grid      # share one directory across a fleet
@@ -52,15 +53,13 @@ func exitCanceled(err error) {
 
 func main() {
 	var (
-		kind     = flag.String("kind", "", "paper sweep kind: isrb|rob|stlf (shorthand for -scenario sweep-<kind>)")
-		name     = flag.String("scenario", "", "builtin scenario name (see -list)")
-		specPath = flag.String("spec", "", "path to a .scenario spec file")
-		list     = flag.Bool("list", false, "list builtin scenarios and exit")
-		bench    = flag.String("bench", "", "single benchmark or group (default: the spec's benchmark set)")
-		warmup   = flag.Uint64("warmup", 0, "override the spec's warmup µops (explicit 0 = no warmup)")
-		measure  = flag.Uint64("measure", 0, "override the spec's measured µops")
-		jsonOut  = flag.Bool("json", false, "emit the machine-readable report instead of the table")
-		verbose  = flag.Bool("v", false, "report runner counters on stderr")
+		name    = flag.String("scenario", "sweep-isrb", "builtin scenario name (see -list) or path to a .scenario spec file")
+		list    = flag.Bool("list", false, "list builtin scenarios and exit")
+		bench   = flag.String("bench", "", "single benchmark or group (default: the spec's benchmark set)")
+		warmup  = flag.Uint64("warmup", 0, "override the spec's warmup µops (explicit 0 = no warmup)")
+		measure = flag.Uint64("measure", 0, "override the spec's measured µops")
+		jsonOut = flag.Bool("json", false, "emit the machine-readable report instead of the table")
+		verbose = flag.Bool("v", false, "report runner counters on stderr")
 	)
 	rf := cliflags.RegisterRunnerFlags(flag.CommandLine)
 	flag.Parse()
@@ -85,33 +84,7 @@ func main() {
 		return
 	}
 
-	modes := 0
-	for _, set := range []bool{*specPath != "", *name != "", *kind != ""} {
-		if set {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fail(errors.New("use only one of -kind, -scenario, -spec"))
-	}
-
-	var spec *scenario.Spec
-	var err error
-	switch {
-	case *specPath != "":
-		spec, err = scenario.LoadFile(*specPath)
-	case *name != "":
-		spec, err = scenario.Resolve(*name)
-	case *kind != "":
-		spec, err = scenario.Builtin("sweep-" + *kind)
-		if errors.Is(err, scenario.ErrUnknownBuiltin) {
-			err = fmt.Errorf("unknown sweep kind %q (known: isrb rob stlf)", *kind)
-		}
-	default:
-		// Preserve the historical default: `sweep` alone runs the ISRB
-		// trade-space sweep.
-		spec, err = scenario.Builtin("sweep-isrb")
-	}
+	spec, err := scenario.Resolve(*name)
 	if err != nil {
 		fail(err)
 	}

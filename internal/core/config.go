@@ -184,12 +184,6 @@ func (c Config) Canonical() Config {
 // NewTracker instantiates the configured reference counting scheme.
 func (c *Config) NewTracker() refcount.Tracker {
 	tc := c.Tracker
-	if tc.Entries <= 0 {
-		tc.Entries = 32
-	}
-	if tc.CounterBits <= 0 {
-		tc.CounterBits = 3
-	}
 	switch tc.Kind {
 	case TrackerISRB:
 		return refcount.NewISRB(tc.Entries, tc.CounterBits)
@@ -238,7 +232,7 @@ const (
 	maxCheckpoints    = 1024    // in-flight branch checkpoints
 	maxFPMulDiv       = 64      // FP multiply/divide units (one busy timer each)
 	maxTrackerEntries = 4096    // ISRB, MIT and RDA entries
-	maxCounterBits    = 8       // ISRB counter width: refcount.NewISRB asserts 1..8, and 0 selects 3
+	maxCounterBits    = 8       // ISRB counter width: refcount.NewISRB asserts 1..8
 	maxTableEntries   = 1 << 16 // BTB, RAS, SSIT, LFST and stride-prefetcher entries
 	maxDDTEntries     = 1 << 18 // SMB Data Dependency Table entries
 	maxLogEntries     = 16      // log2 size of each branch TAGE table
@@ -321,10 +315,20 @@ func (c *Config) Check() error {
 			return fmt.Errorf("TAGE table %d tag bits %d out of range 1..%d", i, t.TagBits, maxTagBits)
 		}
 	}
-	switch c.Tracker.Kind {
-	case "", TrackerISRB, TrackerUnlimited, TrackerCounters, TrackerMIT, TrackerRDA:
+	// A size the scheme's simulation reads must be set: zero entries is
+	// not an unlimited table. Canonical zeroes the sizes a scheme does
+	// not read, so those may be zero.
+	switch t := c.Tracker; t.Kind {
+	case "", TrackerUnlimited, TrackerCounters:
+	case TrackerISRB, TrackerMIT, TrackerRDA:
+		if t.Entries == 0 {
+			return fmt.Errorf("%s tracker has 0 entries (0 is not unlimited)", t.Kind)
+		}
+		if t.Kind == TrackerISRB && t.CounterBits == 0 {
+			return fmt.Errorf("isrb tracker has 0 counter bits")
+		}
 	default:
-		return fmt.Errorf("unknown tracker kind %q (known: isrb unlimited counters mit rda)", c.Tracker.Kind)
+		return fmt.Errorf("unknown tracker kind %q (known: isrb unlimited counters mit rda)", t.Kind)
 	}
 	switch c.SMB.Predictor {
 	case "", DistanceTAGE, DistanceNoSQ:

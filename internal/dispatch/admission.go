@@ -13,7 +13,7 @@ import (
 // ErrOverloaded marks a request the service refused at admission: the
 // bounded queue in front of the runner was full. Over HTTP it surfaces
 // as 429 with a Retry-After header; the client re-wraps it so callers
-// can branch with errors.Is and back off (see RetryAfter).
+// can branch with errors.Is.
 var ErrOverloaded = errors.New("dispatch: service overloaded")
 
 // admission is the bounded request queue in front of the Service's

@@ -1,10 +1,14 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -48,9 +52,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestAdmissionQueueOverflow429: with max-inflight 1 and max-queue 1, a
-// third concurrent request is refused with 429, a Retry-After hint, and
-// the typed ErrOverloaded on the Go client — and /metrics reports the
-// in-flight and queue-depth gauges while the jam is live.
+// third concurrent request is refused with 429 and a Retry-After hint,
+// a fourth with the typed ErrOverloaded on the Go client — and /metrics
+// reports the in-flight and queue-depth gauges while the jam is live.
 func TestAdmissionQueueOverflow429(t *testing.T) {
 	ts, svc, entered, release := blockedService(t, 1, 1)
 	ctx := context.Background()
@@ -88,17 +92,27 @@ func TestAdmissionQueueOverflow429(t *testing.T) {
 		t.Fatalf("mid-jam gauges: in-flight %d, queue %d; want 1, 1", snap.InFlight, snap.QueueDepth)
 	}
 
-	// Slot taken, queue full: the third request bounces.
+	// Slot taken, queue full: the third request bounces with a 429 and
+	// a Retry-After hint of at least a second.
+	body, err := json.Marshal(smallReq("crafty", 4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); resp.StatusCode != http.StatusTooManyRequests || err != nil || ra < 1 {
+		t.Fatalf("overflow: status %d, Retry-After %q; want 429 and ≥1s", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	// The Go client gets the typed ErrOverloaded for the next one.
 	h3 := NewHTTP(ts.URL)
 	defer h3.Close()
 	h3.SetClientID("client-c")
-	_, err = h3.Execute(ctx, smallReq("crafty", 4000))
-	if !errors.Is(err, ErrOverloaded) {
+	if _, err := h3.Execute(ctx, smallReq("crafty", 4500)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow: got %v, want ErrOverloaded", err)
-	}
-	ra, ok := RetryAfter(err)
-	if !ok || ra < time.Second {
-		t.Fatalf("overflow: Retry-After hint %v (present %v), want ≥1s", ra, ok)
 	}
 
 	// Draining the jam lets both held requests finish cleanly.
@@ -116,8 +130,8 @@ func TestAdmissionQueueOverflow429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Rejected != 1 || snap.Completed != 2 || snap.InFlight != 0 || snap.QueueDepth != 0 {
-		t.Fatalf("post-drain snapshot: rejected %d completed %d in-flight %d queue %d; want 1, 2, 0, 0",
+	if snap.Rejected != 2 || snap.Completed != 2 || snap.InFlight != 0 || snap.QueueDepth != 0 {
+		t.Fatalf("post-drain snapshot: rejected %d completed %d in-flight %d queue %d; want 2, 2, 0, 0",
 			snap.Rejected, snap.Completed, snap.InFlight, snap.QueueDepth)
 	}
 }

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -148,27 +145,6 @@ func (h *HTTP) Close() error {
 	return nil
 }
 
-// overloadError carries a 429's Retry-After hint alongside the typed
-// ErrOverloaded sentinel.
-type overloadError struct {
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *overloadError) Error() string { return e.msg }
-func (e *overloadError) Unwrap() error { return ErrOverloaded }
-
-// RetryAfter extracts the service's Retry-After hint from an
-// ErrOverloaded returned by this client, and reports whether one was
-// present.
-func RetryAfter(err error) (time.Duration, bool) {
-	var oe *overloadError
-	if errors.As(err, &oe) && oe.retryAfter > 0 {
-		return oe.retryAfter, true
-	}
-	return 0, false
-}
-
 // decodeHTTPError turns a non-200 service response back into a typed
 // error. Responses that are not the service's JSON error shape (a
 // proxy's HTML, a truncated body) degrade to a status-code error.
@@ -179,13 +155,6 @@ func decodeHTTPError(resp *http.Response) error {
 	}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if err := json.Unmarshal(data, &we); err == nil && we.Error != "" {
-		if resp.StatusCode == http.StatusTooManyRequests {
-			oe := &overloadError{msg: we.Error}
-			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-				oe.retryAfter = time.Duration(s) * time.Second
-			}
-			return oe
-		}
 		return wireError(we.Kind, we.Error)
 	}
 	return fmt.Errorf("dispatch: service returned %s: %s", resp.Status, bytes.TrimSpace(data))

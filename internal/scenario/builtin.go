@@ -2,18 +2,12 @@ package scenario
 
 import (
 	"embed"
-	"errors"
 	"fmt"
 	"os"
 	"path"
 	"sort"
 	"strings"
 )
-
-// ErrUnknownBuiltin marks a Builtin lookup for a name that is not in
-// the committed catalog — as opposed to a catalog spec that exists but
-// fails to parse, which callers must not mask behind "unknown name".
-var ErrUnknownBuiltin = errors.New("unknown builtin scenario")
 
 // The committed scenario catalog: every simulated figure of the paper
 // and its sweeps plus the beyond-paper grids, as data instead of harness
@@ -40,7 +34,7 @@ func BuiltinNames() []string {
 func Builtin(name string) (*Spec, error) {
 	data, err := specFS.ReadFile(path.Join("specs", name+".scenario"))
 	if err != nil {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownBuiltin, name, BuiltinNames())
+		return nil, fmt.Errorf("unknown builtin scenario %q (known: %v)", name, BuiltinNames())
 	}
 	s, err := ParseBytes(data)
 	if err != nil {

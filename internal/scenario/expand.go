@@ -180,10 +180,10 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 					s.Axes[ai].Values[vi].Patch.Apply(&optCfg)
 				}
 			}
-			if err := checkTrackerSized(&baseCfg); err != nil {
+			if err := baseCfg.Check(); err != nil {
 				return nil, fmt.Errorf("scenario %q cell %v: baseline config: %w", s.Name, cell.Labels, err)
 			}
-			if err := checkTrackerSized(&optCfg); err != nil {
+			if err := optCfg.Check(); err != nil {
 				return nil, fmt.Errorf("scenario %q cell %v: optimized config: %w", s.Name, cell.Labels, err)
 			}
 			cell.Base = intern(benches, baseCfg)
@@ -220,26 +220,6 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// checkTrackerSized rejects a materialized cell configuration whose
-// entry-based tracker was left unsized. core.NewTracker would silently
-// coerce zero entries/counter bits to 32/3, so a cell that composed its
-// patches wrongly (e.g. a tracker axis without an entries axis) would
-// sweep a configuration the spec never named — the engine's contract is
-// to fail loudly instead.
-func checkTrackerSized(cfg *core.Config) error {
-	t := cfg.Tracker
-	switch t.Kind {
-	case core.TrackerISRB, core.TrackerMIT, core.TrackerRDA:
-		if t.Entries == 0 {
-			return fmt.Errorf("tracker %q has no entries (0 does not mean unlimited; patch \"entries\" explicitly)", t.Kind)
-		}
-	}
-	if t.Kind == core.TrackerISRB && t.CounterBits == 0 {
-		return fmt.Errorf("isrb tracker has no counter width (patch \"ctrbits\" explicitly)")
-	}
-	return nil
 }
 
 // MustExpand is Expand for harness code where a spec error is a bug.

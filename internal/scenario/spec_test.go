@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -142,6 +145,39 @@ func TestBuiltinSpecsAllValid(t *testing.T) {
 	}
 	if _, err := Builtin("no-such-scenario"); err == nil {
 		t.Fatal("unknown builtin accepted")
+	}
+}
+
+// TestResolve: an existing path resolves to that file's spec, and its
+// parse error surfaces as it is; any other name is a catalog lookup, and
+// an unknown one lists the catalog.
+func TestResolve(t *testing.T) {
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "good.scenario"), filepath.Join(dir, "bad.scenario")
+	if err := os.WriteFile(good, []byte(minimal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte(strings.Replace(minimal, `"title"`, `"titel"`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Resolve(good); err != nil || s.Name != "t" {
+		t.Fatalf("Resolve(%s) = %+v, %v; want the file's spec \"t\"", good, s, err)
+	}
+	if _, err := Resolve(bad); err == nil || !strings.Contains(err.Error(), "titel") || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("Resolve(%s) = %v; want its parse error naming the file", bad, err)
+	}
+
+	want, err := Builtin("sweep-rob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Resolve("sweep-rob"); err != nil || !reflect.DeepEqual(s, want) {
+		t.Fatalf("Resolve(sweep-rob) = %+v, %v; want the builtin", s, err)
+	}
+
+	_, err = Resolve("no-such-scenario")
+	if err == nil || !strings.Contains(err.Error(), `"no-such-scenario"`) || !strings.Contains(err.Error(), "sweep-isrb") {
+		t.Fatalf("Resolve(no-such-scenario) = %v; want an error that names it and lists the catalog", err)
 	}
 }
 

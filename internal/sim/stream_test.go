@@ -115,6 +115,15 @@ func TestValidationTaxonomy(t *testing.T) {
 		{"9-bit ISRB counters", func(q *Request) {
 			q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, Entries: 24, CounterBits: 9}
 		}, ErrBadConfig},
+		// A size the scheme reads is zero: no default stands in for it.
+		{"ISRB without entries", func(q *Request) {
+			q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, CounterBits: 3}
+		}, ErrBadConfig},
+		{"ISRB without counter bits", func(q *Request) {
+			q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, Entries: 32}
+		}, ErrBadConfig},
+		{"MIT without entries", func(q *Request) { q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerMIT} }, ErrBadConfig},
+		{"RDA without entries", func(q *Request) { q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerRDA} }, ErrBadConfig},
 		{"negative checkpoints", func(q *Request) { q.Config.MaxCheckpoints = -1 }, ErrBadConfig},
 		// A 37 GB ROB: no recover could catch the out-of-memory.
 		{"2^26-entry ROB", func(q *Request) { q.Config.ROBSize = 1 << 26 }, ErrBadConfig},
