@@ -28,6 +28,15 @@ const (
 	TrackerRDA       TrackerKind = "rda"
 )
 
+// Check reports an error unless k names one of the schemes above.
+func (k TrackerKind) Check() error {
+	switch k {
+	case TrackerISRB, TrackerUnlimited, TrackerCounters, TrackerMIT, TrackerRDA:
+		return nil
+	}
+	return fmt.Errorf("unknown tracker kind %q (known: isrb unlimited counters mit rda)", k)
+}
+
 // TrackerConfig selects and sizes the reference counting scheme.
 type TrackerConfig struct {
 	Kind        TrackerKind
@@ -328,7 +337,7 @@ func (c *Config) Check() error {
 			return fmt.Errorf("isrb tracker has 0 counter bits")
 		}
 	default:
-		return fmt.Errorf("unknown tracker kind %q (known: isrb unlimited counters mit rda)", t.Kind)
+		return t.Kind.Check() // an unknown kind
 	}
 	switch c.SMB.Predictor {
 	case "", DistanceTAGE, DistanceNoSQ:

@@ -127,7 +127,7 @@ type checkpoint struct {
 	rm        regfile.RenameMap
 	flags     [2][isa.NumArchRegs]bool
 	flHead    [2]uint64
-	tracker   refcount.Snapshot
+	tracker   *refcount.Snapshot
 	bp        branch.Snapshot
 	pred      branch.Prediction
 	resumePos uint64
@@ -331,12 +331,6 @@ func (c *Core) Mem() *cache.Hierarchy { return c.mem }
 
 // MoveElim exposes the eliminator (for stats).
 func (c *Core) MoveElim() *moveelim.Eliminator { return c.me }
-
-// Distance exposes the SMB distance predictor (nil when SMB is off).
-func (c *Core) Distance() smb.DistancePredictor { return c.dist }
-
-// Trainer exposes the SMB commit-side trainer (nil when SMB is off).
-func (c *Core) Trainer() *smb.Trainer { return c.trainer }
 
 // Cycle advances the machine by one clock.
 func (c *Core) Cycle() {

@@ -321,7 +321,6 @@ func (c *Core) finishRename(e *robEntry, idx int, fe *fqEntry) {
 		ck.resumePos = fe.resumePos
 		ck.renameCSN = c.renameCSN
 		c.liveCkpts++
-		c.noteCheckpointCount()
 	}
 }
 
@@ -340,15 +339,6 @@ func (c *Core) releaseCheckpoint(idx int) {
 		c.tracker.ReleaseSnapshot(c.ckpts[idx].tracker)
 		c.ckpts[idx].tracker = nil
 		c.liveCkpts--
-		c.noteCheckpointCount()
-	}
-}
-
-// noteCheckpointCount informs trackers that model per-checkpoint commit
-// costs (the RDA) how many checkpoints are live.
-func (c *Core) noteCheckpointCount() {
-	if t, ok := c.tracker.(interface{ NoteLiveCheckpoints(int) }); ok {
-		t.NoteLiveCheckpoints(c.liveCkpts)
 	}
 }
 

@@ -8,12 +8,12 @@ package refcount
 // (in chunks of the commit width) and decrement counters before the
 // pipeline can restart.
 //
-// Functionally we reuse the ideal tracker's state (the end state of the
-// sequential walk is exactly the restored state); the scheme's cost shows
-// up in SquashPenalty, which delays the front-end restart after every
-// flush, and in Storage.
+// Functionally it is the ideal tracker, an ISRB with no entry limit (the
+// end state of the sequential walk is exactly the checkpoint-restored
+// state); the scheme's cost shows up in SquashPenalty, which delays the
+// front-end restart after every flush, and in Storage.
 type PerRegCounters struct {
-	Unlimited
+	ISRB
 	// WalkWidth is how many squashed µops can be processed per recovery
 	// cycle (the paper suggests "potentially by chunks").
 	WalkWidth int
@@ -29,7 +29,7 @@ func NewPerRegCounters(numPhysRegs, counterBits, walkWidth int) *PerRegCounters 
 		walkWidth = 8
 	}
 	return &PerRegCounters{
-		Unlimited:   *NewUnlimited(),
+		ISRB:        *NewUnlimited(),
 		WalkWidth:   walkWidth,
 		NumPhysRegs: numPhysRegs,
 		CounterBits: counterBits,

@@ -1,10 +1,11 @@
 package refcount
 
-// Equivalence property test for the flat sparse-set Unlimited tracker:
-// the old map[PhysReg]*entry representation is kept here as an executable
-// reference model, and randomized share/commit/checkpoint/recovery
-// programs must drive both implementations through identical observable
-// behaviour (return values, tracked sets, freed sets, conservation).
+// Equivalence property test for the ISRB's flat sparse-set layout, run
+// with no limits (NewUnlimited): a map[PhysReg]*entry representation is
+// kept here as an executable reference model, and randomized
+// share/commit/checkpoint/recovery programs must drive both through
+// identical observable behaviour (return values, tracked sets, freed
+// sets, conservation).
 
 import (
 	"sort"
@@ -15,8 +16,8 @@ import (
 	"repro/internal/rng"
 )
 
-// mapUnlimited is the pre-flattening Unlimited implementation (map-backed
-// entries, map snapshots), preserved verbatim as the semantic oracle.
+// mapUnlimited is the unlimited tracker as a map of entries with map
+// snapshots, the semantic oracle.
 type mapUnlimited struct {
 	m      map[regfile.PhysReg]*mapUnlEntry
 	allocs uint64
@@ -143,7 +144,7 @@ func sameRegSet(a, b []regfile.PhysReg) bool {
 	return true
 }
 
-// TestUnlimitedFlatMatchesMapModel drives the flat tracker and the map
+// TestUnlimitedFlatMatchesMapModel drives the unlimited table and the map
 // oracle through randomized programs with checkpoint recovery and
 // flush-at-commit (trap-style) events, comparing every observable after
 // every step.
@@ -155,7 +156,7 @@ func TestUnlimitedFlatMatchesMapModel(t *testing.T) {
 		model := newMapUnlimited()
 
 		type ckptPair struct {
-			flat Snapshot
+			flat *Snapshot
 			mod  mapUnlimitedSnapshot
 		}
 		var ckpts []ckptPair
@@ -207,8 +208,8 @@ func TestUnlimitedFlatMatchesMapModel(t *testing.T) {
 			}
 
 			// Observable equivalence after every step.
-			if flat.TrackedCount() != len(model.m) {
-				t.Fatalf("seed %d step %d: tracked %d, model %d", seed, step, flat.TrackedCount(), len(model.m))
+			if flat.Occupancy() != len(model.m) {
+				t.Fatalf("seed %d step %d: tracked %d, model %d", seed, step, flat.Occupancy(), len(model.m))
 			}
 			for c := 0; c < 2; c++ {
 				for i := 0; i < nRegs; i++ {

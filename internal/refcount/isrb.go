@@ -2,6 +2,7 @@ package refcount
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/regfile"
@@ -25,43 +26,40 @@ import (
 // the architectural committed, the register should already have been freed
 // and is released during recovery.
 //
-// Instead of physically resetting checkpointed fields when an entry is
+// The model indexes entries by physical register, keeps the valid ones in
+// a dense list, and caps that list at the entry count. This is exact for
+// the N-entry CAM: allocation takes any free entry and recovery is a gang
+// operation over all entries, so which entry holds a register is never
+// observable. Instead of resetting checkpointed fields when an entry is
 // freed (the paper's gang-invalidate rule), each entry carries a
-// generation tag; a checkpointed referenced value is applied only when the
-// generation still matches, which is behaviourally identical and keeps
-// snapshots immutable.
+// generation; a checkpointed referenced value applies only while the
+// generation matches, which behaves identically and keeps snapshots
+// immutable.
+//
+// With no entry limit and 32-bit counters (NewUnlimited) the same table is
+// the ideal tracker the paper compares against.
 type ISRB struct {
-	entries []isrbEntry
-	ctrMax  uint8
+	entries [2][]entry        // per register class, indexed by register number
+	tracked []regfile.PhysReg // registers with a valid entry, in no order
+	limit   int               // most valid entries at once; 0 = no limit
+	ctrMax  uint32
 	ctrBits int
 	stats   Stats
 
-	snapPool []*isrbSnapshot
-	freed    []regfile.PhysReg // scratch returned by Restore/RestoreToCommit
+	pool  []*Snapshot
+	freed []regfile.PhysReg // scratch returned by Restore/RestoreToCommit
 }
 
-type isrbEntry struct {
-	valid bool
-	tag   regfile.PhysReg
-	ref   uint8
-	com   uint8
+type entry struct {
+	ref uint32
+	com uint32
 	// archRef counts references whose creating instruction has
 	// committed. It is architectural state (like com) used only for
 	// commit-level flush recovery; it needs no checkpoint storage.
-	archRef uint8
+	archRef uint32
 	gen     uint32
-}
-
-type isrbSnapSlot struct {
-	gen uint32
-	ref uint8
-}
-
-// isrbSnapshot is handed out behind a pointer: storing a bare slice in
-// the Snapshot interface would heap-box its header on every checkpoint,
-// defeating the snapshot pool.
-type isrbSnapshot struct {
-	slots []isrbSnapSlot
+	saved   uint32 // the referenced value recovery restores
+	pos     int32  // index into tracked; -1 when the entry is free
 }
 
 // NewISRB builds an ISRB with the given number of entries and counter
@@ -73,66 +71,82 @@ func NewISRB(entries, counterBits int) *ISRB {
 	if counterBits <= 0 || counterBits > 8 {
 		panic("refcount: ISRB counter width must be in 1..8")
 	}
-	return &ISRB{
-		entries: make([]isrbEntry, entries),
-		ctrMax:  uint8(1)<<counterBits - 1,
-		ctrBits: counterBits,
-	}
+	return &ISRB{limit: entries, ctrMax: 1<<counterBits - 1, ctrBits: counterBits}
+}
+
+// NewUnlimited builds the ideal tracker, an "unlimited ISRB with 32-bit
+// fields" (§6.3): every physical register can be tracked and counters do
+// not saturate.
+func NewUnlimited() *ISRB {
+	return &ISRB{ctrMax: math.MaxUint32, ctrBits: 32}
 }
 
 // Name implements Tracker.
-func (b *ISRB) Name() string { return fmt.Sprintf("ISRB-%d", len(b.entries)) }
+func (b *ISRB) Name() string {
+	if b.limit == 0 {
+		return "unlimited"
+	}
+	return fmt.Sprintf("ISRB-%d", b.limit)
+}
 
-// NumEntries returns the entry count.
-func (b *ISRB) NumEntries() int { return len(b.entries) }
-
-func (b *ISRB) find(p regfile.PhysReg) *isrbEntry {
-	for i := range b.entries {
-		if b.entries[i].valid && b.entries[i].tag == p {
-			return &b.entries[i]
-		}
+// find is the CAM probe: p's entry if it is valid, else nil.
+//
+//repro:hotpath
+func (b *ISRB) find(p regfile.PhysReg) *entry {
+	s := b.entries[p.Class()]
+	if i := p.Index(); i < len(s) && s[i].pos >= 0 {
+		return &s[i]
 	}
 	return nil
 }
 
-// TryShare implements Tracker.
-func (b *ISRB) TryShare(p regfile.PhysReg, kind Kind, dst, src isa.Reg) bool {
-	if e := b.find(p); e != nil {
-		if e.ref >= b.ctrMax {
-			b.stats.ShareFailsSat++
-			return false
-		}
-		e.ref++
-		b.countShare(kind)
-		return true
-	}
-	for i := range b.entries {
-		if !b.entries[i].valid {
-			b.entries[i].valid = true
-			b.entries[i].tag = p
-			b.entries[i].ref = 1
-			b.entries[i].com = 0
-			b.entries[i].archRef = 0
-			b.entries[i].gen++
-			b.stats.EntryAllocs++
-			b.countShare(kind)
-			return true
-		}
-	}
-	b.stats.ShareFailsFull++
-	return false
+//repro:hotpath
+func (b *ISRB) untrack(e *entry) {
+	last := len(b.tracked) - 1
+	moved := b.tracked[last]
+	b.tracked[e.pos] = moved
+	b.find(moved).pos = e.pos
+	b.tracked = b.tracked[:last]
+	e.pos = -1
 }
 
-func (b *ISRB) countShare(kind Kind) {
+// TryShare implements Tracker.
+//
+//repro:hotpath
+func (b *ISRB) TryShare(p regfile.PhysReg, kind Kind, dst, src isa.Reg) bool {
+	c, i := p.Class(), p.Index()
+	for len(b.entries[c]) <= i {
+		b.entries[c] = append(b.entries[c], entry{pos: -1}) //repro:allow hotalloc -- amortized: grows once per register number; steady state never grows
+	}
+	e := &b.entries[c][i]
+	switch {
+	case e.pos < 0:
+		if b.limit > 0 && len(b.tracked) == b.limit {
+			b.stats.ShareFailsFull++
+			return false
+		}
+		e.gen++
+		e.ref, e.com, e.archRef = 0, 0, 0
+		e.pos = int32(len(b.tracked))
+		b.tracked = append(b.tracked, p) //repro:allow hotalloc -- amortized: capacity reaches the most registers ever tracked at once
+		b.stats.EntryAllocs++
+	case e.ref >= b.ctrMax:
+		b.stats.ShareFailsSat++
+		return false
+	}
+	e.ref++
 	if kind == KindME {
 		b.stats.SharesME++
 	} else {
 		b.stats.SharesSMB++
 	}
+	return true
 }
 
 // OnCommitOverwrite implements Tracker: the CAM probe the register
 // reclaiming hardware performs (§4.3.2, "Register Reclaiming").
+//
+//repro:hotpath
 func (b *ISRB) OnCommitOverwrite(p regfile.PhysReg, arch isa.Reg) bool {
 	b.stats.CommitChecks++
 	e := b.find(p)
@@ -142,7 +156,7 @@ func (b *ISRB) OnCommitOverwrite(p regfile.PhysReg, arch isa.Reg) bool {
 	b.stats.CommitHits++
 	if e.ref == e.com {
 		// Last mapping overwritten: free register and entry.
-		e.valid = false
+		b.untrack(e)
 		b.stats.Frees++
 		return true
 	}
@@ -152,118 +166,114 @@ func (b *ISRB) OnCommitOverwrite(p regfile.PhysReg, arch isa.Reg) bool {
 
 // OnCommitShare implements Tracker: a share created at rename became
 // architectural.
+//
+//repro:hotpath
 func (b *ISRB) OnCommitShare(p regfile.PhysReg) {
 	if e := b.find(p); e != nil && e.archRef < e.ref {
 		e.archRef++
 	}
 }
 
-// RestoreToCommit implements Tracker: roll every entry's referenced count
-// back to its architectural value, applying the same freeing rules as
-// checkpoint recovery. The returned slice is scratch owned by the
-// tracker, valid until the next Restore/RestoreToCommit call.
-func (b *ISRB) RestoreToCommit() []regfile.PhysReg {
-	freed := b.freed[:0]
-	for i := range b.entries {
-		e := &b.entries[i]
-		if !e.valid {
-			continue
-		}
-		ref := e.archRef
-		switch {
-		case e.com > ref:
-			e.valid = false
-			freed = append(freed, e.tag)
-			b.stats.RecoveryFrees++
-		case ref == 0 && e.com == 0:
-			e.valid = false
-		default:
-			e.ref = ref
-		}
-	}
-	b.freed = freed
-	return freed
-}
-
 // IsShared implements Tracker.
+//
+//repro:hotpath
 func (b *ISRB) IsShared(p regfile.PhysReg) bool { return b.find(p) != nil }
 
 // Checkpoint implements Tracker: it captures the referenced field (and
-// generation tag) of every entry — n bits × entries of real storage.
-// Snapshots are immutable once taken; released ones (ReleaseSnapshot)
-// are pooled, so steady-state checkpointing performs no allocation.
-func (b *ISRB) Checkpoint() Snapshot {
-	var s *isrbSnapshot
-	if n := len(b.snapPool); n > 0 {
-		s = b.snapPool[n-1]
-		b.snapPool = b.snapPool[:n-1]
+// generation) of every valid entry — n bits × entries of real storage.
+// Released snapshots (ReleaseSnapshot) are pooled, so steady-state
+// checkpointing performs no allocation.
+//
+//repro:hotpath
+func (b *ISRB) Checkpoint() *Snapshot {
+	var s *Snapshot
+	if n := len(b.pool); n > 0 {
+		s = b.pool[n-1]
+		b.pool = b.pool[:n-1]
 	} else {
-		s = &isrbSnapshot{slots: make([]isrbSnapSlot, len(b.entries))}
+		s = new(Snapshot) //repro:allow hotalloc -- amortized: ReleaseSnapshot refills the pool; steady state reuses pooled snapshots
 	}
-	for i := range b.entries {
-		s.slots[i].gen = b.entries[i].gen
-		s.slots[i].ref = 0
-		if b.entries[i].valid {
-			s.slots[i].ref = b.entries[i].ref
-		}
+	s.owner = b
+	s.refs = s.refs[:0]
+	for _, p := range b.tracked {
+		e := b.find(p)
+		s.refs = append(s.refs, savedRef{p: p, gen: e.gen, ref: e.ref}) //repro:allow hotalloc -- amortized: a pooled snapshot keeps its capacity
 	}
 	return s
 }
 
 // ReleaseSnapshot implements Tracker, returning a snapshot's storage to
 // the pool.
-func (b *ISRB) ReleaseSnapshot(s Snapshot) {
-	if snap, ok := s.(*isrbSnapshot); ok && len(snap.slots) == len(b.entries) {
-		b.snapPool = append(b.snapPool, snap)
-	}
+func (b *ISRB) ReleaseSnapshot(s *Snapshot) {
+	b.pool = append(b.pool, s)
 }
 
 // Restore implements Tracker, applying the recovery rules of §4.3.1/§4.3.2:
-// restore referenced from the checkpoint; if the architectural committed
+// restore referenced from the checkpoint (0 for an entry allocated since,
+// as the gang-invalidate leaves it); if the architectural committed
 // counter exceeds it, the register missed its freeing opportunity during
 // speculation and is released now; if both counters are zero the entry is
 // freed (the register is covered by the Free List head restore or by a
 // pre-checkpoint commit).
-func (b *ISRB) Restore(s Snapshot) []regfile.PhysReg {
-	sp, ok := s.(*isrbSnapshot)
-	if !ok || len(sp.slots) != len(b.entries) {
-		panic("refcount: foreign snapshot passed to ISRB.Restore")
+//
+//repro:hotpath
+func (b *ISRB) Restore(s *Snapshot) []regfile.PhysReg {
+	if s.owner != b {
+		panic("refcount: Restore given another table's snapshot")
 	}
-	snap := sp.slots
 	b.stats.Restores++
-	freed := b.freed[:0]
-	for i := range b.entries {
-		e := &b.entries[i]
-		if !e.valid {
-			continue // entry already free: nothing happens
+	for _, p := range b.tracked {
+		b.find(p).saved = 0
+	}
+	for _, r := range s.refs {
+		if e := b.find(r.p); e != nil && e.gen == r.gen {
+			e.saved = r.ref
 		}
-		ref := uint8(0)
-		if snap[i].gen == e.gen {
-			ref = snap[i].ref
-		}
-		// else: the entry was (re)allocated on the squashed path; the
-		// checkpointed value is invalid, equivalent to a gang-reset 0.
+	}
+	return b.recover()
+}
+
+// RestoreToCommit implements Tracker: roll every entry's referenced count
+// back to its architectural value, applying the same freeing rules as
+// checkpoint recovery.
+//
+//repro:hotpath
+func (b *ISRB) RestoreToCommit() []regfile.PhysReg {
+	for _, p := range b.tracked {
+		e := b.find(p)
+		e.saved = e.archRef
+	}
+	return b.recover()
+}
+
+// recover applies the recovery rules to every valid entry, with saved as
+// the restored referenced value. The returned slice is scratch owned by
+// the table, valid until the next recovery.
+//
+//repro:hotpath
+func (b *ISRB) recover() []regfile.PhysReg {
+	b.freed = b.freed[:0]
+	for i := len(b.tracked) - 1; i >= 0; i-- {
+		p := b.tracked[i]
+		e := b.find(p)
 		switch {
-		case e.com > ref:
+		case e.com > e.saved:
 			// The last overwriting instruction should have freed the
 			// register; release it during recovery.
-			e.valid = false
-			freed = append(freed, e.tag)
+			b.untrack(e)
+			b.freed = append(b.freed, p) //repro:allow hotalloc -- amortized: appends into a buffer retained on b and resliced to [:0]; steady state never grows
 			b.stats.RecoveryFrees++
-		case ref == 0 && e.com == 0:
+		case e.saved == 0 && e.com == 0:
 			// Wrong-path-only sharing: drop the entry; the register is
 			// recovered by the Free List pointer restore or freed by a
 			// pre-checkpoint commit.
-			e.valid = false
+			b.untrack(e)
 		default:
-			e.ref = ref
-			if e.archRef > e.ref {
-				e.archRef = e.ref
-			}
+			e.ref = e.saved
+			e.archRef = min(e.archRef, e.ref)
 		}
 	}
-	b.freed = freed
-	return freed
+	return b.freed
 }
 
 // SquashPenalty implements Tracker: restoring checkpointed fields and
@@ -271,33 +281,23 @@ func (b *ISRB) Restore(s Snapshot) []regfile.PhysReg {
 // state can be done in a single cycle").
 func (b *ISRB) SquashPenalty(int) uint64 { return 1 }
 
-// Storage implements Tracker: entries × (8-bit physical register tag +
-// valid + 2 n-bit counters) of CPU storage and entries × n bits per
-// checkpoint. For 32 entries and 3-bit counters this is the paper's
-// 480 bits + 96 bits/checkpoint (§4.3.3, §6.3).
+// Storage implements Tracker with the paper's arithmetic (ISRBStorage).
+// The unlimited table needs two 32-bit counters for each of the Table 1
+// machine's 512 physical registers, and one per register per checkpoint
+// — the storage blow-up the paper argues against (§4.2).
 func (b *ISRB) Storage() StorageCost {
-	per := 8 + 1 + 2*b.ctrBits
-	// The paper quotes 480 bits for 32 entries: 8b tag + 2×3b counters +
-	// 1 valid = 15 bits/entry.
-	return StorageCost{
-		CPUBits:        len(b.entries) * per,
-		CheckpointBits: len(b.entries) * b.ctrBits,
+	if b.limit == 0 {
+		const numPhys = 2 * 256
+		return StorageCost{CPUBits: numPhys * 64, CheckpointBits: numPhys * 32}
 	}
+	cpu, ck := ISRBStorage(b.limit, b.ctrBits)
+	return StorageCost{CPUBits: cpu, CheckpointBits: ck}
 }
 
 // Stats implements Tracker.
 func (b *ISRB) Stats() *Stats { return &b.stats }
 
-// Occupancy returns the number of valid entries (for tests and traffic
-// statistics).
-func (b *ISRB) Occupancy() int {
-	n := 0
-	for i := range b.entries {
-		if b.entries[i].valid {
-			n++
-		}
-	}
-	return n
-}
+// Occupancy returns the number of valid entries.
+func (b *ISRB) Occupancy() int { return len(b.tracked) }
 
 var _ Tracker = (*ISRB)(nil)

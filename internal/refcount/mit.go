@@ -32,7 +32,7 @@ func NewMIT(entries int) *MIT {
 }
 
 // Name implements Tracker.
-func (m *MIT) Name() string { return fmt.Sprintf("MIT-%d", m.NumEntries()) }
+func (m *MIT) Name() string { return fmt.Sprintf("MIT-%d", m.limit) }
 
 // TryShare implements Tracker; SMB shares are rejected by construction.
 func (m *MIT) TryShare(p regfile.PhysReg, kind Kind, dst, src isa.Reg) bool {
@@ -50,10 +50,9 @@ func (m *MIT) TryShare(p regfile.PhysReg, kind Kind, dst, src isa.Reg) bool {
 // propose (#arch_reg bits per entry)").
 func (m *MIT) Storage() StorageCost {
 	archBits := 2 * isa.NumArchRegs
-	n := m.NumEntries()
 	return StorageCost{
-		CPUBits:        n * (8 + 1 + archBits),
-		CheckpointBits: n * archBits,
+		CPUBits:        m.limit * (8 + 1 + archBits),
+		CheckpointBits: m.limit * archBits,
 	}
 }
 

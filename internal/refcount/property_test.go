@@ -41,7 +41,7 @@ type driver struct {
 	freed   []bool
 
 	ckptIDs   []uint64 // outstanding checkpoint ids, oldest first
-	ckptSnaps []Snapshot
+	ckptSnaps []*Snapshot
 	nextID    uint64
 }
 
@@ -211,9 +211,10 @@ func TestRDAShareHistoryProperty(t *testing.T) {
 	}
 }
 
-// TestISRBAgreesWithUnlimited drives identical histories through both
-// trackers and requires identical free decisions and identical restore
-// free-sets, register by register.
+// TestISRBAgreesWithUnlimited: a table that stays below its entry limit
+// and counter maximum behaves like the unlimited one. It drives identical
+// histories through both and requires identical free decisions and
+// identical restore free-sets, register by register.
 func TestISRBAgreesWithUnlimited(t *testing.T) {
 	for seed := uint64(100); seed < 140; seed++ {
 		a := NewISRB(64, 8)

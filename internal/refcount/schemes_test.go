@@ -68,31 +68,10 @@ func TestMITStorageAccounting(t *testing.T) {
 
 // --- RDA ----------------------------------------------------------------
 
-func TestRDACommitCheckpointTraffic(t *testing.T) {
-	r := NewRDA(8)
-	r.TryShare(preg(1), KindSMB, isa.IntR(1), isa.NoReg)
-	r.NoteLiveCheckpoints(5)
-	r.OnCommitOverwrite(preg(1), isa.IntR(0)) // decrement with 5 checkpoints live
-	r.OnCommitShare(preg(1))                  // commit-side update too
-	if r.CheckpointUpdateOps != 10 {
-		t.Fatalf("CheckpointUpdateOps = %d, want 10 (2 ops × 5 checkpoints)", r.CheckpointUpdateOps)
-	}
-	r.NoteLiveCheckpoints(0)
-	before := r.CheckpointUpdateOps
-	r.OnCommitOverwrite(preg(1), isa.IntR(1))
-	if r.CheckpointUpdateOps != before {
-		t.Fatal("commit with zero checkpoints live still counted updates")
-	}
-}
-
 func TestRDAUntrackedCommitsAreFree(t *testing.T) {
 	r := NewRDA(8)
-	r.NoteLiveCheckpoints(7)
 	if !r.OnCommitOverwrite(preg(9), isa.IntR(0)) {
 		t.Fatal("untracked register not freed")
-	}
-	if r.CheckpointUpdateOps != 0 {
-		t.Fatal("untracked commit produced checkpoint updates")
 	}
 }
 
@@ -155,15 +134,15 @@ func TestPerRegCountersWalkPenalty(t *testing.T) {
 
 // --- unlimited ----------------------------------------------------------
 
-func TestUnlimitedTrackedCountAndName(t *testing.T) {
+func TestUnlimitedOccupancyAndName(t *testing.T) {
 	u := NewUnlimited()
-	if u.Name() != "unlimited" || u.TrackedCount() != 0 {
+	if u.Name() != "unlimited" || u.Occupancy() != 0 {
 		t.Fatal("fresh tracker state wrong")
 	}
 	u.TryShare(preg(1), KindME, isa.IntR(1), isa.IntR(0))
 	u.TryShare(preg(2), KindSMB, isa.IntR(2), isa.NoReg)
-	if u.TrackedCount() != 2 {
-		t.Fatalf("TrackedCount = %d", u.TrackedCount())
+	if u.Occupancy() != 2 {
+		t.Fatalf("Occupancy = %d", u.Occupancy())
 	}
 	if u.Stats().SharesME != 1 || u.Stats().SharesSMB != 1 {
 		t.Fatal("share kind accounting wrong")
@@ -173,25 +152,39 @@ func TestUnlimitedTrackedCountAndName(t *testing.T) {
 	}
 }
 
+// TestUnlimitedForeignSnapshotPanics: an unlimited table takes back only its
+// own snapshots, not another unlimited table's nor an ISRB's.
 func TestUnlimitedForeignSnapshotPanics(t *testing.T) {
-	u := NewUnlimited()
-	b := NewISRB(4, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign snapshot accepted")
-		}
-	}()
-	u.Restore(b.Checkpoint())
+	assertForeignSnapshotsPanic(t, [][2]Tracker{
+		{NewUnlimited(), NewUnlimited()},
+		{NewUnlimited(), NewISRB(4, 3)},
+	})
 }
 
+// TestISRBForeignSnapshotPanics: a snapshot restores only into the table
+// instance that took it, even one of the same size.
 func TestISRBForeignSnapshotPanics(t *testing.T) {
-	b := NewISRB(4, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign snapshot accepted")
-		}
-	}()
-	b.Restore(NewUnlimited().Checkpoint())
+	assertForeignSnapshotsPanic(t, [][2]Tracker{
+		{NewISRB(4, 3), NewISRB(4, 3)},
+		{NewISRB(4, 3), NewUnlimited()},
+	})
+}
+
+// assertForeignSnapshotsPanic restores, for each pair, a snapshot of the
+// second tracker into the first and fails unless that panics.
+func assertForeignSnapshotsPanic(t *testing.T, pairs [][2]Tracker) {
+	t.Helper()
+	for _, pair := range pairs {
+		into, from := pair[0], pair[1]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted a snapshot of %s", into.Name(), from.Name())
+				}
+			}()
+			into.Restore(from.Checkpoint())
+		}()
+	}
 }
 
 // --- storage calculators --------------------------------------------------

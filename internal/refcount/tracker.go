@@ -4,6 +4,16 @@
 // sequential rollback, Intel's Multiple Instantiation Table (MIT, move
 // elimination only) and Apple's Register Duplicate Array (RDA).
 //
+// The dual-counter rules of §4.3 are implemented once, by ISRB. The
+// unlimited tracker is an ISRB with no entry limit and 32-bit counters,
+// the paper's ideal reference point (§6.3); the MIT, the RDA and
+// per-register counters embed one and change only eligibility, recovery
+// latency, name and storage. The hardware ISRB is an N-entry fully
+// associative CAM; the model indexes entries by physical register and
+// caps how many are valid. That is exact: allocation takes any free entry
+// and recovery is a gang operation over all entries, so an entry's
+// position is never observable.
+//
 // All schemes implement Tracker, the contract the rename and commit stages
 // use. Sharing is recorded at rename (TryShare), reclaim decisions are made
 // at commit (OnCommitOverwrite), and recovery is checkpoint-based
@@ -38,11 +48,21 @@ func (k Kind) String() string {
 	return "SMB"
 }
 
-// Snapshot is an opaque checkpoint of a tracker's recoverable state. For
-// the ISRB it corresponds to the checkpointed `referenced` fields (plus
-// generation tags that stand in for the paper's gang-invalidate-on-free
-// rule, §4.3.2).
-type Snapshot interface{}
+// Snapshot is a checkpoint of a table's recoverable state: the
+// `referenced` field of every valid entry, with the entry's generation,
+// which stands in for the paper's gang-invalidate-on-free rule (§4.3.2).
+// Snapshots are immutable, and only the table that took one may restore
+// it.
+type Snapshot struct {
+	owner *ISRB
+	refs  []savedRef
+}
+
+type savedRef struct {
+	p   regfile.PhysReg
+	gen uint32
+	ref uint32
+}
 
 // StorageCost reports a scheme's storage requirements as the paper
 // accounts them (§4.3.3).
@@ -103,20 +123,20 @@ type Tracker interface {
 	// Checkpoint captures the recoverable state (taken at every branch).
 	// Snapshots are immutable; a caller done with one should hand it to
 	// ReleaseSnapshot so its storage can be reused.
-	Checkpoint() Snapshot
+	Checkpoint() *Snapshot
 
 	// ReleaseSnapshot returns a snapshot obtained from Checkpoint to the
 	// tracker's internal pool. The snapshot must not be used afterwards.
 	// Releasing is optional (a dropped snapshot is merely garbage) but
 	// keeps steady-state checkpointing allocation-free.
-	ReleaseSnapshot(s Snapshot)
+	ReleaseSnapshot(s *Snapshot)
 
 	// Restore rolls the tracker back to s and returns the registers that
 	// recovery determined are free now (the committed > referenced case
 	// of §4.3.1); the caller pushes them to the free list. The returned
 	// slice is scratch owned by the tracker: it is valid only until the
 	// next Restore/RestoreToCommit call.
-	Restore(s Snapshot) []regfile.PhysReg
+	Restore(s *Snapshot) []regfile.PhysReg
 
 	// RestoreToCommit discards all speculative references, rolling the
 	// tracker back to the architectural (committed) reference counts.

@@ -150,8 +150,6 @@ func (f *FreeList) RestoreHead(h uint64) {
 
 // File is the complete renamer state for both register classes.
 type File struct {
-	numPerClass int
-
 	values [2][]uint64
 	ready  [2][]bool
 	inFL   [2][]bool // double-free/leak guard
@@ -170,7 +168,7 @@ func NewFile(n int) *File {
 	if n <= isa.NumArchRegs {
 		panic("regfile: need more physical than architectural registers")
 	}
-	f := &File{numPerClass: n}
+	f := &File{}
 	for c := 0; c < 2; c++ {
 		f.values[c] = make([]uint64, n)
 		f.ready[c] = make([]bool, n)
@@ -194,9 +192,6 @@ func NewFile(n int) *File {
 	f.CRM = f.RM
 	return f
 }
-
-// NumPerClass returns the physical register count per class.
-func (f *File) NumPerClass() int { return f.numPerClass }
 
 // FreeList returns the free list of the given class.
 func (f *File) FreeList(c isa.RegClass) *FreeList { return f.free[c] }

@@ -57,21 +57,12 @@ type Patch struct {
 	LazyReclaimLowWater *int  `json:"lazylowwater,omitempty"`
 }
 
-// trackerKinds maps the spec-file tracker names onto core kinds.
-var trackerKinds = map[string]core.TrackerKind{
-	"isrb":      core.TrackerISRB,
-	"unlimited": core.TrackerUnlimited,
-	"counters":  core.TrackerCounters,
-	"mit":       core.TrackerMIT,
-	"rda":       core.TrackerRDA,
-}
-
 // Validate rejects field values the simulator would refuse or silently
 // misread: unknown tracker/predictor names and negative sizes.
 func (p *Patch) Validate() error {
 	if p.Tracker != nil {
-		if _, ok := trackerKinds[*p.Tracker]; !ok {
-			return fmt.Errorf("unknown tracker kind %q (known: isrb unlimited counters mit rda)", *p.Tracker)
+		if err := core.TrackerKind(*p.Tracker).Check(); err != nil {
+			return err
 		}
 	}
 	if p.Predictor != nil && *p.Predictor != "tage" && *p.Predictor != "nosq" {
@@ -129,7 +120,7 @@ func (p *Patch) Apply(cfg *core.Config) {
 		cfg.SMB.DDT.TagBits = *p.DDTTagBits
 	}
 	if p.Tracker != nil {
-		cfg.Tracker = core.TrackerConfig{Kind: trackerKinds[*p.Tracker]}
+		cfg.Tracker = core.TrackerConfig{Kind: core.TrackerKind(*p.Tracker)}
 	}
 	if p.Entries != nil {
 		cfg.Tracker.Entries = *p.Entries

@@ -44,6 +44,8 @@ func TestParseRejects(t *testing.T) {
 			strings.Replace(minimal, `"entries": 8`, `"entriess": 8`, 1), "entriess"},
 		{"unknown tracker kind",
 			strings.Replace(minimal, `{"entries": 8}`, `{"tracker": "lru"}`, 1), "tracker"},
+		{"empty tracker kind",
+			strings.Replace(minimal, `{"entries": 8}`, `{"tracker": ""}`, 1), "tracker"},
 		{"unknown predictor",
 			strings.Replace(minimal, `{"entries": 8}`, `{"pred": "oracle"}`, 1), "predictor"},
 		{"negative size",
