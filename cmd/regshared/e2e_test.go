@@ -172,12 +172,11 @@ func TestEndToEnd(t *testing.T) {
 // commandFlags is every command's flag set, sorted by name. A flag
 // added or removed anywhere shows up as a change to this table.
 var commandFlags = map[string][]string{
-	"bench":       {"baseline", "label", "list", "o", "quick"},
-	"paperfigs":   {"backend", "exp", "measure", "simver", "store", "warmup"},
-	"regshared":   {"addr", "cells", "drain", "host", "manifest", "max-inflight", "max-queue", "measure", "poll", "recent", "shard-cells", "simver", "stale-polls", "store", "warmup", "workers"},
-	"regsim":      {"bench", "committed", "ctrbits", "ddt", "entries", "json", "list", "loadload", "me", "measure", "pred", "simver", "smb", "store", "trace", "tracker", "v", "warmup"},
-	"storagecost": {"bench", "frontier", "measure", "simver", "store", "warmup"},
-	"sweep":       {"backend", "bench", "json", "list", "measure", "scenario", "simver", "store", "v", "warmup"},
+	"bench":     {"baseline", "label", "list", "o", "quick"},
+	"paperfigs": {"backend", "exp", "measure", "simver", "store", "warmup"},
+	"regshared": {"addr", "cells", "drain", "host", "manifest", "max-inflight", "max-queue", "measure", "poll", "recent", "shard-cells", "simver", "stale-polls", "store", "warmup", "workers"},
+	"regsim":    {"bench", "committed", "ctrbits", "ddt", "entries", "json", "list", "loadload", "me", "measure", "pred", "simver", "smb", "store", "trace", "tracker", "v", "warmup"},
+	"sweep":     {"backend", "bench", "json", "list", "measure", "scenario", "simver", "store", "v", "warmup"},
 }
 
 // flagNames runs a command with -h, which must exit 0 with its usage on

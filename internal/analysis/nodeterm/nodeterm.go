@@ -211,8 +211,9 @@ func usesAny(pass *analysis.Pass, n ast.Node, objs map[types.Object]bool) bool {
 }
 
 // sortsAfter reports whether fn calls into sort or slices after the
-// loop ends — the sanctioned collect-then-sort shape (see
-// stats.SortedKeys).
+// loop ends — the sanctioned collect-then-sort shape, which
+// slices.Sorted(maps.Keys(m)) writes in one expression (see
+// internal/scenario/metric.go).
 func sortsAfter(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStmt) bool {
 	sorted := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {

@@ -2,9 +2,8 @@
 // commands share — -backend, -simver and -store — and
 // resolves it into the regshared client and result store a runner is
 // built from. Centralizing the registration keeps the flag names and
-// help strings identical across cmd/sweep, cmd/paperfigs, cmd/regsim,
-// cmd/storagecost and cmd/regshared: a flag contract change lands in
-// one place.
+// help strings identical across cmd/sweep, cmd/paperfigs, cmd/regsim
+// and cmd/regshared: a flag contract change lands in one place.
 //
 // The usual shape:
 //
@@ -18,8 +17,8 @@
 //	defer b.Close()
 //	runner := sim.New(b.RunnerOptions()...)
 //
-// Commands that never choose where to execute (pure store consumers
-// like cmd/storagecost, and cmd/regshared, which always executes
+// Commands that never choose where to execute (cmd/regsim, which runs
+// one request in-process, and cmd/regshared, which always executes
 // in-process) register with WithoutBackend; commands that open a store
 // or an objstore backend of their own from the -store spec read
 // StoreSpec and OpenStore à la carte.

@@ -311,6 +311,9 @@ func (c *Config) Check() error {
 		{"SSIT entries", c.StoreSets.SSITEntries, 0, maxTableEntries},
 		{"LFST entries", c.StoreSets.LFSTEntries, 0, maxTableEntries},
 		{"DDT entries", c.SMB.DDT.Entries, 0, maxDDTEntries},
+		// smb.NewDDT shifts by the tag width; a tag wider than 64 bits
+		// matches exactly like a 64-bit one.
+		{"DDT tag bits", c.SMB.DDT.TagBits, 0, 64},
 	} {
 		if b.v < b.lo || b.v > b.hi {
 			return fmt.Errorf("%s %d out of range %d..%d", b.name, b.v, b.lo, b.hi)

@@ -120,6 +120,49 @@ func TestQuietSkipMatchesSteppedCore(t *testing.T) {
 	}
 }
 
+// TestQuietSkipMatchesSteppedCoreInRecovery reaches the two recovery
+// paths the draws above never do, on a skipping core and a stepped twin
+// under every scheme: the §4.3.1 recovery free, on the directed program
+// of TestStatsIgnoreRecoveryFreeOrder with eager reclaim, and the SMB
+// validation flush at commit, on applu with lazy reclaim.
+func TestQuietSkipMatchesSteppedCoreInRecovery(t *testing.T) {
+	spec, err := workloads.Resolve("applu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name            string
+		prog            *program.Program
+		lazy            bool
+		warmup, measure uint64
+		path            string
+		count           func(*Core) uint64
+	}{
+		{"wrong-path frees", wrongPathFreesProgram(), false, 2_000, 40_000,
+			"RecoveryFrees", func(c *Core) uint64 { return c.tracker.Stats().RecoveryFrees }},
+		{"applu", workloads.Build(spec), true, 1_000, 20_000,
+			"BypassMispredicts", func(c *Core) uint64 { return c.stats.BypassMispredicts }},
+	} {
+		reached := uint64(0)
+		for _, kind := range []TrackerKind{TrackerISRB, TrackerUnlimited, TrackerCounters, TrackerMIT, TrackerRDA} {
+			cfg := DefaultConfig()
+			cfg.ME.Enabled = true
+			cfg.SMB.Enabled = true
+			cfg.SMB.BypassCommitted = tc.lazy
+			cfg.Tracker = TrackerConfig{Kind: kind, Entries: 16, CounterBits: 2}
+			desc := fmt.Sprintf("%s on %s", kind, tc.name)
+			c, fault := twinRun(t, desc, cfg, tc.prog, tc.warmup, tc.measure)
+			if fault != "" {
+				t.Fatalf("%s: %s", desc, fault)
+			}
+			reached += tc.count(c)
+		}
+		if reached == 0 {
+			t.Errorf("%s: %s is 0 under every scheme, so the twins never took the path", tc.name, tc.path)
+		}
+	}
+}
+
 // TestQuietSkipKeepsTheDeadlockDetector: on a machine with no
 // checkpoint, rename stalls for good at the first branch. When fetch
 // predicts that branch right, it fills its queue with the correct path

@@ -1,8 +1,8 @@
 package refcount
 
 // This file reproduces the paper's storage arithmetic (§4.2, §4.3.3) in
-// closed form so cmd/storagecost and the benchmark harness can print the
-// exact comparisons the paper makes.
+// closed form, for the storage table `paperfigs -exp storage` prints and
+// the trackers' Storage methods that price a scenario's storage report.
 
 // MatrixScheme computes the storage of Roth's 2D reference matrix (§4.2):
 // one bit per (ROB entry, physical register) pair, for both register

@@ -66,13 +66,15 @@ type savedRef struct {
 
 // StorageCost reports a scheme's storage requirements as the paper
 // accounts them (§4.3.3).
+//
+//repro:wire
 type StorageCost struct {
 	// CPUBits is the always-present storage (e.g., 480 bits for a
 	// 32-entry ISRB with 3-bit counters).
-	CPUBits int
+	CPUBits int `json:"cpu_bits"`
 	// CheckpointBits is the additional storage per checkpoint (e.g., 96
 	// bits for a 32-entry ISRB: one 3-bit referenced field per entry).
-	CheckpointBits int
+	CheckpointBits int `json:"checkpoint_bits"`
 }
 
 // Stats counts tracker activity.

@@ -101,13 +101,6 @@ func NewFreeList(regs []PhysReg) *FreeList {
 	return f
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Len returns the number of free registers currently available.
 func (f *FreeList) Len() int { return int(f.tail - f.head) }
 

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/refcount"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // TestRunSmallScenario: end-to-end over a tiny grid — cells aggregate
@@ -228,5 +231,81 @@ func TestStatsReport(t *testing.T) {
 	}
 	if !strings.Contains(tbl, "average") || !strings.Contains(tbl, "ME.Eliminated") {
 		t.Fatalf("stats table lacks the average row or a metric header:\n%s", tbl)
+	}
+}
+
+// TestStorageReport: a storage report prices each cell's tracker from
+// the cell's own optimized configuration, leaves the unlimited tracker
+// unpriced, carries the price in the JSON only on priced cells, and
+// takes exactly one axis.
+func TestStorageReport(t *testing.T) {
+	spec := `{
+	  "name": "sf", "title": "SF",
+	  "benchmarks": ["crafty"],
+	  "warmup": 500, "measure": 4000,
+	  "opt": {"me": true, "smb": true},
+	  "axes": [{"name": "scheme", "values": [
+	    {"label": "ISRB-8x3b",   "patch": {"tracker": "isrb", "entries": 8, "ctrbits": 3}},
+	    {"label": "counters-2b", "patch": {"tracker": "counters", "ctrbits": 2}},
+	    {"label": "unlimited",   "patch": {"tracker": "unlimited"}}]}],
+	  "report": {"kind": "storage"}
+	}`
+	s, err := ParseBytes([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.MustExpand(Overrides{}).Run(context.Background(), sim.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows := make(map[string][]string)
+	for _, line := range strings.Split(rep.Table().String(), "\n") {
+		if fields := strings.Fields(line); len(fields) > 0 {
+			rows[fields[0]] = fields[1:]
+		}
+	}
+	if h := rows["scheme"]; strings.Join(h, " ") != "CPU bits bits/checkpoint gmean speedup speedup per KB" {
+		t.Errorf("header reads %q", h)
+	}
+	pct := func(i int) string { return stats.Pct(rep.Cells[i].Series.GMean) }
+	perKB := func(i, bits int) string {
+		return fmt.Sprintf("%+.2f%%/KB", 100*(rep.Cells[i].Series.GMean-1)/refcount.KB(bits))
+	}
+	for label, want := range map[string][]string{
+		"ISRB-8x3b":   {"120", "24", pct(0), perKB(0, 120)},
+		"counters-2b": {"1024", "0", pct(1), perKB(1, 1024)},
+		"unlimited":   {"unlimited", "(ideal)", "-", pct(2), "-"},
+	} {
+		if got := rows[label]; !slices.Equal(got, want) {
+			t.Errorf("row %s reads %q, want %q", label, got, want)
+		}
+	}
+
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		Cells []map[string]json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{`{"cpu_bits":120,"checkpoint_bits":24}`, `{"cpu_bits":1024,"checkpoint_bits":0}`, ""} {
+		if got := string(raw.Cells[i]["storage"]); got != want {
+			t.Errorf("cell %d carries storage %q, want %q", i, got, want)
+		}
+	}
+
+	oneAxis := `[{"name": "a", "values": [{"label": "x", "patch": {"entries": 8}}]}]`
+	for axes, want := range map[string]string{
+		`[]`: "no axes",
+		`[{"name": "a", "values": [{"label": "x", "patch": {}}]}, {"name": "b", "values": [{"label": "y", "patch": {}}]}]`: "storage report needs exactly 1 axis",
+	} {
+		bad := strings.Replace(strings.Replace(minimal, `"kind": "grid"`, `"kind": "storage"`, 1), oneAxis, axes, 1)
+		if _, err := ParseBytes([]byte(bad)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("storage report over axes %s: error %v, want one mentioning %q", axes, err, want)
+		}
 	}
 }

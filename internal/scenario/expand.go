@@ -38,8 +38,8 @@ func CommandOverrides(warmup, measure *uint64, bench string) Overrides {
 	return ov
 }
 
-// Cell is one grid point: the combination of one value per axis, with
-// the fully-materialized baseline and optimized configurations.
+// Cell is one grid point: the combination of one value per axis and
+// the requests that measure it.
 type Cell struct {
 	// Labels holds the selected value label per axis — workload axes
 	// first, then config axes, matching the spec's combined axis order.
@@ -55,12 +55,6 @@ type Cell struct {
 	// the deduplication.
 	Base []int
 	Opt  []int
-	// BaseConfig and OptConfig are the cell's materialized machine
-	// configurations, for consumers that need more than the results
-	// (e.g. cmd/storagecost instantiating each cell's tracker to price
-	// its storage).
-	BaseConfig core.Config
-	OptConfig  core.Config
 }
 
 // Matrix is a fully-expanded scenario: the deduplicated request list
@@ -188,8 +182,6 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 			}
 			cell.Base = intern(benches, baseCfg)
 			cell.Opt = intern(benches, optCfg)
-			cell.BaseConfig = baseCfg
-			cell.OptConfig = optCfg
 			m.Cells = append(m.Cells, cell)
 
 			// Advance the config odometer, last axis fastest.

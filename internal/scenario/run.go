@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
+	"repro/internal/refcount"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -28,6 +30,9 @@ type CellResult struct {
 	// benchmark; a value undefined for a benchmark is absent. Other
 	// report kinds leave it nil.
 	Stats map[string]map[string]float64 `json:"stats,omitempty"`
+	// Storage is the storage price of the cell's tracker in a storage
+	// report; nil for the unlimited tracker and in other report kinds.
+	Storage *refcount.StorageCost `json:"storage,omitempty"`
 }
 
 // RunReport is a scenario's stable machine-readable outcome.
@@ -86,8 +91,17 @@ func (m *Matrix) Run(ctx context.Context, r *sim.Runner, sink func(sim.Event)) (
 			Name:   name,
 			Series: sim.MakeSeries(name, base, opt),
 		}
-		if m.Spec.Report.Kind == ReportStats {
+		switch m.Spec.Report.Kind {
+		case ReportStats:
 			cr.Stats = cellStats(m.Spec.Report.Metrics, c.Benches, base, opt)
+		case ReportStorage:
+			// The unlimited tracker is a modelling device, not a design
+			// point: a price would present the ideal reference as a real
+			// scheme.
+			if cfg := m.Requests[c.Opt[0]].Config; cfg.Tracker.Kind != core.TrackerUnlimited {
+				cost := cfg.NewTracker().Storage()
+				cr.Storage = &cost
+			}
 		}
 		rep.Cells = append(rep.Cells, cr)
 	}
@@ -129,6 +143,8 @@ func (rep *RunReport) Table() *stats.Table {
 			return rep.gridTable()
 		case ReportCells:
 			return rep.cellsTable()
+		case ReportStorage:
+			return rep.storageTable()
 		case ReportStats:
 			return rep.statsTable()
 		}
@@ -173,6 +189,36 @@ func (rep *RunReport) cellsTable() *stats.Table {
 		t.AddRow(c.Name, stats.Pct(c.Series.GMean))
 	}
 	return t
+}
+
+// storageTable renders a storage report: one row per cell, its price
+// in CPU bits and bits per checkpoint, its gmean speedup, and that
+// speedup per KB of CPU storage. An unpriced cell reads
+// "unlimited (ideal)".
+func (rep *RunReport) storageTable() *stats.Table {
+	t := stats.NewTable(rep.Title,
+		rep.rowHeader(), "CPU bits", "bits/checkpoint", "gmean speedup", "speedup per KB")
+	for _, c := range rep.Cells {
+		cpu, ck, perKB := "unlimited (ideal)", "-", "-"
+		if cost := c.Storage; cost != nil {
+			cpu = fmt.Sprint(cost.CPUBits)
+			ck = fmt.Sprint(cost.CheckpointBits)
+			if cost.CPUBits > 0 {
+				perKB = fmt.Sprintf("%+.2f%%/KB", 100*(c.Series.GMean-1)/refcount.KB(cost.CPUBits))
+			}
+		}
+		t.AddRow(c.Name, cpu, ck, stats.Pct(c.Series.GMean), perKB)
+	}
+	return t
+}
+
+// rowHeader is the first column's header of a grid or storage report:
+// the spec's rowheader, else the first axis's name.
+func (rep *RunReport) rowHeader() string {
+	if h := rep.spec.Report.RowHeader; h != "" {
+		return h
+	}
+	return rep.spec.combinedAxes()[0].name
 }
 
 // statsTable renders a stats report: one row per benchmark, one column
@@ -224,10 +270,7 @@ func (rep *RunReport) statsTable() *stats.Table {
 func (rep *RunReport) gridTable() *stats.Table {
 	spec := rep.spec
 	axes := spec.combinedAxes()
-	rowHeader := spec.Report.RowHeader
-	if rowHeader == "" {
-		rowHeader = axes[0].name
-	}
+	rowHeader := rep.rowHeader()
 	rows := axes[0].labels
 	if len(axes) == 1 {
 		valueHeader := spec.Report.ValueHeader

@@ -32,7 +32,9 @@
 // applies `opt` and the non-shared axis patches. The grid, series and
 // cells reports show the speedup of the optimized configuration over the
 // cell's own baseline, geometric-mean'd across the benchmark list; a
-// stats report shows named per-benchmark metrics of a single cell.
+// storage report shows the same gmean next to the storage the cell's
+// reference-counting scheme costs; a stats report shows named
+// per-benchmark metrics of a single cell.
 package scenario
 
 import (
@@ -106,6 +108,11 @@ const (
 	// speedup — with no dimensional layout. It is the only kind that
 	// scales to grids with three or more axes (the fleet-sized specs).
 	ReportCells = "cells"
+	// ReportStorage renders one row per value of its one axis: the
+	// storage price of the cell's tracker (§4.2, §4.3.3) next to its
+	// gmean speedup and speedup per KB. The unlimited tracker is the
+	// ideal reference, not a design point, so it stays unpriced.
+	ReportStorage = "storage"
 	// ReportStats renders the one cell of a single-cell grid as one row
 	// per benchmark and one column per named metric (see
 	// ReportSpec.Metrics), plus an average row.
@@ -116,8 +123,8 @@ const (
 //
 //repro:wire
 type ReportSpec struct {
-	Kind        string `json:"kind"`                  // "grid" | "series" | "cells" | "stats"
-	RowHeader   string `json:"rowheader,omitempty"`   // grid: first column's header
+	Kind        string `json:"kind"`                  // "grid" | "series" | "cells" | "storage" | "stats"
+	RowHeader   string `json:"rowheader,omitempty"`   // grid, storage: first column's header
 	ValueHeader string `json:"valueheader,omitempty"` // 1-axis grid: the value column's header
 	// Metrics names a stats report's columns, in order: "speedup", a
 	// named ratio such as "IPC" or "ElimRate", or a counter such as
@@ -256,9 +263,9 @@ func (s *Spec) Validate() error {
 		if nAxes > 2 {
 			return fail("grid report needs 1 or 2 axes (workload axes included), spec has %d", nAxes)
 		}
-	case ReportSeries:
+	case ReportSeries, ReportStorage:
 		if nAxes != 1 {
-			return fail("series report needs exactly 1 axis (workload axes included), spec has %d", nAxes)
+			return fail("%s report needs exactly 1 axis (workload axes included), spec has %d", s.Report.Kind, nAxes)
 		}
 	case ReportCells:
 	case ReportStats:
@@ -276,7 +283,7 @@ func (s *Spec) Validate() error {
 			}
 		}
 	default:
-		return fail("unknown report kind %q (known: grid series cells stats)", s.Report.Kind)
+		return fail("unknown report kind %q (known: grid series cells storage stats)", s.Report.Kind)
 	}
 	return nil
 }

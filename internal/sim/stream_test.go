@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/smb"
 	"repro/internal/workloads"
 )
 
@@ -125,6 +126,11 @@ func TestValidationTaxonomy(t *testing.T) {
 		{"MIT without entries", func(q *Request) { q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerMIT} }, ErrBadConfig},
 		{"RDA without entries", func(q *Request) { q.Config.Tracker = core.TrackerConfig{Kind: core.TrackerRDA} }, ErrBadConfig},
 		{"negative checkpoints", func(q *Request) { q.Config.MaxCheckpoints = -1 }, ErrBadConfig},
+		// smb.NewDDT would shift by a negative tag width.
+		{"negative DDT tag bits", func(q *Request) {
+			q.Config.SMB.Enabled = true
+			q.Config.SMB.DDT = smb.DDTConfig{Entries: 1024, TagBits: -1}
+		}, ErrBadConfig},
 		// A 37 GB ROB: no recover could catch the out-of-memory.
 		{"2^26-entry ROB", func(q *Request) { q.Config.ROBSize = 1 << 26 }, ErrBadConfig},
 		{"unknown benchmark", func(q *Request) { q.Bench = "no-such-benchmark" }, ErrUnknownBenchmark},

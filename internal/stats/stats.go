@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -50,28 +49,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Table accumulates rows of named values and renders a fixed-width text
 // table, which is how cmd/paperfigs prints each figure's data series.
 type Table struct {
@@ -96,32 +73,6 @@ func (t *Table) AddRow(cells ...string) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// AddRowF appends a row of formatted cells: strings pass through, float64
-// render with 3 decimals, ints in decimal.
-func (t *Table) AddRowF(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.3f", v))
-		case int:
-			row = append(row, fmt.Sprintf("%d", v))
-		case int64:
-			row = append(row, fmt.Sprintf("%d", v))
-		case uint64:
-			row = append(row, fmt.Sprintf("%d", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.AddRow(row...)
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {
@@ -169,15 +120,4 @@ func (t *Table) String() string {
 // Pct formats a speedup ratio (1.052 -> "+5.2%").
 func Pct(speedup float64) string {
 	return fmt.Sprintf("%+.1f%%", (speedup-1)*100)
-}
-
-// SortedKeys returns the keys of m in sorted order; used to render
-// per-benchmark maps deterministically.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -29,13 +29,6 @@ func DefaultBranchConfig() BranchConfig {
 	return BranchConfig{LogBaseEntries: 12, Tagged: specs, CounterBits: 3, UsefulBits: 2}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 type taggedEntry struct {
 	tag    uint32
 	ctr    int8  // signed, centered: >=0 predicts taken
