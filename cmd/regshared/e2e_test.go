@@ -104,17 +104,23 @@ func TestEndToEnd(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		var sims, takeovers int
+		// Which tighter runs a host holds depends on the shards it won,
+		// so the hosts' simulation counts need not add up to the
+		// control's. Between them they must settle every request once,
+		// and the stores must agree byte for byte.
+		settled := 0
 		for i := range outs {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
 			}
 			s := drainSummary(t, outs[i])
-			sims += s.Simulated
-			takeovers += s.TakenOver
+			if s.TakenOver != 0 {
+				t.Errorf("host %d seized a live peer's shard: %+v", i, s)
+			}
+			settled += s.Simulated + s.MemHits + s.StoreHits
 		}
-		if sims != control.Simulated || takeovers != 0 {
-			t.Errorf("two hosts simulated %d with %d takeovers; the control simulated %d", sims, takeovers, control.Simulated)
+		if settled != control.Requests {
+			t.Errorf("two hosts settled %d requests, the range has %d", settled, control.Requests)
 		}
 		rootC, _ := printedManifest(t, run(t, regshared, "-store", controlStore, "-manifest"))
 		rootS, _ := printedManifest(t, run(t, regshared, "-store", shared, "-manifest"))

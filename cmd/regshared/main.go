@@ -28,7 +28,7 @@
 // every host's runner reads and writes the same entries. N such hosts
 // drain a fleet-scale grid cooperatively: `regshared -store fs:DIR
 // -drain fleet-grid` leases contiguous cell shards via claim objects
-// in the directory's lease area (see internal/fleet), simulates its
+// in the directory's lease area (see internal/fleet), settles its
 // share, and exits with a drain summary — resumable, exactly-once
 // across hosts, with the store's manifest root as the single source of
 // truth.

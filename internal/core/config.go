@@ -5,6 +5,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -172,22 +173,60 @@ func DefaultConfig() Config {
 	}
 }
 
-// Canonical returns the configuration with the tracker sizes its
-// simulation never reads set to zero. NewTracker is their only reader:
-// it sizes the ISRB by both, the MIT and the RDA by Entries alone, and
-// the unlimited tracker by neither. Per-register counters keep
-// CounterBits only for their storage figure, which no simulated result
-// carries, so their simulation reads neither. Configurations with one
-// canonical form therefore simulate one machine and give one result.
-func (c Config) Canonical() Config {
-	switch c.Tracker.Kind {
+// TrackerLimits are the two limits of a reference-counting table: how
+// many registers it tracks at once and how many references one entry
+// counts. refcount.ISRB.TryShare reads them only when a share meets one,
+// and then rejects the share and counts it in ShareFailsFull or
+// ShareFailsSat.
+type TrackerLimits struct {
+	Entries     int // registers tracked at once; math.MaxInt for no limit
+	CounterBits int // counter width
+}
+
+// Within reports whether l is no looser than q in either limit, so that
+// a run of limits l may serve q.
+func (l TrackerLimits) Within(q TrackerLimits) bool {
+	return l.Entries <= q.Entries && l.CounterBits <= q.CounterBits
+}
+
+// Serves reports whether a run of limits l, whose whole-run tracker
+// statistics are st, is also the run of limits q in the same tracker
+// class (TrackerClass): l is no looser than q in either limit, and the
+// run rejected no share on a limit that q raises. A limit no share met
+// changed nothing, so the two runs take the same path, share for share,
+// and give the same result apart from the tracker's name.
+func (l TrackerLimits) Serves(q TrackerLimits, st *refcount.Stats) bool {
+	return l.Within(q) &&
+		(l.Entries == q.Entries || st.ShareFailsFull == 0) &&
+		(l.CounterBits == q.CounterBits || st.ShareFailsSat == 0)
+}
+
+// TrackerClass splits the configuration into its tracker class and its
+// limits within the class. Configurations of one class differ only in
+// their tracker's limits, so they simulate one machine until a share
+// meets a limit (see Serves). The ISRB, the RDA (an ISRB with 4-bit
+// counters, refcount.NewRDA) and the unlimited tracker (no entry limit,
+// 32-bit counters, refcount.NewUnlimited) are one family; the MIT, which
+// rejects SMB shares, and per-register counters, with their sequential
+// squash walk, are each their own. Per-register counters read their
+// width only for their storage figure, so all of them have the
+// unlimited tracker's limits. The class is the configuration with its
+// tracker reduced to the family's kind.
+func (c Config) TrackerClass() (Config, TrackerLimits) {
+	t := c.Tracker
+	family, lim := TrackerISRB, TrackerLimits{Entries: math.MaxInt, CounterBits: 32}
+	switch t.Kind {
 	case TrackerISRB:
-	case TrackerMIT, TrackerRDA:
-		c.Tracker.CounterBits = 0
-	default:
-		c.Tracker.Entries, c.Tracker.CounterBits = 0, 0
+		lim = TrackerLimits{t.Entries, t.CounterBits}
+	case TrackerRDA:
+		lim = TrackerLimits{t.Entries, 4}
+	case TrackerMIT:
+		family, lim = TrackerMIT, TrackerLimits{t.Entries, 4}
+	case TrackerCounters:
+		family = TrackerCounters
 	}
-	return c
+	c.Tracker = TrackerConfig{Kind: family}
+	return c, lim
 }
 
 // NewTracker instantiates the configured reference counting scheme.
@@ -289,27 +328,33 @@ func (c *Config) Check() error {
 		{"FP mul/div units", c.NumFPMulDiv, 0, maxFPMulDiv},
 		{"tracker entries", c.Tracker.Entries, 0, maxTrackerEntries},
 		{"tracker counter bits", c.Tracker.CounterBits, 0, maxCounterBits},
-		{"BTB entries", c.Branch.BTBEntries, 0, maxTableEntries},
+		// Rows are checked in order, so a lower bound may read a field
+		// an earlier row has bounded: every set-associative table needs
+		// at least one set.
 		{"BTB ways", c.Branch.BTBWays, 1, maxWays},
-		{"RAS entries", c.Branch.RASEntries, 0, maxTableEntries},
+		{"BTB entries", c.Branch.BTBEntries, c.Branch.BTBWays, maxTableEntries},
+		{"RAS entries", c.Branch.RASEntries, 1, maxTableEntries},
 		{"TAGE base log2 entries", c.Branch.TAGE.LogBaseEntries, 0, maxLogEntries},
 		{"TAGE tagged tables", len(c.Branch.TAGE.Tagged), 0, tage.MaxComponents},
 		{"TAGE counter bits", c.Branch.TAGE.CounterBits, 1, maxTAGECtrBits},
 		{"TAGE useful bits", c.Branch.TAGE.UsefulBits, 0, maxTAGECtrBits},
-		{"L1I KB", m.L1I.SizeKB, 0, maxCacheKB},
 		{"L1I ways", m.L1I.Ways, 1, maxWays},
+		{"L1I KB", m.L1I.SizeKB, minCacheKB(m.L1I.Ways), maxCacheKB},
+		// Instruction fetch never allocates an MSHR; data misses do.
 		{"L1I MSHRs", m.L1I.MSHRs, 0, maxMSHRs},
-		{"L1D KB", m.L1D.SizeKB, 0, maxCacheKB},
 		{"L1D ways", m.L1D.Ways, 1, maxWays},
-		{"L1D MSHRs", m.L1D.MSHRs, 0, maxMSHRs},
-		{"L2 KB", m.L2.SizeKB, 0, maxCacheKB},
+		{"L1D KB", m.L1D.SizeKB, minCacheKB(m.L1D.Ways), maxCacheKB},
+		{"L1D MSHRs", m.L1D.MSHRs, 1, maxMSHRs},
 		{"L2 ways", m.L2.Ways, 1, maxWays},
-		{"L2 MSHRs", m.L2.MSHRs, 0, maxMSHRs},
+		{"L2 KB", m.L2.SizeKB, minCacheKB(m.L2.Ways), maxCacheKB},
+		{"L2 MSHRs", m.L2.MSHRs, 1, maxMSHRs},
 		{"prefetch table entries", m.PrefTable, 0, maxTableEntries},
 		{"prefetch degree", m.PrefDegree, 0, maxPrefDegree},
-		{"DRAM ranks × banks", m.DRAM.Ranks * m.DRAM.BanksPerRank, 0, maxDRAMBanks},
-		{"SSIT entries", c.StoreSets.SSITEntries, 0, maxTableEntries},
-		{"LFST entries", c.StoreSets.LFSTEntries, 0, maxTableEntries},
+		{"DRAM ranks", m.DRAM.Ranks, 1, maxDRAMBanks},
+		{"DRAM banks per rank", m.DRAM.BanksPerRank, 1, maxDRAMBanks},
+		{"DRAM ranks × banks", m.DRAM.Ranks * m.DRAM.BanksPerRank, 1, maxDRAMBanks},
+		{"SSIT entries", c.StoreSets.SSITEntries, 1, maxTableEntries},
+		{"LFST entries", c.StoreSets.LFSTEntries, 1, maxTableEntries},
 		{"DDT entries", c.SMB.DDT.Entries, 0, maxDDTEntries},
 		// smb.NewDDT shifts by the tag width; a tag wider than 64 bits
 		// matches exactly like a 64-bit one.
@@ -318,6 +363,9 @@ func (c *Config) Check() error {
 		if b.v < b.lo || b.v > b.hi {
 			return fmt.Errorf("%s %d out of range %d..%d", b.name, b.v, b.lo, b.hi)
 		}
+	}
+	if m.DRAM.RowBytes == 0 {
+		return fmt.Errorf("DRAM row of 0 bytes")
 	}
 	for i, t := range c.Branch.TAGE.Tagged {
 		if t.LogEntries < 0 || t.LogEntries > maxLogEntries {
@@ -328,8 +376,9 @@ func (c *Config) Check() error {
 		}
 	}
 	// A size the scheme's simulation reads must be set: zero entries is
-	// not an unlimited table. Canonical zeroes the sizes a scheme does
-	// not read, so those may be zero.
+	// not an unlimited table. A size it never reads may be zero: the
+	// unlimited tracker and per-register counters read neither, the MIT
+	// and the RDA not the counter width (see TrackerClass).
 	switch t := c.Tracker; t.Kind {
 	case "", TrackerUnlimited, TrackerCounters:
 	case TrackerISRB, TrackerMIT, TrackerRDA:
@@ -348,6 +397,12 @@ func (c *Config) Check() error {
 		return fmt.Errorf("unknown SMB distance predictor %q (known: tage nosq)", c.SMB.Predictor)
 	}
 	return nil
+}
+
+// minCacheKB is the smallest cache of the given associativity with one
+// set of cache.LineBytes lines.
+func minCacheKB(ways int) int {
+	return max(1, (ways*cache.LineBytes+1023)/1024)
 }
 
 // Sanity checks used by New.

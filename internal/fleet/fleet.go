@@ -11,14 +11,17 @@
 // is re-run — resumably, because the finished requests are already in
 // the store and come back as hits.
 //
-// Exactly-once execution falls out of the matrix shape rather than
+// Exactly-once settlement falls out of the matrix shape rather than
 // locking: scenario.Expand interns requests in cell order, so
 // Matrix.FirstUse is nondecreasing and a shard's cells own exactly the
 // requests first used by them. Hosts holding disjoint shards therefore
-// simulate disjoint request sets, and the union over all shards is the
-// whole grid. The manifest over the results store remains the
-// single source of truth: when every shard is done, the store — and its
-// root — is byte-identical to a single-host run of the same grid.
+// settle disjoint request sets, and the union over all shards is the
+// whole grid. A host simulates only the requests of a shard that no run
+// it holds serves (see sim.Runner), so how many it simulates depends on
+// the shards it drained before; what it stores does not. The manifest
+// over the results store remains the single source of truth: when every
+// shard is done, the store — and its root — is byte-identical to a
+// single-host run of the same grid.
 package fleet
 
 import (

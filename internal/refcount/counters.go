@@ -47,11 +47,11 @@ func (c *PerRegCounters) SquashPenalty(nSquashed int) uint64 {
 	return uint64((nSquashed + c.WalkWidth - 1) / c.WalkWidth)
 }
 
-// Storage implements Tracker: one counter per physical register, no
-// checkpoint storage (the scheme cannot be checkpointed; that is its
-// problem).
+// Storage implements Tracker: one counter per physical register, and
+// CheckpointBits 0 because the scheme cannot be checkpointed (that is
+// its problem), not because a checkpoint would be free.
 func (c *PerRegCounters) Storage() StorageCost {
-	return StorageCost{CPUBits: c.NumPhysRegs * c.CounterBits, CheckpointBits: 0}
+	return StorageCost{CPUBits: c.NumPhysRegs * c.CounterBits}
 }
 
 var _ Tracker = (*PerRegCounters)(nil)

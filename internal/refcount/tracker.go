@@ -73,8 +73,10 @@ type StorageCost struct {
 	// 32-entry ISRB with 3-bit counters).
 	CPUBits int `json:"cpu_bits"`
 	// CheckpointBits is the additional storage per checkpoint (e.g., 96
-	// bits for a 32-entry ISRB: one 3-bit referenced field per entry).
-	CheckpointBits int `json:"checkpoint_bits"`
+	// bits for a 32-entry ISRB: one 3-bit referenced field per entry),
+	// or 0, and absent from the JSON, for a scheme that cannot be
+	// checkpointed at all (per-register counters, §4.2).
+	CheckpointBits int `json:"checkpoint_bits,omitempty"`
 }
 
 // Stats counts tracker activity.

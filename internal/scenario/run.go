@@ -194,7 +194,8 @@ func (rep *RunReport) cellsTable() *stats.Table {
 // storageTable renders a storage report: one row per cell, its price
 // in CPU bits and bits per checkpoint, its gmean speedup, and that
 // speedup per KB of CPU storage. An unpriced cell reads
-// "unlimited (ideal)".
+// "unlimited (ideal)", and a scheme with no checkpoint storage "not
+// checkpointable".
 func (rep *RunReport) storageTable() *stats.Table {
 	t := stats.NewTable(rep.Title,
 		rep.rowHeader(), "CPU bits", "bits/checkpoint", "gmean speedup", "speedup per KB")
@@ -203,6 +204,9 @@ func (rep *RunReport) storageTable() *stats.Table {
 		if cost := c.Storage; cost != nil {
 			cpu = fmt.Sprint(cost.CPUBits)
 			ck = fmt.Sprint(cost.CheckpointBits)
+			if cost.CheckpointBits == 0 {
+				ck = "not checkpointable"
+			}
 			if cost.CPUBits > 0 {
 				perKB = fmt.Sprintf("%+.2f%%/KB", 100*(c.Series.GMean-1)/refcount.KB(cost.CPUBits))
 			}

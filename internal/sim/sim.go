@@ -25,10 +25,12 @@
 //     re-running it — e.g. every figure's speedup series shares one
 //     baseline sweep. A canceled leader does not poison the slot: the
 //     failed call is dropped and surviving waiters retry it themselves;
-//   - execution sharing: after a store miss, requests that describe one
-//     machine — their configurations differ only in tracker sizes their
-//     simulation never reads (core.Config.Canonical) — share one simulation
-//     the same way, and each is stored under its own key;
+//   - execution sharing by dominance: after a store miss, a request is
+//     served by a run of its tracker class (core.Config.TrackerClass) that
+//     is no looser in either tracker limit and never rejected a share on a
+//     limit the request raises (core.TrackerLimits.Serves) — that run is
+//     the request's own, share for share — and each request is stored
+//     under its own key;
 //   - an in-memory result store (the simulator is deterministic, so a
 //     result never goes stale) with an optional sharded on-disk store
 //     (see Store) so separate invocations — and separate concurrent
@@ -48,6 +50,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,7 +108,7 @@ type Result struct {
 // Counters reports what the Runner did, for tests and -v diagnostics.
 type Counters struct {
 	Simulated uint64 // runs actually executed
-	MemHits   uint64 // served from the in-memory store (incl. singleflight waits and equivalent requests)
+	MemHits   uint64 // served from memory: singleflight waits, repeats, and runs of the request's tracker class
 	DiskHits  uint64 // served from the on-disk cache
 }
 
@@ -153,20 +156,33 @@ type Runner struct {
 	store   *Store
 	exec    Executor
 
-	mu    sync.Mutex
-	calls map[string]*call // by request key: one slot per request
-	execs map[string]*call // by canonical key: one slot per simulated machine
-	ctr   Counters
+	mu      sync.Mutex
+	calls   map[string]*call  // by request key: one slot per request
+	classes map[string][]*run // by tracker class key: the class's runs
+	ctr     Counters
 }
 
 // call is one singleflight slot: the first requester produces the
 // outcome, everyone else blocks on done.
 type call struct {
-	done chan struct{}
-	res  *Result
-	err  error
-	src  Source
-	cps  float64
+	done  chan struct{}
+	batch *batch // the first requester's Stream batch; nil under Run
+	res   *Result
+	err   error
+	src   Source
+	cps   float64
+}
+
+// run is one execution in its tracker class's registry, in flight until
+// done closes. A completed run serves every request of its class that
+// its limits and statistics allow; a failed one leaves the registry
+// before done closes, so it serves nobody.
+type run struct {
+	lim   core.TrackerLimits
+	batch *batch // the executing request's Stream batch; nil under Run
+	done  chan struct{}
+	res   *Result // nil while in flight
+	cps   float64
 }
 
 // Source is the provenance of a completed request: where its result
@@ -178,8 +194,9 @@ const (
 	// SourceSimulated: this call executed the simulation.
 	SourceSimulated Source = iota
 	// SourceMemory: served by the in-memory store — a singleflight join
-	// with a concurrent caller, a repeat of a completed request, or the
-	// simulation of an equivalent request (see Runner.fill).
+	// with a concurrent caller, a repeat of a completed request, or a
+	// run of the request's tracker class that serves it (see
+	// Runner.fill).
 	SourceMemory
 	// SourceStore: loaded from the sharded on-disk store.
 	SourceStore
@@ -232,7 +249,7 @@ func New(opts ...Option) *Runner {
 	r := &Runner{
 		workers: runtime.GOMAXPROCS(0),
 		calls:   make(map[string]*call),
-		execs:   make(map[string]*call),
+		classes: make(map[string][]*run),
 		exec:    Simulate,
 	}
 	for _, o := range opts {
@@ -315,55 +332,64 @@ func (r *Runner) Counters() Counters {
 // ErrCanceled and the context's own cause. The returned Result is
 // shared: callers must not mutate it.
 func (r *Runner) Run(ctx context.Context, req Request) (*Result, error) {
-	ev := r.do(ctx, -1, req)
+	ev := r.do(ctx, nil, -1, req)
 	return ev.Res, ev.Err
 }
 
 // do executes one request and packages the outcome as an Event. It is
 // the single execution path under Run and Stream: validation, then the
-// request's singleflight slot, then fill.
-func (r *Runner) do(ctx context.Context, idx int, req Request) Event {
-	// Canonicalize the workload name before anything keys on it, so the
-	// many equivalent spellings of a gen: point share one singleflight
-	// slot and one store entry. An invalid name passes through unchanged
-	// for Validate to reject with the typed error.
-	if name, err := workloads.CanonicalName(req.Bench); err == nil {
-		req.Bench = name
-	}
+// request's singleflight slot, then fill. b is the request's Stream
+// batch and idx its index there (nil and -1 under Run).
+func (r *Runner) do(ctx context.Context, b *batch, idx int, req Request) Event {
+	req = canonical(req)
 	ev := Event{Index: idx, Req: req}
 	if err := req.Validate(); err != nil {
 		ev.Err = err
 		return ev
 	}
 	ev.Key = Key(req)
-	ev.Res, ev.Source, ev.CyclesPerSec, ev.Err = r.share(ctx, r.calls, ev.Key, req.Bench,
-		func() (*Result, Source, float64, error) { return r.fill(ctx, ev.Key, req) })
+	ev.Res, ev.Source, ev.CyclesPerSec, ev.Err = r.share(ctx, b, idx, ev.Key, req)
 	return ev
 }
 
-// share is the Runner's singleflight over slots: the first caller for
-// key runs produce and keeps its outcome in the slot, and every other
-// caller, concurrent or later, waits for that outcome and gets it as a
-// memory hit. A failed outcome, cancellation included, is not kept: the
-// slot is dropped before the waiters wake, so their retries cannot
-// rejoin the dead call, and a later caller runs produce again. A waiter
+// canonical returns req with its workload name canonicalized, so the
+// many equivalent spellings of a gen: point share one singleflight slot
+// and one store entry. An invalid name passes through unchanged for
+// Validate to reject with the typed error.
+func canonical(req Request) Request {
+	if name, err := workloads.CanonicalName(req.Bench); err == nil {
+		req.Bench = name
+	}
+	return req
+}
+
+// share is the Runner's singleflight over request keys: the first
+// caller for key runs fill and keeps its outcome in the slot, and every
+// other caller, concurrent or later, waits for that outcome and gets it
+// as a memory hit. A failed outcome, cancellation included, is not kept:
+// the slot is dropped before the waiters wake, so their retries cannot
+// rejoin the dead call, and a later caller runs fill again. A waiter
 // whose leader was canceled while its own context is still live retries
 // itself rather than inheriting the cancellation, so one aborted Stream
 // never fails an unrelated concurrent caller.
-func (r *Runner) share(ctx context.Context, slots map[string]*call, key, bench string,
-	produce func() (*Result, Source, float64, error)) (*Result, Source, float64, error) {
+//
+// A request that joins a call another batch has in flight settles in
+// its own batch at once, as serving nobody there: the batch's misses
+// wait only on calls of their own batch, so two batches can never wait
+// on each other.
+func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req Request) (*Result, Source, float64, error) {
 	for {
 		r.mu.Lock()
-		c, ok := slots[key]
+		c, ok := r.calls[key]
 		if !ok {
-			c = &call{done: make(chan struct{})}
-			slots[key] = c
+			c = &call{done: make(chan struct{}), batch: b}
+			r.calls[key] = c
 			r.mu.Unlock()
 
-			c.res, c.src, c.cps, c.err = produce()
+			c.res, c.src, c.cps, c.err = r.fill(ctx, b, idx, key, req)
 			if c.err != nil {
 				r.mu.Lock()
-				delete(slots, key)
+				delete(r.calls, key)
 				r.mu.Unlock()
 			}
 			close(c.done)
@@ -371,10 +397,17 @@ func (r *Runner) share(ctx context.Context, slots map[string]*call, key, bench s
 		}
 		r.mu.Unlock()
 
+		if b != nil && c.batch != b {
+			select {
+			case <-c.done:
+			default:
+				b.settle(idx, nil, 0)
+			}
+		}
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			return nil, 0, 0, canceledErr(bench, ctx.Err())
+			return nil, 0, 0, canceledErr(req.Bench, ctx.Err())
 		}
 		if c.err != nil && errors.Is(c.err, ErrCanceled) && ctx.Err() == nil {
 			continue // the leader was canceled, this caller was not: retry
@@ -389,29 +422,124 @@ func (r *Runner) share(ctx context.Context, slots map[string]*call, key, bench s
 	}
 }
 
-// fill produces the result for key: the on-disk store first, then an
-// execution, shared by every request of this Runner that describes the
-// same machine. Requests whose configurations have one canonical form
-// (core.Config.Canonical) differ only in tracker sizes their scheme
-// never reads, so the first of them executes and the others wait for it
-// as memory hits. Each request's result is written back to the store
-// under its own key. The canonical key is computed only here, after a
-// store miss, so a stored request stays a store hit.
-func (r *Runner) fill(ctx context.Context, key string, req Request) (*Result, Source, float64, error) {
+// fill produces the result for key: the on-disk store first, then a run
+// of the request's tracker class that serves it (core.TrackerLimits.Serves),
+// then an execution. The class is computed only here, after a store
+// miss, so a stored request stays a store hit. A served request gets the
+// run's result under its own tracker name, as a memory hit, and every
+// request's result is written back to the store under its own key.
+//
+// Which requests of one batch execute never depends on goroutine
+// timing. A miss first waits, in index order, on the requests of its
+// class earlier in its batch that are no looser in either limit, and is
+// served by the first whose result serves it, however that result was
+// produced. Otherwise it takes a completed run of another caller, or
+// joins one in flight, that serves it; runs of its own batch serve it
+// only through that wait. Failing that, it registers its own run and
+// executes.
+func (r *Runner) fill(ctx context.Context, b *batch, idx int, key string, req Request) (*Result, Source, float64, error) {
 	if res, ok := r.loadDisk(ctx, key); ok {
 		r.mu.Lock()
 		r.ctr.DiskHits++
 		r.mu.Unlock()
 		return res, SourceStore, 0, nil
 	}
-	canon := req
-	canon.Config = req.Config.Canonical()
-	res, src, cps, err := r.share(ctx, r.execs, Key(canon), req.Bench,
-		func() (*Result, Source, float64, error) { return r.execute(ctx, req) })
-	if err == nil {
-		r.storeDisk(ctx, key, res)
+	class, lim, earlier := b.earlier(idx, req)
+	res, cps, err := b.serving(ctx, earlier, lim)
+	var own *run
+	if err == nil && res == nil {
+		res, cps, own, err = r.claim(ctx, b, class, lim)
 	}
-	return res, src, cps, err
+	if err != nil {
+		return nil, 0, 0, canceledErr(req.Bench, err)
+	}
+	src := SourceMemory
+	if res != nil {
+		res = renamed(res, req)
+		r.mu.Lock()
+		r.ctr.MemHits++
+		r.mu.Unlock()
+	} else {
+		res, src, cps, err = r.execute(ctx, req)
+		r.finish(class, own, res, cps, err)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	r.storeDisk(ctx, key, res)
+	return res, src, cps, nil
+}
+
+// claim returns the result of a completed run of class that serves lim,
+// joining runs in flight that may serve it first; runs of batch b are
+// not considered. When none serves, it registers and returns the
+// caller's own run, for the caller to execute and finish. It fails only
+// when ctx ends.
+func (r *Runner) claim(ctx context.Context, b *batch, class string, lim core.TrackerLimits) (*Result, float64, *run, error) {
+	for {
+		var pending *run
+		r.mu.Lock()
+		for _, rn := range r.classes[class] {
+			switch {
+			case (b != nil && rn.batch == b) || !rn.lim.Within(lim):
+			case rn.res == nil:
+				pending = rn
+			case rn.lim.Serves(lim, &rn.res.Tracker):
+				r.mu.Unlock()
+				return rn.res, rn.cps, nil, nil
+			}
+		}
+		if pending == nil {
+			own := &run{lim: lim, batch: b, done: make(chan struct{})}
+			r.classes[class] = append(r.classes[class], own)
+			r.mu.Unlock()
+			return nil, 0, own, nil
+		}
+		r.mu.Unlock()
+		select {
+		case <-pending.done:
+		case <-ctx.Done():
+			return nil, 0, nil, ctx.Err()
+		}
+	}
+}
+
+// finish completes a run that claim registered: it keeps a successful run's
+// result in the registry, drops a failed run from it, and wakes the
+// run's joiners.
+func (r *Runner) finish(class string, rn *run, res *Result, cps float64, err error) {
+	r.mu.Lock()
+	if err == nil {
+		rn.res, rn.cps = res, cps
+	} else {
+		runs := r.classes[class]
+		i := slices.Index(runs, rn)
+		r.classes[class] = slices.Delete(runs, i, i+1)
+	}
+	r.mu.Unlock()
+	close(rn.done)
+}
+
+// classOf returns req's tracker class key, the key of its configuration
+// with the tracker reduced to its class (core.Config.TrackerClass), and
+// its limits within the class.
+func classOf(req Request) (string, core.TrackerLimits) {
+	cls, lim := req.Config.TrackerClass()
+	req.Config = cls
+	return Key(req), lim
+}
+
+// renamed returns res, the result of a run of req's tracker class that
+// serves req, as req's own result: the same value under req's tracker
+// name.
+func renamed(res *Result, req Request) *Result {
+	name := req.Config.NewTracker().Name()
+	if name == res.TrackerName {
+		return res
+	}
+	own := *res
+	own.TrackerName = name
+	return &own
 }
 
 // execute runs req on the executor in a worker slot. Cancellation is
@@ -454,13 +582,15 @@ func (r *Runner) execute(ctx context.Context, req Request) (*Result, Source, flo
 func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) ([]*Result, error) {
 	results := make([]*Result, len(reqs))
 	errs := make([]error, len(reqs))
+	b := &batch{reqs: reqs, members: make([]member, len(reqs))}
 	var sinkMu sync.Mutex
 	var wg sync.WaitGroup
 	for i := range reqs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ev := r.do(ctx, i, reqs[i])
+			ev := r.do(ctx, b, i, reqs[i])
+			b.settle(i, ev.Res, ev.CyclesPerSec)
 			results[i], errs[i] = ev.Res, ev.Err
 			if sink != nil {
 				sinkMu.Lock()
@@ -484,6 +614,115 @@ func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) (
 		return results, err
 	}
 	return results, firstCanceled
+}
+
+// batch is one Stream call's requests as the misses among them see each
+// other (see Runner.fill).
+type batch struct {
+	reqs []Request
+
+	mu      sync.Mutex
+	members []member
+	known   int              // members[:known] carry their class, limits and rank
+	first   map[string]int   // request key → the first index with it
+	byClass map[string][]int // class key → the indices with it, ascending
+}
+
+// member is one request of a batch.
+type member struct {
+	class string
+	lim   core.TrackerLimits
+	rank  int // the first index with the request's key
+
+	settled bool
+	res     *Result // once settled: its result, nil when it serves nobody here
+	cps     float64
+	wake    chan struct{} // made by the first waiter, closed on settling
+}
+
+// earlier returns the class key and limits of request i, req, and the
+// indices of the requests it waits on after a miss: those of its class
+// and no looser in either limit, before the first request with i's key
+// (so that every request with one key waits on the same ones, whichever
+// of them leads the call). Keys and classes are computed here, once per
+// request and in index order, so a batch that never misses computes
+// none. A nil batch, under Run, has no requests to wait on.
+func (b *batch) earlier(i int, req Request) (string, core.TrackerLimits, []int) {
+	if b == nil {
+		class, lim := classOf(req)
+		return class, lim, nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.first == nil {
+		b.first, b.byClass = make(map[string]int), make(map[string][]int)
+	}
+	for ; b.known <= i; b.known++ {
+		j, q := b.known, canonical(b.reqs[b.known])
+		key := Key(q)
+		if _, ok := b.first[key]; !ok {
+			b.first[key] = j
+		}
+		m := &b.members[j]
+		m.class, m.lim = classOf(q)
+		m.rank = b.first[key]
+		b.byClass[m.class] = append(b.byClass[m.class], j)
+	}
+	me := &b.members[i]
+	var idxs []int
+	for _, j := range b.byClass[me.class] {
+		if j >= me.rank {
+			break
+		}
+		if b.members[j].lim.Within(me.lim) {
+			idxs = append(idxs, j)
+		}
+	}
+	return me.class, me.lim, idxs
+}
+
+// serving waits on the batch's requests at idxs in order and returns the
+// first result that serves lim, or nil when none does. It fails only
+// when ctx ends.
+func (b *batch) serving(ctx context.Context, idxs []int, lim core.TrackerLimits) (*Result, float64, error) {
+	for _, j := range idxs {
+		b.mu.Lock()
+		m := &b.members[j]
+		if !m.settled {
+			if m.wake == nil {
+				m.wake = make(chan struct{})
+			}
+			wake := m.wake
+			b.mu.Unlock()
+			select {
+			case <-wake:
+			case <-ctx.Done():
+				return nil, 0, ctx.Err()
+			}
+			b.mu.Lock()
+		}
+		res, cps, from := m.res, m.cps, m.lim
+		b.mu.Unlock()
+		if res != nil && from.Serves(lim, &res.Tracker) {
+			return res, cps, nil
+		}
+	}
+	return nil, 0, nil
+}
+
+// settle records request i's outcome, the first time only: its result,
+// or nil when it serves nobody in the batch. It wakes i's waiters.
+func (b *batch) settle(i int, res *Result, cps float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	m := &b.members[i]
+	if m.settled {
+		return
+	}
+	m.settled, m.res, m.cps = true, res, cps
+	if m.wake != nil {
+		close(m.wake)
+	}
 }
 
 // RunAll is Stream without a sink: results in request order, first

@@ -131,6 +131,22 @@ func TestValidationTaxonomy(t *testing.T) {
 			q.Config.SMB.Enabled = true
 			q.Config.SMB.DDT = smb.DDTConfig{Entries: 1024, TagBits: -1}
 		}, ErrBadConfig},
+		// Each of these divided by zero or indexed an empty table in
+		// the simulator (a fault where the configuration is at fault).
+		{"zero DRAM ranks", func(q *Request) { q.Config.Mem.DRAM.Ranks = 0 }, ErrBadConfig},
+		{"zero DRAM banks per rank", func(q *Request) { q.Config.Mem.DRAM.BanksPerRank = 0 }, ErrBadConfig},
+		{"zero DRAM row bytes", func(q *Request) { q.Config.Mem.DRAM.RowBytes = 0 }, ErrBadConfig},
+		{"zero L1I KB", func(q *Request) { q.Config.Mem.L1I.SizeKB = 0 }, ErrBadConfig},
+		{"zero L1D KB", func(q *Request) { q.Config.Mem.L1D.SizeKB = 0 }, ErrBadConfig},
+		{"zero L2 KB", func(q *Request) { q.Config.Mem.L2.SizeKB = 0 }, ErrBadConfig},
+		{"L1D of 3 KB with 64 ways", func(q *Request) { q.Config.Mem.L1D.SizeKB, q.Config.Mem.L1D.Ways = 3, 64 }, ErrBadConfig},
+		{"zero BTB entries", func(q *Request) { q.Config.Branch.BTBEntries = 0 }, ErrBadConfig},
+		{"BTB of 2 entries with 4 ways", func(q *Request) { q.Config.Branch.BTBEntries, q.Config.Branch.BTBWays = 2, 4 }, ErrBadConfig},
+		{"zero SSIT entries", func(q *Request) { q.Config.StoreSets.SSITEntries = 0 }, ErrBadConfig},
+		{"zero LFST entries", func(q *Request) { q.Config.StoreSets.LFSTEntries = 0 }, ErrBadConfig},
+		{"zero RAS entries", func(q *Request) { q.Config.Branch.RASEntries = 0 }, ErrBadConfig},
+		{"zero L1D MSHRs", func(q *Request) { q.Config.Mem.L1D.MSHRs = 0 }, ErrBadConfig},
+		{"zero L2 MSHRs", func(q *Request) { q.Config.Mem.L2.MSHRs = 0 }, ErrBadConfig},
 		// A 37 GB ROB: no recover could catch the out-of-memory.
 		{"2^26-entry ROB", func(q *Request) { q.Config.ROBSize = 1 << 26 }, ErrBadConfig},
 		{"unknown benchmark", func(q *Request) { q.Bench = "no-such-benchmark" }, ErrUnknownBenchmark},
