@@ -43,8 +43,9 @@ import (
 )
 
 // ClaimSchema tags the claim object layout. Bump it when Claim changes
-// incompatibly; hosts ignore (and eventually seize) claims of a foreign
-// schema rather than misreading them.
+// incompatibly; hosts never misread a claim of a foreign schema: like
+// one that does not decode, it reads as held by a host that never
+// progresses, and is seized once stale.
 const ClaimSchema = "fl1"
 
 // Claim is one shard's lease object in the shared store's lease area.
@@ -75,15 +76,16 @@ type Claim struct {
 
 // GridID fingerprints one expanded matrix for fleet coordination: the
 // scenario name, the shard geometry, the simulator version and every
-// request key in order. Hosts drain the same grid if and only if their
-// IDs match, so a spec edit, a different -shard-cells, different
-// overrides or a rebuilt simulator can never split one shard's identity
-// across incompatible request sets.
+// request key in order (Matrix.Keys, the keys Expand interned the
+// requests by). Hosts drain the same grid if and only if their IDs
+// match, so a spec edit, a different -shard-cells, different overrides
+// or a rebuilt simulator can never split one shard's identity across
+// incompatible request sets.
 func GridID(m *scenario.Matrix, shardCells int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "fleet-grid\x00%s\x00%d\x00%s\x00", m.Spec.Name, shardCells, sim.Version())
-	for _, r := range m.Requests {
-		io.WriteString(h, sim.Key(r))
+	for _, key := range m.Keys {
+		io.WriteString(h, key)
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -182,6 +184,9 @@ type drainer struct {
 	// shardReqs maps shard index -> indices into m.Requests owned by
 	// the shard (FirstUse within the shard's cells).
 	shardReqs map[int][]int
+	// claims maps shard index -> the name of its claim object
+	// (claimName), derived once per drain.
+	claims map[int]string
 
 	// observed tracks each contested claim's last-seen progress and how
 	// many consecutive polls it has stood still.
@@ -194,7 +199,6 @@ type drainer struct {
 // claimState is a challenger's view of a held claim.
 type claimState struct {
 	epoch, gen int
-	done       bool
 	stale      int
 }
 
@@ -245,6 +249,7 @@ func Drain(ctx context.Context, m *scenario.Matrix, runner *sim.Runner, leases o
 		m: m, runner: runner, leases: leases, cfg: cfg,
 		grid:      GridID(m, cfg.ShardCells),
 		shardReqs: make(map[int][]int),
+		claims:    make(map[int]string),
 		observed:  make(map[int]claimState),
 	}
 	d.sum = Summary{
@@ -262,6 +267,7 @@ func Drain(ctx context.Context, m *scenario.Matrix, runner *sim.Runner, leases o
 	var pending []int
 	for s := r.Lo / cfg.ShardCells; s*cfg.ShardCells < r.Hi; s++ {
 		pending = append(pending, s)
+		d.claims[s] = claimName(d.grid, s)
 	}
 	d.sum.Shards = len(pending)
 	for i, cell := range m.FirstUse {
@@ -329,8 +335,8 @@ func (d *drainer) visit(ctx context.Context, s int) (bool, error) {
 		// then the takeover path below re-acquires it.
 		fallthrough
 	default:
-		st := d.observed[s]
-		if st.epoch == cl.Epoch && st.gen == cl.Gen {
+		st, seen := d.observed[s]
+		if seen && st.epoch == cl.Epoch && st.gen == cl.Gen {
 			st.stale++
 		} else {
 			st = claimState{epoch: cl.Epoch, gen: cl.Gen}
@@ -452,10 +458,13 @@ func (d *drainer) bump(ctx context.Context, s int, cl *Claim) (bool, error) {
 	return true, nil
 }
 
-// read fetches and decodes shard s's claim. A missing object, an
-// undecodable one or one of a foreign schema or grid reads as unheld.
+// read fetches and decodes shard s's claim. A missing object reads as
+// unheld. An object that does not decode, or one of a foreign schema or
+// grid, reads as the zero claim, held: a holder that never progresses,
+// so visit seizes it after StalePolls polls. (Read as unheld, it would
+// win every PutIfAbsent race and stall the drain.)
 func (d *drainer) read(ctx context.Context, s int) (Claim, bool, error) {
-	data, err := d.leases.Get(ctx, claimName(d.grid, s))
+	data, err := d.leases.Get(ctx, d.claims[s])
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return Claim{}, false, nil
@@ -463,11 +472,8 @@ func (d *drainer) read(ctx context.Context, s int) (Claim, bool, error) {
 		return Claim{}, false, fmt.Errorf("fleet: reading shard %d claim: %w", s, err)
 	}
 	var cl Claim
-	if err := json.Unmarshal(data, &cl); err != nil {
-		return Claim{}, false, nil
-	}
-	if cl.Schema != ClaimSchema || cl.Grid != d.grid {
-		return Claim{}, false, nil
+	if err := json.Unmarshal(data, &cl); err != nil || cl.Schema != ClaimSchema || cl.Grid != d.grid {
+		return Claim{}, true, nil
 	}
 	return cl, true, nil
 }
@@ -480,7 +486,7 @@ func (d *drainer) write(ctx context.Context, s int, cl Claim, ifAbsent bool) (bo
 	if err != nil {
 		return false, err
 	}
-	name := claimName(d.grid, s)
+	name := d.claims[s]
 	if ifAbsent {
 		won, err := d.leases.PutIfAbsent(ctx, name, data)
 		if err != nil {

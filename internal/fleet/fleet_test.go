@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/objstore"
 	"repro/internal/scenario"
@@ -273,53 +274,74 @@ func TestDrainDisjointRanges(t *testing.T) {
 
 // TestDrainStaleTakeover: a claim whose generation token never moves is
 // seized with a higher epoch and its shard drained; done claims are
-// never seized.
+// never seized. A claim object that does not decode, or is of a foreign
+// schema, is a holder that never progresses: it is seized the same way,
+// at epoch 1, before the context's deadline.
 func TestDrainStaleTakeover(t *testing.T) {
 	m := expandFleet(t)
-	leases := objstore.NewMem()
 	grid := GridID(m, 2)
-
-	// A dead host holds shard 0; shard 1 is done under a peer's claim
-	// (its requests are deliberately absent from the store — done means
-	// done, nobody re-checks).
-	plant := func(shard int, cl Claim) {
+	claim := func(shard int, cl Claim) []byte {
 		cl.Schema, cl.Grid, cl.Shard = ClaimSchema, grid, shard
 		data, err := json.Marshal(cl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := leases.Put(bg, claimName(grid, shard), data); err != nil {
-			t.Fatal(err)
-		}
+		return data
 	}
-	plant(0, Claim{Holder: "dead", Epoch: 1, Gen: 7})
-	plant(1, Claim{Holder: "peer", Epoch: 3, Gen: 2, Done: true})
-
-	sum, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(t.TempDir())), sim.WithWorkers(2)), leases,
-		Config{Host: "b", ShardCells: 2, StalePolls: 3, Sleep: fastSleep})
+	foreign, err := json.Marshal(Claim{Schema: "fl0", Grid: grid, Holder: "old", Epoch: 4, Gen: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.TakenOver != 1 {
-		t.Fatalf("stale claim not seized exactly once: %+v", sum)
-	}
-	if sum.PeerDone != 1 {
-		t.Fatalf("done claim not honored: %+v", sum)
-	}
-	if sum.Claimed != 3 { // shard 0 (seized) + shards 2, 3 (fresh)
-		t.Fatalf("drained %d shards, want 3: %+v", sum.Claimed, sum)
-	}
 
-	// The seized claim carries the higher epoch and our host, done.
-	data, err := leases.Get(bg, claimName(grid, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cl Claim
-	if err := json.Unmarshal(data, &cl); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Holder != "b" || cl.Epoch != 2 || !cl.Done {
-		t.Fatalf("seized claim wrong: %+v", cl)
+	for _, tc := range []struct {
+		name   string
+		shard0 []byte // planted at shard 0's claim name
+		epoch  int    // the seizing claim's epoch
+	}{
+		{"dead host", claim(0, Claim{Holder: "dead", Epoch: 1, Gen: 7}), 2},
+		{"garbage", []byte("{not json"), 1},
+		{"foreign schema", foreign, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+			defer cancel()
+			// Shard 1 is done under a peer's claim (its requests are
+			// deliberately absent from the store — done means done,
+			// nobody re-checks).
+			leases := objstore.NewMem()
+			for shard, data := range [][]byte{tc.shard0, claim(1, Claim{Holder: "peer", Epoch: 3, Gen: 2, Done: true})} {
+				if err := leases.Put(bg, claimName(grid, shard), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			sum, err := Drain(ctx, m, sim.New(sim.WithStore(sim.NewStore(t.TempDir())), sim.WithWorkers(2)), leases,
+				Config{Host: "b", ShardCells: 2, StalePolls: 3, Sleep: fastSleep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.TakenOver != 1 {
+				t.Fatalf("stale claim not seized exactly once: %+v", sum)
+			}
+			if sum.PeerDone != 1 {
+				t.Fatalf("done claim not honored: %+v", sum)
+			}
+			if sum.Claimed != 3 { // shard 0 (seized) + shards 2, 3 (fresh)
+				t.Fatalf("drained %d shards, want 3: %+v", sum.Claimed, sum)
+			}
+
+			// The seized claim carries the higher epoch and our host, done.
+			data, err := leases.Get(bg, claimName(grid, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cl Claim
+			if err := json.Unmarshal(data, &cl); err != nil {
+				t.Fatal(err)
+			}
+			if cl.Holder != "b" || cl.Epoch != tc.epoch || !cl.Done {
+				t.Fatalf("seized claim wrong: %+v", cl)
+			}
+		})
 	}
 }

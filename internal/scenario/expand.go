@@ -73,6 +73,10 @@ type Matrix struct {
 	// Requests is the deduplicated simulation list in first-use order;
 	// running a scenario is exactly one Stream over it.
 	Requests []sim.Request
+	// Keys holds each request's sim.Key, parallel to Requests: the keys
+	// Expand interned the requests by, kept so that consumers fingerprinting
+	// the whole matrix (fleet.GridID) need not key every request again.
+	Keys []string
 	// FirstUse maps each Requests index to the cell that interned it.
 	// Because cells intern their requests in cell order, a contiguous
 	// cell range [lo, hi) owns exactly the requests with
@@ -123,6 +127,7 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 				at = len(m.Requests)
 				index[key] = at
 				m.Requests = append(m.Requests, req)
+				m.Keys = append(m.Keys, key)
 				m.FirstUse = append(m.FirstUse, len(m.Cells))
 			}
 			idxs[i] = at

@@ -86,11 +86,18 @@ cell 192/unlimited base=[6 7] opt=[10 11]
 	}
 
 	// The same spec expands identically every time (map iteration must
-	// not leak into the order).
+	// not leak into the order), and the matrix carries each request's
+	// key.
 	m2 := s.MustExpand(Overrides{})
+	if len(m.Keys) != len(m.Requests) {
+		t.Fatalf("matrix has %d keys for %d requests", len(m.Keys), len(m.Requests))
+	}
 	for i := range m.Requests {
 		if sim.Key(m.Requests[i]) != sim.Key(m2.Requests[i]) {
 			t.Fatalf("expansion not deterministic at request %d", i)
+		}
+		if m.Keys[i] != sim.Key(m.Requests[i]) {
+			t.Fatalf("request %d: matrix key %q, sim.Key %q", i, m.Keys[i], sim.Key(m.Requests[i]))
 		}
 	}
 }

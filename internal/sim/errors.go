@@ -42,6 +42,15 @@ func canceledErr(bench string, cause error) error {
 // — applies the same contract, so regshare, the scenario engine and
 // direct callers cannot drift apart on what a runnable request is.
 func (req Request) Validate() error {
+	_, err := workloads.Resolve(req.Bench)
+	return req.validate(err)
+}
+
+// validate is Validate with the workload name already resolved: nameErr
+// is what workloads.Resolve(req.Bench) returned. The run lengths and the
+// configuration are checked before the name, so a request wrong in both
+// is a bad configuration.
+func (req Request) validate(nameErr error) error {
 	if req.Measure == 0 {
 		return fmt.Errorf("sim: %s: %w: measure must be positive (a zero measured region yields no statistics)",
 			req.Bench, ErrBadConfig)
@@ -49,8 +58,8 @@ func (req Request) Validate() error {
 	if err := req.Config.Check(); err != nil {
 		return fmt.Errorf("sim: %s: %w: %w", req.Bench, ErrBadConfig, err)
 	}
-	if _, err := workloads.Resolve(req.Bench); err != nil {
-		return fmt.Errorf("sim: %w %q: %w", ErrUnknownBenchmark, req.Bench, err)
+	if nameErr != nil {
+		return fmt.Errorf("sim: %w %q: %w", ErrUnknownBenchmark, req.Bench, nameErr)
 	}
 	return nil
 }

@@ -11,8 +11,8 @@ import (
 // shard plus a root over all 256 of them, so two stores — or two hosts
 // reading one shared directory — agree exactly when their roots are
 // equal. The manifest is computed over the raw envelope bytes on disk:
-// envelopes are written deterministically (MarshalIndent of a fixed
-// header plus the Result), so two stores holding the same results
+// envelopes are written deterministically (compact json.Marshal of a
+// fixed header plus the Result), so two stores holding the same results
 // under the same simulator version are byte-identical and hash to the
 // same root. A fleet drain, regshared -manifest and the cross-backend
 // tests compare stores by that root.

@@ -341,9 +341,9 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Result, error) {
 // request's singleflight slot, then fill. b is the request's Stream
 // batch and idx its index there (nil and -1 under Run).
 func (r *Runner) do(ctx context.Context, b *batch, idx int, req Request) Event {
-	req = canonical(req)
+	req, nameErr := canonical(req)
 	ev := Event{Index: idx, Req: req}
-	if err := req.Validate(); err != nil {
+	if err := req.validate(nameErr); err != nil {
 		ev.Err = err
 		return ev
 	}
@@ -354,13 +354,15 @@ func (r *Runner) do(ctx context.Context, b *batch, idx int, req Request) Event {
 
 // canonical returns req with its workload name canonicalized, so the
 // many equivalent spellings of a gen: point share one singleflight slot
-// and one store entry. An invalid name passes through unchanged for
-// Validate to reject with the typed error.
-func canonical(req Request) Request {
-	if name, err := workloads.CanonicalName(req.Bench); err == nil {
-		req.Bench = name
+// and one store entry, and the error workloads.Resolve gave the name:
+// the one parse both canonicalizes and validates it. An invalid name
+// passes through unchanged for validate to reject with the typed error.
+func canonical(req Request) (Request, error) {
+	spec, err := workloads.Resolve(req.Bench)
+	if err == nil {
+		req.Bench = spec.Name
 	}
-	return req
+	return req, err
 }
 
 // share is the Runner's singleflight over request keys: the first
@@ -658,7 +660,8 @@ func (b *batch) earlier(i int, req Request) (string, core.TrackerLimits, []int) 
 		b.first, b.byClass = make(map[string]int), make(map[string][]int)
 	}
 	for ; b.known <= i; b.known++ {
-		j, q := b.known, canonical(b.reqs[b.known])
+		j := b.known
+		q, _ := canonical(b.reqs[j])
 		key := Key(q)
 		if _, ok := b.first[key]; !ok {
 			b.first[key] = j

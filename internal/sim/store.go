@@ -34,11 +34,12 @@ const storeSchema = "rs1"
 //     a long-lived store survives simulator rebuilds without ever
 //     serving stale or foreign results.
 //
-// The envelope bytes are canonical (MarshalIndent of a fixed header
-// plus the Result), so two stores holding the same results under the
-// same simulator version are byte-identical across backends — which is
-// what makes the manifest root (manifest.go) comparable between an fs
-// directory and an in-process map.
+// The envelope bytes are canonical (compact json.Marshal of a fixed
+// header plus the Result), so two stores holding the same results under
+// the same simulator version are byte-identical across backends — which
+// is what makes the manifest root (manifest.go) comparable between an
+// fs directory and an in-process map. Entries written indented, as
+// earlier builds did, differ only in whitespace and still load.
 type Store struct {
 	backend objstore.Backend
 	dir     string // fs root when filesystem-backed, "" otherwise
@@ -142,12 +143,12 @@ func (s *Store) Load(ctx context.Context, key string) (*Result, bool) {
 // and diagnostics, but callers holding the in-memory result may ignore
 // them: a failed cache write never affects correctness.
 func (s *Store) Put(ctx context.Context, key string, res *Result) error {
-	data, err := json.MarshalIndent(envelope{
+	data, err := json.Marshal(envelope{
 		Schema:     storeSchema,
 		SimVersion: cacheVersion(),
 		Key:        key,
 		Result:     res,
-	}, "", " ")
+	})
 	if err != nil {
 		return err
 	}

@@ -132,3 +132,88 @@ func TestStoreSharedByRunners(t *testing.T) {
 		t.Fatal("shared-store result differs")
 	}
 }
+
+// FuzzStoreLoad feeds arbitrary bytes to Load as the stored entry of a
+// fixed key, through a mem: store: the envelope is the store's trust
+// boundary, read from a directory any fleet host may have written.
+// Load must never panic, and must return a result exactly when the
+// envelope decodes with this store's schema, this simulator's version
+// and the key asked for, and carries a result, which it returns as
+// stored. The seeds cover the compact envelope Put writes and the
+// indented one earlier builds wrote (both load to the stored result), a
+// truncated entry, a foreign key, a foreign schema and a null result.
+func FuzzStoreLoad(f *testing.F) {
+	const key = "gen:spill?depth=8-1000-8000-0011223344556677"
+	want := storeResult("gen:spill?depth=8")
+	want.S.Cycles, want.S.Committed, want.Tracker.ShareFailsFull, want.Mem.L1DMisses = 4321, 8000, 7, 99
+	env := func(schema, k string, res *Result) envelope {
+		return envelope{Schema: schema, SimVersion: cacheVersion(), Key: k, Result: res}
+	}
+	marshal := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	open := func(data []byte) (*Store, error) {
+		s, err := OpenStore("mem:")
+		if err != nil {
+			return nil, err
+		}
+		return s, s.backend.Put(bg, entryName(key), data)
+	}
+
+	compact := marshal(env(storeSchema, key, want))
+	indented, err := json.MarshalIndent(env(storeSchema, key, want), "", " ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Put writes the compact form, and both forms load as the result.
+	s, err := OpenStore("mem:")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put(bg, key, want); err != nil {
+		f.Fatal(err)
+	}
+	if got, err := s.backend.Get(bg, entryName(key)); err != nil || string(got) != string(compact) {
+		f.Fatalf("Put wrote %q (err %v), want the compact envelope %q", got, err, compact)
+	}
+	for _, data := range [][]byte{compact, indented} {
+		s, err := open(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if got, ok := s.Load(bg, key); !ok || *got != *want {
+			f.Fatalf("stored envelope %q does not load as the result (ok %v)", data, ok)
+		}
+	}
+
+	for _, seed := range [][]byte{
+		compact,
+		indented,
+		compact[:len(compact)/2],
+		marshal(env(storeSchema, "gen:spill?depth=8-1000-8000-ffffffffffffffff", want)),
+		marshal(env("rs0", key, want)),
+		marshal(env(storeSchema, key, nil)),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Load(bg, key)
+		var e envelope
+		valid := json.Unmarshal(data, &e) == nil &&
+			e.Schema == storeSchema && e.SimVersion == cacheVersion() && e.Key == key && e.Result != nil
+		if ok != valid {
+			t.Fatalf("Load ok = %v on an envelope whose header check reads %v: %q", ok, valid, data)
+		}
+		if ok && (got == nil || *got != *e.Result) {
+			t.Fatalf("Load returned %+v, the envelope holds %+v", got, e.Result)
+		}
+	})
+}

@@ -150,6 +150,10 @@ func TestValidationTaxonomy(t *testing.T) {
 		// A 37 GB ROB: no recover could catch the out-of-memory.
 		{"2^26-entry ROB", func(q *Request) { q.Config.ROBSize = 1 << 26 }, ErrBadConfig},
 		{"unknown benchmark", func(q *Request) { q.Bench = "no-such-benchmark" }, ErrUnknownBenchmark},
+		// The configuration is checked before the workload name.
+		{"unknown benchmark and zero ROB", func(q *Request) {
+			q.Bench, q.Config.ROBSize = "no-such-benchmark", 0
+		}, ErrBadConfig},
 		// Valid, but nothing can execute an ALU op: the core's commit
 		// deadlock detector fires.
 		{"no ALUs", func(q *Request) { q.Config.NumALU = 0 }, ErrSimFault},
