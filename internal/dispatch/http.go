@@ -11,7 +11,12 @@ import (
 	"strings"
 
 	"repro/internal/sim"
+	"repro/internal/wirejson"
 )
+
+// resultJSON decodes /v1/run results; what the service writes takes its
+// fast path.
+var resultJSON = wirejson.For[sim.Result]()
 
 // HTTP is the client for the regshared service: Execute POSTs the
 // request to /v1/run and decodes the Result. The server side runs
@@ -94,13 +99,14 @@ func (h *HTTP) Execute(ctx context.Context, req sim.Request) (*sim.Result, error
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeHTTPError(resp)
 	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: reading result from %s: %w", h.base, err)
+	}
 	var res sim.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	if err := resultJSON.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("dispatch: decoding result from %s: %w", h.base, err)
 	}
-	// Drain the encoder's trailing newline so the connection returns to
-	// the keep-alive pool instead of being torn down per request.
-	io.Copy(io.Discard, resp.Body)
 	return &res, nil
 }
 

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
 
 	"repro/internal/objstore"
 	"repro/internal/sim"
+	"repro/internal/wirejson"
 )
 
 // Service is the regshared result service. It exposes one sim.Runner —
@@ -119,6 +121,10 @@ func clientID(r *http.Request) string {
 // maxRequestBody bounds request decoding; a sim.Request is a few KB.
 const maxRequestBody = 16 << 20
 
+// requestJSON decodes /v1/run bodies; the compact ones Go clients send
+// take its fast path.
+var requestJSON = wirejson.For[sim.Request]()
+
 // admit runs the request through the admission gate, writing the 429
 // (queue full, with Retry-After) or 503 (canceled while waiting)
 // response itself on refusal. A true return means the caller
@@ -142,8 +148,14 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, rm *RequestMetri
 // handleRun executes one request synchronously.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	rm := s.met.accept(clientID(r))
+	// The body is exactly one request: data after it is an error, as
+	// json.Unmarshal has it.
 	var req sim.Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err == nil {
+		err = requestJSON.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, kindBadConfig, fmt.Sprintf("decoding request body: %v", err))
 		s.met.finish(rm, http.StatusBadRequest, 0)
 		return
@@ -157,7 +169,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Stream-of-one instead of Run: the completion event carries the
 	// provenance (simulated / memory / store) the metrics record.
 	var ev sim.Event
-	_, err := s.runner.Stream(r.Context(), []sim.Request{req}, func(e sim.Event) { ev = e })
+	_, err = s.runner.Stream(r.Context(), []sim.Request{req}, func(e sim.Event) { ev = e })
 	if err != nil {
 		s.met.settled(rm, "")
 		status := statusFor(err)

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -168,23 +170,34 @@ func TestServiceErrorTaxonomy(t *testing.T) {
 		t.Fatalf("got %v, want ErrSimFault", err)
 	}
 
-	// Raw status codes for non-Go clients.
-	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader([]byte("{not json")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: got %s, want 400", resp.Status)
-	}
-	body, _ := json.Marshal(faulty)
-	resp, err = http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var we struct {
+	// Raw status codes for non-Go clients. A body is exactly one request:
+	// data after it, a second request included, is malformed too.
+	type wireErr struct {
 		Kind string `json:"error_kind"`
 	}
+	good, _ := json.Marshal(smallReq("crafty", 3000))
+	for name, body := range map[string]string{
+		"not json":      "{not json",
+		"trailing junk": string(good) + "junk",
+		"two requests":  string(good) + string(good),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we wireErr
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || we.Kind != kindBadConfig {
+			t.Fatalf("%s: got %s kind %q (%v), want 400 %q", name, resp.Status, we.Kind, err, kindBadConfig)
+		}
+	}
+	body, _ := json.Marshal(faulty)
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var we wireErr
 	err = json.NewDecoder(resp.Body).Decode(&we)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || we.Kind != kindSimFault {
@@ -193,5 +206,91 @@ func TestServiceErrorTaxonomy(t *testing.T) {
 
 	if _, err := h.Execute(context.Background(), smallReq("crafty", 3000)); err != nil {
 		t.Fatalf("good request after a fault: %v", err)
+	}
+}
+
+// stubService is the service over a runner whose executor returns res
+// for every request, so no request simulates.
+func stubService(res sim.Result) *Service {
+	runner := sim.New(sim.WithExecutor(func(context.Context, sim.Request) (*sim.Result, error) {
+		r := res
+		return &r, nil
+	}))
+	return NewService(runner, nil)
+}
+
+// FuzzRunBody: whatever bytes a client POSTs to /v1/run, the service
+// answers 200 with a result, or 400 bad_config or unknown_benchmark:
+// never a 5xx, never a panic.
+func FuzzRunBody(f *testing.F) {
+	stub := sim.Result{Bench: "stub", TrackerName: "unlimited", IPC: 1.25}
+	compact, err := json.Marshal(smallReq("crafty", 3000))
+	if err != nil {
+		f.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(smallReq("crafty", 3000), "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	gen, err := json.Marshal(smallReq("gen:spill?depth=16&far=0.5", 3000))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(compact),
+		string(indented),
+		"{not json",
+		string(compact) + "junk",
+		string(compact) + string(compact),
+		strings.Replace(string(compact), `"Warmup":200`, `"Warmup":"200"`, 1),
+		string(gen),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		stubService(stub).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var res sim.Result
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || res != stub {
+				t.Fatalf("%q: 200 with %q (%v), want the stub's result", body, rec.Body.Bytes(), err)
+			}
+		case http.StatusBadRequest:
+			var we struct {
+				Kind string `json:"error_kind"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &we); err != nil || we.Kind != kindBadConfig && we.Kind != kindUnknownBenchmark {
+				t.Fatalf("%q: 400 with %q (%v), want kind %s or %s", body, rec.Body.Bytes(), err, kindBadConfig, kindUnknownBenchmark)
+			}
+		default:
+			t.Fatalf("%q: got %d %q, want 200 or 400", body, rec.Code, rec.Body.Bytes())
+		}
+	})
+}
+
+// TestExecuteReusesItsConnection: Execute reads each response to its
+// end, so sequential calls share one keep-alive connection. A call that
+// left bytes unread would tear its connection down, and serve-warm
+// would pay a TCP handshake per result.
+func TestExecuteReusesItsConnection(t *testing.T) {
+	ts := httptest.NewUnstartedServer(stubService(sim.Result{Bench: "stub"}).Handler())
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	h := NewHTTP(ts.URL)
+	defer h.Close()
+	for i := 0; i < 20; i++ {
+		if _, err := h.Execute(context.Background(), smallReq("crafty", 3000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("20 sequential calls opened %d connections, want 1", n)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/wirejson"
 )
 
 // ClaimSchema tags the claim object layout. Bump it when Claim changes
@@ -73,6 +74,10 @@ type Claim struct {
 	// seized.
 	Done bool `json:"done"`
 }
+
+// claimJSON decodes claims; the compact ones write stores take its fast
+// path.
+var claimJSON = wirejson.For[Claim]()
 
 // GridID fingerprints one expanded matrix for fleet coordination: the
 // scenario name, the shard geometry, the simulator version and every
@@ -472,7 +477,7 @@ func (d *drainer) read(ctx context.Context, s int) (Claim, bool, error) {
 		return Claim{}, false, fmt.Errorf("fleet: reading shard %d claim: %w", s, err)
 	}
 	var cl Claim
-	if err := json.Unmarshal(data, &cl); err != nil || cl.Schema != ClaimSchema || cl.Grid != d.grid {
+	if err := claimJSON.Unmarshal(data, &cl); err != nil || cl.Schema != ClaimSchema || cl.Grid != d.grid {
 		return Claim{}, true, nil
 	}
 	return cl, true, nil

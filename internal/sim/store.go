@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/objstore"
+	"repro/internal/wirejson"
 )
 
 // storeSchema tags the envelope layout. Bump it when the envelope
@@ -55,6 +56,10 @@ type envelope struct {
 	Key        string  `json:"key"`         // full sim.Key (collision guard)
 	Result     *Result `json:"result"`
 }
+
+// envelopeJSON decodes envelopes; the compact ones Put writes take its
+// fast path.
+var envelopeJSON = wirejson.For[envelope]()
 
 // NewStore opens (lazily — no I/O happens until the first access) the
 // filesystem-backed store rooted at dir.
@@ -128,7 +133,7 @@ func (s *Store) Load(ctx context.Context, key string) (*Result, bool) {
 		return nil, false
 	}
 	var e envelope
-	if err := json.Unmarshal(data, &e); err != nil {
+	if err := envelopeJSON.Unmarshal(data, &e); err != nil {
 		return nil, false
 	}
 	if e.Schema != storeSchema || e.SimVersion != cacheVersion() || e.Key != key || e.Result == nil {
