@@ -14,9 +14,19 @@ import (
 	"repro/internal/wirejson"
 )
 
-// resultJSON decodes /v1/run results; what the service writes takes its
-// fast path.
-var resultJSON = wirejson.For[sim.Result]()
+// The plans of the /v1/run wire: Execute writes requests and decodes
+// results, the service decodes requests and writes results. A request
+// is about 2 KB of JSON and a result about 1.3 KB; the sizes hold one
+// with room to spare.
+var (
+	requestJSON = wirejson.For[sim.Request]()
+	resultJSON  = wirejson.For[sim.Result]()
+)
+
+const (
+	requestSize = 3 << 10
+	resultSize  = 2 << 10
+)
 
 // HTTP is the client for the regshared service: Execute POSTs the
 // request to /v1/run and decodes the Result. The server side runs
@@ -77,7 +87,7 @@ func (h *HTTP) checkSimver(resp *http.Response) error {
 
 // Execute runs req on the remote service.
 func (h *HTTP) Execute(ctx context.Context, req sim.Request) (*sim.Result, error) {
-	body, err := json.Marshal(req)
+	body, err := requestJSON.Append(make([]byte, 0, requestSize), &req)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: encoding request: %w", err)
 	}

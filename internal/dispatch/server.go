@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/objstore"
 	"repro/internal/sim"
-	"repro/internal/wirejson"
 )
 
 // Service is the regshared result service. It exposes one sim.Runner —
@@ -121,10 +120,6 @@ func clientID(r *http.Request) string {
 // maxRequestBody bounds request decoding; a sim.Request is a few KB.
 const maxRequestBody = 16 << 20
 
-// requestJSON decodes /v1/run bodies; the compact ones Go clients send
-// take its fast path.
-var requestJSON = wirejson.For[sim.Request]()
-
 // admit runs the request through the admission gate, writing the 429
 // (queue full, with Retry-After) or 503 (canceled while waiting)
 // response itself on refusal. A true return means the caller
@@ -179,7 +174,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	rm.Key = ev.Key
 	s.met.settled(rm, ev.Source.String())
-	writeJSON(w, ev.Res)
+	writeResult(w, ev.Res)
 	s.met.finish(rm, http.StatusOK, ev.Res.S.Cycles)
 }
 
@@ -233,6 +228,18 @@ func writeError(w http.ResponseWriter, status int, kind, msg string) {
 	// A failed write means the client hung up; there is no one left to
 	// report the error to.
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg, "error_kind": kind})
+}
+
+// writeResult emits res as the 200 response: what a json.Encoder
+// writes, json.Marshal's bytes and a newline, and, like it, no body for
+// a result json.Marshal refuses.
+func writeResult(w http.ResponseWriter, res *sim.Result) {
+	w.Header().Set("Content-Type", "application/json")
+	body, err := resultJSON.Append(make([]byte, 0, resultSize), res)
+	if err == nil {
+		// A failed write means the client hung up.
+		_, _ = w.Write(append(body, '\n'))
+	}
 }
 
 // writeJSON emits v as the 200 response.

@@ -28,7 +28,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -75,9 +74,11 @@ type Claim struct {
 	Done bool `json:"done"`
 }
 
-// claimJSON decodes claims; the compact ones write stores take its fast
-// path.
+// claimJSON writes claims and decodes them; claimSize holds one, about
+// 100 bytes plus the holder's name.
 var claimJSON = wirejson.For[Claim]()
+
+const claimSize = 256
 
 // GridID fingerprints one expanded matrix for fleet coordination: the
 // scenario name, the shard geometry, the simulator version and every
@@ -487,7 +488,7 @@ func (d *drainer) read(ctx context.Context, s int) (Claim, bool, error) {
 // initial race) and Put otherwise (progress bumps, takeovers, done
 // marks).
 func (d *drainer) write(ctx context.Context, s int, cl Claim, ifAbsent bool) (bool, error) {
-	data, err := json.Marshal(cl)
+	data, err := claimJSON.Append(make([]byte, 0, claimSize), &cl)
 	if err != nil {
 		return false, err
 	}

@@ -159,23 +159,35 @@ type Spec struct {
 	Report       ReportSpec     `json:"report"`
 }
 
-// Parse reads one spec from r, rejecting unknown fields (a typo'd knob
-// must fail loudly, not silently sweep nothing) and validating it.
+// Parse reads one spec from r; see ParseBytes.
 func Parse(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: parse: %w", err)
+	}
+	return ParseBytes(data)
+}
+
+// ParseBytes parses one spec, rejecting unknown fields (a typo'd knob
+// must fail loudly, not silently sweep nothing) and anything but
+// whitespace after the spec, and validates it.
+func ParseBytes(data []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
+	}
+	// Decode stops after one value: junk or a second spec after it is an
+	// error, as json.Unmarshal has it.
+	if off := dec.InputOffset(); len(bytes.TrimLeft(data[off:], " \t\r\n")) != 0 {
+		return nil, fmt.Errorf("scenario: parse: data after the spec at byte %d", off)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
-
-// ParseBytes parses a spec held in memory.
-func ParseBytes(data []byte) (*Spec, error) { return Parse(bytes.NewReader(data)) }
 
 // LoadFile parses the spec at path.
 func LoadFile(path string) (*Spec, error) {

@@ -1,11 +1,18 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // minimal returns a valid single-axis spec as a mutable JSON template.
@@ -20,13 +27,17 @@ const minimal = `{
   "report": {"kind": "grid", "rowheader": "a"}
 }`
 
+// TestParseMinimal: a spec parses, with JSON whitespace around it, a
+// trailing newline included.
 func TestParseMinimal(t *testing.T) {
-	s, err := ParseBytes([]byte(minimal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name != "t" || len(s.Axes) != 1 || s.Axes[0].Values[0].Label != "x" {
-		t.Fatalf("parsed spec wrong: %+v", s)
+	for _, data := range []string{minimal, minimal + "\n", "\n\t " + minimal + " \r\n"} {
+		s, err := ParseBytes([]byte(data))
+		if err != nil {
+			t.Fatalf("%q: %v", data, err)
+		}
+		if s.Name != "t" || len(s.Axes) != 1 || s.Axes[0].Values[0].Label != "x" {
+			t.Fatalf("parsed spec wrong: %+v", s)
+		}
 	}
 }
 
@@ -40,6 +51,8 @@ func TestParseRejects(t *testing.T) {
 	}{
 		{"unknown top-level field",
 			strings.Replace(minimal, `"title"`, `"titel"`, 1), "titel"},
+		{"junk after the spec", minimal + "junk", "data after the spec"},
+		{"two specs", minimal + "\n" + minimal, "data after the spec"},
 		{"unknown patch knob",
 			strings.Replace(minimal, `"entries": 8`, `"entriess": 8`, 1), "entriess"},
 		{"unknown tracker kind",
@@ -205,4 +218,122 @@ func TestFleetGridShape(t *testing.T) {
 	if m.Spec.Report.Kind != ReportCells {
 		t.Fatalf("fleet-grid must use the cells report (grids cannot lay out 4+ axes)")
 	}
+}
+
+// maxFuzzCells bounds the grids FuzzSpec expands; the count is taken
+// before Expand runs, which builds every cell.
+const maxFuzzCells = 4096
+
+// FuzzSpec: ParseBytes returns a spec only for exactly one JSON value;
+// Expand of a spec it returns never panics, names the scenario in every
+// error, and otherwise yields a matrix that holds what sweeps and fleet
+// drains rely on — every request keyed by sim.Key (which must equal the
+// key json.Marshal's encoding of the config gives), keys unique,
+// FirstUse nondecreasing (fleet's exactly-once settlement), every index
+// in range, and every config passing Check.
+func FuzzSpec(f *testing.F) {
+	entries, err := specFS.ReadDir("specs")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := specFS.ReadFile(path.Join("specs", e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, seed := range []string{
+		minimal + "junk",
+		minimal + minimal,
+		minimal + "\n",
+		strings.Replace(minimal, `{"entries": 8}`, `{"tagegeom": []}`, 1),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseBytes(data)
+		if err != nil {
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("%q parsed, but is not exactly one JSON value", data)
+		}
+		if cells(s) > maxFuzzCells {
+			return
+		}
+		m, err := s.Expand(Overrides{})
+		if err != nil {
+			if !strings.Contains(err.Error(), fmt.Sprintf("scenario %q", s.Name)) {
+				t.Fatalf("Expand error %q does not name scenario %q", err, s.Name)
+			}
+			return
+		}
+		checkMatrix(t, m)
+	})
+}
+
+// cells counts a spec's grid, stopping past maxFuzzCells.
+func cells(s *Spec) int {
+	n := 1
+	for _, a := range s.WorkloadAxes {
+		if n *= len(a.Values); n > maxFuzzCells {
+			return n
+		}
+	}
+	for _, a := range s.Axes {
+		if n *= len(a.Values); n > maxFuzzCells {
+			return n
+		}
+	}
+	return n
+}
+
+// checkMatrix requires the invariants FuzzSpec states of an expanded
+// matrix.
+func checkMatrix(t *testing.T, m *Matrix) {
+	t.Helper()
+	n := len(m.Requests)
+	if len(m.Keys) != n || len(m.FirstUse) != n {
+		t.Fatalf("%d requests, %d keys, %d first uses", n, len(m.Keys), len(m.FirstUse))
+	}
+	seen := make(map[string]bool, n)
+	for i, req := range m.Requests {
+		if key := sim.Key(req); m.Keys[i] != key || key != marshalKey(t, req) {
+			t.Fatalf("request %d: key %s, sim.Key %s, json.Marshal's %s", i, m.Keys[i], key, marshalKey(t, req))
+		}
+		if seen[m.Keys[i]] {
+			t.Fatalf("request %d: key %s repeats", i, m.Keys[i])
+		}
+		seen[m.Keys[i]] = true
+		if u := m.FirstUse[i]; u < 0 || u >= len(m.Cells) || i > 0 && u < m.FirstUse[i-1] {
+			t.Fatalf("FirstUse %v is out of range or decreases at %d", m.FirstUse, i)
+		}
+		if err := req.Config.Check(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	for ci, c := range m.Cells {
+		if len(c.Base) != len(c.Benches) || len(c.Opt) != len(c.Benches) {
+			t.Fatalf("cell %d: %d benchmarks, %d baselines, %d optimized", ci, len(c.Benches), len(c.Base), len(c.Opt))
+		}
+		for _, idxs := range [][]int{c.Base, c.Opt} {
+			for _, i := range idxs {
+				if i < 0 || i >= n {
+					t.Fatalf("cell %d: request index %d out of [0, %d)", ci, i, n)
+				}
+			}
+		}
+	}
+}
+
+// marshalKey is sim.Key over encoding/json's encoding of the config: the
+// reference for the bytes sim.Key hashes.
+func marshalKey(t *testing.T, req sim.Request) string {
+	cfg, err := json.Marshal(req.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(cfg)
+	return fmt.Sprintf("%s-%d-%d-%s", req.Bench, req.Warmup, req.Measure, hex.EncodeToString(h[:8]))
 }

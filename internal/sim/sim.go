@@ -44,18 +44,19 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/refcount"
+	"repro/internal/wirejson"
 	"repro/internal/workloads"
 )
 
@@ -304,18 +305,33 @@ func Version() string { return cacheVersion() }
 
 // Key returns the deduplication key of req: the benchmark name, a digest
 // of the full configuration (which is pure data, so its JSON encoding is
-// deterministic) and the run lengths. The simulator version tag is NOT
-// part of this key — in-memory results can never be stale — the on-disk
-// Store instead records it in each entry's envelope header and treats a
-// mismatch as a miss (see Store.Load).
+// deterministic) and the run lengths. The digest is a SHA-256 of the
+// bytes json.Marshal writes for the config, which configJSON writes
+// without encoding/json; the encoding and the key are built in stack
+// buffers, so Key allocates only the string it returns. The simulator
+// version tag is NOT part of this key — in-memory results can never be
+// stale — the on-disk Store instead records it in each entry's envelope
+// header and treats a mismatch as a miss (see Store.Load).
 func Key(req Request) string {
-	cfg, err := json.Marshal(req.Config)
+	var buf [configSize]byte
+	cfg, err := configJSON.Append(buf[:0], &req.Config)
 	if err != nil {
 		panic(fmt.Sprintf("sim: config not encodable: %v", err))
 	}
 	h := sha256.Sum256(cfg)
-	return fmt.Sprintf("%s-%d-%d-%s", req.Bench, req.Warmup, req.Measure, hex.EncodeToString(h[:8]))
+	var kb [128]byte
+	k := append(kb[:0], req.Bench...)
+	k = strconv.AppendUint(append(k, '-'), req.Warmup, 10)
+	k = strconv.AppendUint(append(k, '-'), req.Measure, 10)
+	k = hex.AppendEncode(append(k, '-'), h[:8])
+	return string(k)
 }
+
+// configJSON writes the config Key hashes; configSize holds the about
+// 1.9 KB it writes for the paper's Table 1 machine.
+var configJSON = wirejson.For[core.Config]()
+
+const configSize = 2 << 10
 
 // Counters returns a snapshot of the Runner's activity counters.
 func (r *Runner) Counters() Counters {

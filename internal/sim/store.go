@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"path/filepath"
 
 	"repro/internal/objstore"
@@ -35,8 +34,9 @@ const storeSchema = "rs1"
 //     a long-lived store survives simulator rebuilds without ever
 //     serving stale or foreign results.
 //
-// The envelope bytes are canonical (compact json.Marshal of a fixed
-// header plus the Result), so two stores holding the same results under
+// The envelope bytes are canonical (the compact bytes json.Marshal
+// writes for a fixed header plus the Result, which envelopeJSON writes
+// without encoding/json), so two stores holding the same results under
 // the same simulator version are byte-identical across backends — which
 // is what makes the manifest root (manifest.go) comparable between an
 // fs directory and an in-process map. Entries written indented, as
@@ -57,9 +57,11 @@ type envelope struct {
 	Result     *Result `json:"result"`
 }
 
-// envelopeJSON decodes envelopes; the compact ones Put writes take its
-// fast path.
+// envelopeJSON writes the envelopes Put stores and decodes them in Load;
+// envelopeSize holds the about 1.4 KB of one.
 var envelopeJSON = wirejson.For[envelope]()
+
+const envelopeSize = 2 << 10
 
 // NewStore opens (lazily — no I/O happens until the first access) the
 // filesystem-backed store rooted at dir.
@@ -148,7 +150,7 @@ func (s *Store) Load(ctx context.Context, key string) (*Result, bool) {
 // and diagnostics, but callers holding the in-memory result may ignore
 // them: a failed cache write never affects correctness.
 func (s *Store) Put(ctx context.Context, key string, res *Result) error {
-	data, err := json.Marshal(envelope{
+	data, err := envelopeJSON.Append(make([]byte, 0, envelopeSize), &envelope{
 		Schema:     storeSchema,
 		SimVersion: cacheVersion(),
 		Key:        key,

@@ -14,14 +14,15 @@ import (
 	"repro/internal/wirejson"
 )
 
-// The plans of the four types the stack decodes on its hot paths: store
-// envelopes (sim.Store.Load), /v1/run bodies (dispatch.Service) and
-// results (dispatch.HTTP.Execute), and fleet claims.
+// The plans of the four types the stack reads and writes on its hot
+// paths — store envelopes (sim.Store), /v1/run bodies and results
+// (dispatch), and fleet claims — and of the config sim.Key hashes.
 var (
 	envelopeJSON = wirejson.For[sim.Envelope]()
 	requestJSON  = wirejson.For[sim.Request]()
 	resultJSON   = wirejson.For[sim.Result]()
 	claimJSON    = wirejson.For[fleet.Claim]()
+	configJSON   = wirejson.For[core.Config]()
 )
 
 // wireRequest is a request as a drain or a client sends it: a gen: name
@@ -109,11 +110,41 @@ func fast[T any](t *testing.T, p *wirejson.Plan[T], v T) {
 // returns what json.Unmarshal returns: the same error (nil, or its text)
 // and, from a zero value, a deeply equal value.
 func FuzzWireDecode(f *testing.F) {
+	for _, seed := range wireSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		equivalent(t, envelopeJSON, data)
+		equivalent(t, requestJSON, data)
+		equivalent(t, resultJSON, data)
+		equivalent(t, claimJSON, data)
+	})
+}
+
+// FuzzWireEncode: whatever json.Unmarshal decodes from arbitrary bytes
+// into one of the four types, or into a core.Config, the plan writes as
+// json.Marshal writes it: the same bytes, or the same error.
+func FuzzWireEncode(f *testing.F) {
+	for _, seed := range wireSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reencodes(t, envelopeJSON, data)
+		reencodes(t, requestJSON, data)
+		reencodes(t, resultJSON, data)
+		reencodes(t, claimJSON, data)
+		reencodes(t, configJSON, data)
+	})
+}
+
+// wireSeeds are the wire fuzzers' seeds: each type's compact and
+// indented encodings, and edits at the edges of the layout json.Marshal
+// writes and of the values it writes.
+func wireSeeds(f *testing.F) [][]byte {
 	req, res, env, cl := wireRequest(), wireResult(), wireEnvelope(), wireClaim()
-	compact := [][]byte{marshal(f, req, false), marshal(f, res, false), marshal(f, env, false), marshal(f, cl, false)}
-	for _, v := range []any{req, res, env, cl} {
-		f.Add(marshal(f, v, false))
-		f.Add(marshal(f, v, true))
+	var seeds [][]byte
+	for _, v := range []any{req, res, env, cl, req.Config} {
+		seeds = append(seeds, marshal(f, v, false), marshal(f, v, true))
 	}
 	edit := func(data []byte, old, new string) []byte {
 		if !bytes.Contains(data, []byte(old)) {
@@ -121,9 +152,10 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		return bytes.Replace(data, []byte(old), []byte(new), 1)
 	}
-	reqJSON, resJSON, clJSON := compact[0], compact[1], compact[3]
+	reqJSON, resJSON, clJSON := marshal(f, req, false), marshal(f, res, false), marshal(f, cl, false)
+	cfgJSON := marshal(f, req.Config, false)
 	res.IPC = 1.5e-7
-	for _, seed := range [][]byte{
+	return append(seeds,
 		marshal(f, res, false), // a float with an exponent
 		reqJSON[:len(reqJSON)/2],
 		append(append([]byte(nil), resJSON...), "junk"...),
@@ -135,15 +167,64 @@ func FuzzWireDecode(f *testing.F) {
 		edit(reqJSON, `"Mem":{`, `"Mem":null,"X":{`),
 		edit(resJSON, `"TrackerName":"isrb`, "\"TrackerName\":\"\xff\xfeisrb"),
 		edit(resJSON, `"TrackerName":"isrb`, "\"TrackerName\":\"\x01isrb"),
-	} {
-		f.Add(seed)
+		edit(resJSON, `"TrackerName":"isrb`, `"TrackerName":"\u003c\u2028\u0001\u007f\ud83d\ude00isrb`),
+		edit(resJSON, `"IPC":2.3456789`, `"IPC":-0`),
+		edit(resJSON, `"IPC":2.3456789`, `"IPC":0.000001`),
+		edit(resJSON, `"IPC":2.3456789`, `"IPC":1e21`),
+		edit(resJSON, `"IPC":2.3456789`, `"IPC":999999999999999999999`),
+		edit(cfgJSON, `"TAGEGeometry":null`, `"TAGEGeometry":[]`),
+		edit(cfgJSON, `"TAGEGeometry":null`, `"TAGEGeometry":[-9223372036854775808,9223372036854775807]`),
+		edit(cfgJSON, `"Name":"L1I"`, `"Name":"L1I\u0026\u003e"`),
+	)
+}
+
+// reencodes requires the plan to write what json.Unmarshal decodes from
+// data into a zero T as json.Marshal writes it.
+func reencodes[T any](t *testing.T, p *wirejson.Plan[T], data []byte) {
+	t.Helper()
+	var v T
+	if json.Unmarshal(data, &v) != nil {
+		return
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		equivalent(t, envelopeJSON, data)
-		equivalent(t, requestJSON, data)
-		equivalent(t, resultJSON, data)
-		equivalent(t, claimJSON, data)
-	})
+	got, gotErr := p.Append(nil, &v)
+	want, wantErr := json.Marshal(&v)
+	if errText(gotErr) != errText(wantErr) || !bytes.Equal(got, want) {
+		t.Fatalf("%T: %q: Append %s (%s), json.Marshal %s (%s)", v, data, got, errText(gotErr), want, errText(wantErr))
+	}
+}
+
+// TestKeyIsPinned: sim.Key's strings, recorded from the json.Marshal
+// encoding of each config, for the default machine, a gen: name with
+// '&', and an SMB machine whose distance predictor has no geometry
+// (nil: the default TAGE) and an empty one (the PC-only predictor).
+// Store entries, manifest roots and fleet grid IDs all derive from them.
+func TestKeyIsPinned(t *testing.T) {
+	smb := core.DefaultConfig()
+	smb.SMB.Enabled = true
+	pcOnly := smb
+	pcOnly.SMB.TAGEGeometry = []int{}
+	for _, c := range []struct {
+		req  sim.Request
+		want string
+	}{
+		{sim.Request{Bench: "crafty", Config: core.DefaultConfig(), Warmup: 2000, Measure: 10000}, "crafty-2000-10000-767192f9b9e26a20"},
+		{wireRequest(), "gen:spill?depth=16&far=0.5&seed=7-20000-80000-cb918907559fd40a"},
+		{sim.Request{Bench: "hmmer", Config: smb, Warmup: 1000, Measure: 8000}, "hmmer-1000-8000-9c465c67fea1602f"},
+		{sim.Request{Bench: "hmmer", Config: pcOnly, Warmup: 1000, Measure: 8000}, "hmmer-1000-8000-0f27af0d87e51183"},
+	} {
+		if got := sim.Key(c.req); got != c.want {
+			t.Errorf("Key(%s …) = %s, want %s", c.req.Bench, got, c.want)
+		}
+	}
+}
+
+// TestKeyAllocatesOnlyItsString: the config is encoded and hashed
+// without a heap allocation.
+func TestKeyAllocatesOnlyItsString(t *testing.T) {
+	req := wireRequest()
+	if allocs := testing.AllocsPerRun(100, func() { sim.Key(req) }); allocs != 1 {
+		t.Fatalf("Key allocates %v times per call, want 1", allocs)
+	}
 }
 
 func equivalent[T any](t *testing.T, p *wirejson.Plan[T], data []byte) {
@@ -163,6 +244,37 @@ func errText(err error) string {
 		return "<nil>"
 	}
 	return fmt.Sprintf("%T: %v", err, err)
+}
+
+// BenchmarkWireEncode times each plan's Append, into a buffer with room,
+// against json.Marshal.
+func BenchmarkWireEncode(b *testing.B) {
+	benchEncode(b, configJSON, wireRequest().Config)
+	benchEncode(b, requestJSON, wireRequest())
+	benchEncode(b, resultJSON, wireResult())
+	benchEncode(b, envelopeJSON, wireEnvelope())
+	benchEncode(b, claimJSON, wireClaim())
+}
+
+func benchEncode[T any](b *testing.B, p *wirejson.Plan[T], v T) {
+	name := strings.TrimPrefix(strings.TrimPrefix(fmt.Sprintf("%T", v), "sim."), "core.")
+	buf := make([]byte, 0, 4<<10)
+	b.Run(name+"/plan", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := p.Append(buf, &v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(name+"/encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := json.Marshal(&v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkWireDecode times each plan against json.Unmarshal on what

@@ -1,7 +1,7 @@
-// Package wirejson decodes the compact JSON the stack writes for its
-// wire types — /v1/run request bodies and results, store envelopes and
-// fleet claims — without encoding/json's reflective decoder, and with
-// exactly its outcome.
+// Package wirejson reads and writes the compact JSON the stack uses for
+// its wire types — /v1/run request bodies and results, store envelopes,
+// fleet claims, and the machine configuration sim.Key hashes — without
+// encoding/json's reflective codec, and with exactly its outcome.
 //
 // For[T] builds a plan for T once, by reflection. The plan's Unmarshal
 // walks the one layout json.Marshal writes for T: compact, every field
@@ -11,9 +11,17 @@
 // fit its field, null where Marshal writes none, a surrogate escape,
 // invalid JSON — is handed, untouched, to json.Unmarshal. So Unmarshal
 // returns what json.Unmarshal returns for every input: the same error
-// and the same decoded value. json.Unmarshal is both the fallback and
-// the reference the tests compare against; the fast path only has to be
-// fast on what the stack itself writes.
+// and the same decoded value.
+//
+// The plan's Append writes that layout: the bytes json.Marshal returns,
+// with its escaping of strings and its formatting of floats. A value it
+// does not write itself — a NaN or infinite float, or nesting past
+// json.Marshal's cycle check — is handed to json.Marshal, so Append
+// returns json.Marshal's bytes or error for every value.
+//
+// encoding/json is thus both the fallback and the reference the tests
+// compare against; the plan only has to be fast on what the stack
+// itself reads and writes.
 package wirejson
 
 import (
@@ -28,18 +36,18 @@ import (
 	"unicode/utf8"
 )
 
-// Plan decodes one wire type. Build it once with For, in a
+// Plan decodes and encodes one wire type. Build it once with For, in a
 // package-level variable; it is safe for concurrent use.
 type Plan[T any] struct {
 	root *node
 }
 
 // For builds the plan for T, a struct. It panics on a type the plan
-// cannot walk — a map, an interface, an array, a []byte, an embedded
-// field, a json tag option such as omitempty or string, a tag name
-// outside [A-Za-z0-9_], or a type with its own JSON or text marshaling —
-// so a wire type can never drop to the slow decoder on every input
-// without notice: the package-level variable panics at start-up.
+// cannot walk — a map, an interface, an array, a []byte, a json.Number,
+// an embedded field, a json tag option such as omitempty or string, a
+// tag name outside [A-Za-z0-9_], or a type with its own JSON or text
+// marshaling — so a wire type can never drop to encoding/json on every
+// value without notice: the package-level variable panics at start-up.
 func For[T any]() *Plan[T] {
 	t := reflect.TypeFor[T]()
 	if t.Kind() != reflect.Struct {
@@ -145,6 +153,9 @@ func (pl *planner) node(t reflect.Type) *node {
 	case reflect.Float32, reflect.Float64:
 		n.kind, n.bits = kindFloat, t.Bits()
 	case reflect.String:
+		if t == reflect.TypeFor[json.Number]() {
+			panic(fmt.Sprintf("wirejson: %s encodes as a bare number", t))
+		}
 		n.kind = kindString
 	case reflect.Struct:
 		n.kind = kindStruct
@@ -157,7 +168,7 @@ func (pl *planner) node(t reflect.Type) *node {
 	case reflect.Pointer:
 		n.kind, n.elem = kindPointer, pl.node(t.Elem())
 	default:
-		panic(fmt.Sprintf("wirejson: cannot decode %s (%s)", t, t.Kind()))
+		panic(fmt.Sprintf("wirejson: cannot walk %s (%s)", t, t.Kind()))
 	}
 	return n
 }
@@ -405,29 +416,45 @@ func (d *decoder) string() (string, bool) {
 			return string(d.data[start:i]), true
 		case c == '\\' || c < ' ' || c >= utf8.RuneSelf:
 			d.pos = i
-			return d.unquote(append([]byte(nil), d.data[start:i]...))
+			return d.unquote(start)
 		}
 	}
 	return "", false
 }
 
-// unquote finishes a string that has escapes or non-ASCII bytes, after
-// its first len(b) plain bytes.
-func (d *decoder) unquote(b []byte) (string, bool) {
+// unquote finishes a string that has escapes or non-ASCII bytes, from
+// d.pos on; its plain prefix starts at start. It allocates once: no
+// escape unescapes to more bytes than it takes, so the raw bytes up to
+// the closing quote bound the value, unless invalid UTF-8 widens to
+// U+FFFD.
+func (d *decoder) unquote(start int) (string, bool) {
+	end := d.pos
+	for end < len(d.data) && d.data[end] != '"' {
+		if d.data[end] == '\\' {
+			end++ // the escaped byte, which may be a quote
+		}
+		end++
+	}
+	if end >= len(d.data) {
+		return "", false
+	}
+	var b strings.Builder
+	b.Grow(end - start)
+	b.Write(d.data[start:d.pos])
 	for d.pos < len(d.data) {
 		c := d.data[d.pos]
 		switch {
 		case c == '"':
 			d.pos++
-			return string(b), true
+			return b.String(), true
 		case c < ' ':
 			return "", false
 		case c >= utf8.RuneSelf:
 			r, size := utf8.DecodeRune(d.data[d.pos:])
-			b = utf8.AppendRune(b, r)
+			b.WriteRune(r)
 			d.pos += size
 		case c != '\\':
-			b = append(b, c)
+			b.WriteByte(c)
 			d.pos++
 		case d.pos+1 == len(d.data):
 			return "", false
@@ -436,23 +463,23 @@ func (d *decoder) unquote(b []byte) (string, bool) {
 			d.pos += 2
 			switch e {
 			case '"', '\\', '/':
-				b = append(b, e)
+				b.WriteByte(e)
 			case 'b':
-				b = append(b, '\b')
+				b.WriteByte('\b')
 			case 'f':
-				b = append(b, '\f')
+				b.WriteByte('\f')
 			case 'n':
-				b = append(b, '\n')
+				b.WriteByte('\n')
 			case 'r':
-				b = append(b, '\r')
+				b.WriteByte('\r')
 			case 't':
-				b = append(b, '\t')
+				b.WriteByte('\t')
 			case 'u':
 				r, ok := d.hex4()
 				if !ok || utf16.IsSurrogate(r) {
 					return "", false
 				}
-				b = utf8.AppendRune(b, r)
+				b.WriteRune(r)
 			default:
 				return "", false
 			}

@@ -231,6 +231,7 @@ func TestForRefusesWhatItCannotWalk(t *testing.T) {
 		},
 		"marshaler":   func() { For[struct{ T time.Time }]() },
 		"raw message": func() { For[struct{ R json.RawMessage }]() },
+		"number":      func() { For[struct{ N json.Number }]() },
 		"pointer":     func() { For[struct{ P *map[int]int }]() },
 		"channel":     func() { For[struct{ C chan int }]() },
 	} {
