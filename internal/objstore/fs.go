@@ -22,22 +22,34 @@ import (
 // filesystem where rename(2) and link(2) are atomic. NFS is not one: a
 // retransmitted link can report EEXIST after it succeeded, and
 // PutIfAbsent would then report a lost race for a claim it won.
+//
+// On unix, Get and List read an entry with open, fstat, read and close
+// on a bare descriptor (readFile), not through an *os.File: a warm
+// request is one entry read, and an *os.File's set-up and tear-down
+// (non-blocking mode, the network poller, a finalizer) cost more than
+// the read itself for a file that is read once and closed.
 type FS struct {
-	root string
+	root   string
+	prefix string // the cleaned root, ending in a separator where Join puts one
 }
 
 // NewFS opens (lazily — no I/O happens until the first access) the
 // backend rooted at dir.
-func NewFS(dir string) *FS { return &FS{root: dir} }
+func NewFS(dir string) *FS {
+	// An entry's two path elements are plain names, so filepath.Join
+	// cleans the root the same way for every entry: once, here.
+	return &FS{root: dir, prefix: strings.TrimSuffix(filepath.Join(dir, "00"), "00")}
+}
 
 // Root returns the backend's root directory.
 func (f *FS) Root() string { return f.root }
 
 func (f *FS) String() string { return "fs:" + f.root }
 
-// entryPath returns the file path for name.
+// entryPath returns the file path for name, as
+// filepath.Join(root, name[:2], name+".json") spells it.
 func (f *FS) entryPath(name string) string {
-	return filepath.Join(f.root, name[:2], name+".json")
+	return f.prefix + name[:2] + string(filepath.Separator) + name + ".json"
 }
 
 func (f *FS) Get(ctx context.Context, name string) ([]byte, error) {
@@ -47,9 +59,9 @@ func (f *FS) Get(ctx context.Context, name string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(f.entryPath(name))
+	data, err := readFile(f.entryPath(name))
 	if err != nil {
-		// os.ReadFile errors already wrap fs.ErrNotExist on a miss.
+		// readFile errors already wrap fs.ErrNotExist on a miss.
 		return nil, fmt.Errorf("objstore: reading entry %s: %w", name, err)
 	}
 	return data, nil
@@ -144,9 +156,9 @@ func (f *FS) List(ctx context.Context, shard string) ([]Object, error) {
 		if len(stem) == len(de.Name()) || !ValidName(stem) || stem[:2] != shard {
 			continue // temp files and foreign droppings are not entries
 		}
-		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		data, err := readFile(filepath.Join(dir, de.Name()))
 		if errors.Is(err, fs.ErrNotExist) {
-			continue // deleted between ReadDir and ReadFile
+			continue // deleted between ReadDir and the read
 		}
 		if err != nil {
 			return nil, fmt.Errorf("objstore: reading entry %s: %w", stem, err)

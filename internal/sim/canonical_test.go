@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/workloads"
@@ -61,5 +63,26 @@ func TestCanonicalNameSharesEntry(t *testing.T) {
 	}
 	if c2 := r2.Counters(); c2.Simulated != 0 || c2.DiskHits != 1 || c2.MemHits != uint64(len(spellings)-1) {
 		t.Fatalf("fresh-runner counters %+v: want 0 simulated, 1 disk hit, %d mem hits", c2, len(spellings)-1)
+	}
+
+	// One batch resolves each name once: every spelling, twice, still
+	// gets the canonical result, and an unknown name fails each time.
+	const unknown = "no-such-benchmark"
+	var reqs []Request
+	for _, name := range append(append(slices.Clone(spellings), spellings...), unknown, unknown) {
+		reqs = append(reqs, quickReq(name))
+	}
+	_, err = New(WithStore(store)).Stream(bg, reqs, func(ev Event) {
+		switch {
+		case reqs[ev.Index].Bench == unknown:
+			if !errors.Is(ev.Err, ErrUnknownBenchmark) || ev.Req.Bench != unknown {
+				t.Errorf("request %d: %q, %v; want %q and ErrUnknownBenchmark", ev.Index, ev.Req.Bench, ev.Err, unknown)
+			}
+		case ev.Err != nil || ev.Req.Bench != canonical || ev.Res.Bench != canonical || ev.Source == SourceSimulated:
+			t.Errorf("request %d: %q, %v from %v; want the stored %q", ev.Index, ev.Req.Bench, ev.Err, ev.Source, canonical)
+		}
+	})
+	if !errors.Is(err, ErrUnknownBenchmark) {
+		t.Fatalf("batch err = %v, want ErrUnknownBenchmark", err)
 	}
 }

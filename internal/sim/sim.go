@@ -18,7 +18,11 @@
 //
 //   - a bounded worker pool sized off runtime.GOMAXPROCS, so arbitrarily
 //     wide fan-outs (a figure's grid asking for 36 benchmarks × 6
-//     configurations at once) never oversubscribe the machine;
+//     configurations at once) never oversubscribe the machine: at most
+//     that many simulations execute at once, and Stream settles store
+//     hits on that many goroutines, whose stacks have already grown; a
+//     request that waits — after a store miss, or to join a call in
+//     flight — gets a goroutine of its own;
 //   - request deduplication with singleflight semantics, keyed by
 //     (benchmark, configuration, warmup, measure): concurrent callers
 //     asking for the same run block on one simulation instead of
@@ -52,6 +56,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -135,7 +140,9 @@ func WithExecutor(e Executor) Option {
 	}
 }
 
-// WithWorkers bounds the worker pool at n (default: GOMAXPROCS).
+// WithWorkers bounds the worker pool at n (default: GOMAXPROCS): the
+// simulations executing at once, and the goroutines a Stream settles
+// store hits on.
 func WithWorkers(n int) Option {
 	return func(r *Runner) {
 		if n > 0 {
@@ -357,7 +364,7 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Result, error) {
 // request's singleflight slot, then fill. b is the request's Stream
 // batch and idx its index there (nil and -1 under Run).
 func (r *Runner) do(ctx context.Context, b *batch, idx int, req Request) Event {
-	req, nameErr := canonical(req)
+	req, nameErr := b.canonical(req)
 	ev := Event{Index: idx, Req: req}
 	if err := req.validate(nameErr); err != nil {
 		ev.Err = err
@@ -394,7 +401,8 @@ func canonical(req Request) (Request, error) {
 // A request that joins a call another batch has in flight settles in
 // its own batch at once, as serving nobody there: the batch's misses
 // wait only on calls of their own batch, so two batches can never wait
-// on each other.
+// on each other. A request that joins a call in flight leaves its
+// batch's hit path first (batch.leave).
 func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req Request) (*Result, Source, float64, error) {
 	for {
 		r.mu.Lock()
@@ -415,11 +423,14 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 		}
 		r.mu.Unlock()
 
-		if b != nil && c.batch != b {
+		if b != nil {
 			select {
 			case <-c.done:
 			default:
-				b.settle(idx, nil, 0)
+				if c.batch != b {
+					b.settle(idx, nil, 0)
+				}
+				b.leave(idx)
 			}
 		}
 		select {
@@ -454,7 +465,8 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 // produced. Otherwise it takes a completed run of another caller, or
 // joins one in flight, that serves it; runs of its own batch serve it
 // only through that wait. Failing that, it registers its own run and
-// executes.
+// executes. A miss leaves its batch's hit path before any of this
+// (batch.leave).
 func (r *Runner) fill(ctx context.Context, b *batch, idx int, key string, req Request) (*Result, Source, float64, error) {
 	if res, ok := r.loadDisk(ctx, key); ok {
 		r.mu.Lock()
@@ -462,6 +474,7 @@ func (r *Runner) fill(ctx context.Context, b *batch, idx int, key string, req Re
 		r.mu.Unlock()
 		return res, SourceStore, 0, nil
 	}
+	b.leave(idx)
 	class, lim, earlier := b.earlier(idx, req)
 	res, cps, err := b.serving(ctx, earlier, lim)
 	var own *run
@@ -593,20 +606,32 @@ func (r *Runner) execute(ctx context.Context, req Request) (*Result, Source, flo
 // Stream fans the requests out over the worker pool and invokes sink —
 // serialized, so sinks need no locking — with a completion Event as
 // each request settles, in completion order. Results come back in
-// request order. All requests settle before Stream returns; the
+// request order. Requests start in index order on at most WithWorkers
+// goroutines, which settle store hits one after another. A request
+// that is about to wait — after a store miss, or to join a call in
+// flight — first starts one more goroutine to take its place, and its
+// own goroutine exits once it settles: no goroutine idles while a
+// request is unstarted, and a batch of misses gets one goroutine per
+// waiting request. All requests settle before Stream returns; the
 // returned error is the first non-cancellation error in request order,
 // or the first cancellation error when the whole batch was interrupted.
 // sink may be nil.
 func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) ([]*Result, error) {
 	results := make([]*Result, len(reqs))
 	errs := make([]error, len(reqs))
-	b := &batch{reqs: reqs, members: make([]member, len(reqs))}
+	b := &batch{reqs: reqs, members: make([]member, len(reqs)), left: make([]bool, len(reqs))}
+	if len(reqs) > 1 {
+		b.names = make(map[string]resolved) // a batch of one has no name to share
+	}
 	var sinkMu sync.Mutex
 	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(b.next.Add(1)) - 1
+			if i >= len(reqs) {
+				return
+			}
 			ev := r.do(ctx, b, i, reqs[i])
 			b.settle(i, ev.Res, ev.CyclesPerSec)
 			results[i], errs[i] = ev.Res, ev.Err
@@ -615,7 +640,17 @@ func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) (
 				sink(ev)
 				sinkMu.Unlock()
 			}
-		}(i)
+			if b.left[i] {
+				return
+			}
+		}
+	}
+	b.start = func() {
+		wg.Add(1)
+		go work()
+	}
+	for range min(r.workers, len(reqs)) {
+		b.start()
 	}
 	wg.Wait()
 	var firstCanceled error
@@ -634,16 +669,68 @@ func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) (
 	return results, firstCanceled
 }
 
-// batch is one Stream call's requests as the misses among them see each
-// other (see Runner.fill).
+// batch is one Stream call's requests: the goroutines that take them in
+// index order, and the requests as the misses among them see each other
+// (see Runner.fill).
 type batch struct {
-	reqs []Request
+	reqs  []Request
+	next  atomic.Int64 // the index the next goroutine to ask takes
+	start func()       // starts one more goroutine taking requests
+	left  []bool       // left[i]: i left the hit path; only i's goroutine touches it
 
 	mu      sync.Mutex
+	names   map[string]resolved // workload name → its canonical spelling and error; nil in a batch of one
 	members []member
 	known   int              // members[:known] carry their class, limits and rank
 	first   map[string]int   // request key → the first index with it
 	byClass map[string][]int // class key → the indices with it, ascending
+}
+
+// resolved is a workload name as workloads.Resolve canonicalizes it.
+type resolved struct {
+	canon string // the canonical spelling; the name as given when err is set
+	err   error
+}
+
+// leave takes request i off its batch's hit path before i waits: one
+// more goroutine takes i's place among the batch's workers, if any
+// request is unstarted, and i's own goroutine exits once i settles.
+// Later calls for i, and calls under Run (b nil), do nothing.
+func (b *batch) leave(i int) {
+	if b == nil || b.left[i] {
+		return
+	}
+	b.left[i] = true
+	if b.next.Load() < int64(len(b.reqs)) {
+		b.start()
+	}
+}
+
+// canonical is the package's canonical, memoized by workload name for
+// the batch's life, so a batch resolves each name it holds once. Under
+// Run (b nil) and in a batch of one, every call resolves.
+func (b *batch) canonical(req Request) (Request, error) {
+	if b == nil {
+		return canonical(req)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.canonicalLocked(req)
+}
+
+// canonicalLocked is canonical with b.mu held.
+func (b *batch) canonicalLocked(req Request) (Request, error) {
+	if b.names == nil {
+		return canonical(req)
+	}
+	n, ok := b.names[req.Bench]
+	if !ok {
+		q, err := canonical(req)
+		n = resolved{q.Bench, err}
+		b.names[req.Bench] = n
+	}
+	req.Bench = n.canon
+	return req, n.err
 }
 
 // member is one request of a batch.
@@ -677,7 +764,7 @@ func (b *batch) earlier(i int, req Request) (string, core.TrackerLimits, []int) 
 	}
 	for ; b.known <= i; b.known++ {
 		j := b.known
-		q, _ := canonical(b.reqs[j])
+		q, _ := b.canonicalLocked(b.reqs[j])
 		key := Key(q)
 		if _, ok := b.first[key]; !ok {
 			b.first[key] = j

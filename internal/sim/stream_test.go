@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/objstore"
 	"repro/internal/smb"
 	"repro/internal/workloads"
 )
@@ -414,5 +415,84 @@ func TestConcurrentStreamsDedup(t *testing.T) {
 	}
 	if events != 4*len(reqs) {
 		t.Fatalf("delivered %d events, want %d", events, 4*len(reqs))
+	}
+}
+
+// peakGets is a backend whose Get takes about a millisecond and which
+// records the most Gets it ever had in flight at once.
+type peakGets struct {
+	objstore.Backend
+	mu        sync.Mutex
+	now, peak int
+}
+
+func (p *peakGets) Get(ctx context.Context, name string) ([]byte, error) {
+	p.mu.Lock()
+	p.now++
+	p.peak = max(p.peak, p.now)
+	p.mu.Unlock()
+	time.Sleep(time.Millisecond)
+	p.mu.Lock()
+	p.now--
+	p.mu.Unlock()
+	return p.Backend.Get(ctx, name)
+}
+
+// TestStreamStoreHitsRunOnWorkers: a batch of store hits settles on at
+// most WithWorkers goroutines, not on one goroutine per request, so a
+// warm batch reuses stacks that have already grown.
+func TestStreamStoreHitsRunOnWorkers(t *testing.T) {
+	reqs := streamReqs(16)
+	backend := &peakGets{Backend: objstore.NewMem()}
+	store := NewStoreWith(backend)
+	for _, req := range reqs {
+		if err := store.Put(bg, Key(req), &Result{Bench: req.Bench, TrackerName: "stored"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := New(WithWorkers(2), WithStore(store), WithExecutor(func(context.Context, Request) (*Result, error) {
+		return nil, errors.New("must not execute: every request is stored")
+	}))
+	if _, err := r.RunAll(bg, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if c := r.Counters(); c.DiskHits != uint64(len(reqs)) {
+		t.Fatalf("counters %+v, want %d store hits", c, len(reqs))
+	}
+	if backend.peak > 2 {
+		t.Fatalf("%d store reads in flight at once on 2 workers", backend.peak)
+	}
+}
+
+// TestStreamWaitingMissNeverStallsItsBatch: a request that waits hands
+// its place among the workers on, so the batch's later requests still
+// start. On 2 workers, request 0's execution finishes only once request
+// 2 has started executing, and request 1, of request 0's tracker class
+// and no tighter, waits on request 0; if those two held both workers,
+// request 2 would never start.
+func TestStreamWaitingMissNeverStallsItsBatch(t *testing.T) {
+	reqs := sharingReqs("crafty",
+		core.TrackerConfig{Kind: core.TrackerISRB, Entries: 4, CounterBits: 2},
+		core.TrackerConfig{Kind: core.TrackerISRB, Entries: 64, CounterBits: 3},
+		core.TrackerConfig{Kind: core.TrackerMIT, Entries: 16},
+	)
+	started := make(chan struct{}) // closed when request 2 executes
+	exec := func(ctx context.Context, req Request) (*Result, error) {
+		switch req.Config.Tracker {
+		case reqs[0].Config.Tracker:
+			select {
+			case <-started:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		case reqs[2].Config.Tracker:
+			close(started)
+		}
+		return Simulate(ctx, req)
+	}
+	ctx, cancel := context.WithTimeout(bg, time.Minute)
+	defer cancel()
+	if _, err := New(WithWorkers(2), WithExecutor(exec)).RunAll(ctx, reqs); err != nil {
+		t.Fatalf("the batch stalled: %v", err)
 	}
 }
