@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -60,16 +59,7 @@ func runDrain(runner *sim.Runner, store *sim.Store, rf *cliflags.Flags, dc drain
 		Host:       dc.host,
 		ShardCells: dc.shardCells,
 		StalePolls: dc.stalePolls,
-		Sleep: func(ctx context.Context) error {
-			t := time.NewTimer(dc.poll)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return context.Cause(ctx)
-			case <-t.C:
-				return nil
-			}
-		},
+		Sleep:      fleet.SleepFor(dc.poll),
 	}
 	if cfg.Host == "" {
 		hostname, err := os.Hostname()

@@ -62,6 +62,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/dispatch"
+	"repro/internal/fleet"
 	"repro/internal/sim"
 )
 
@@ -76,10 +77,10 @@ func main() {
 
 		drainSpec  = flag.String("drain", "", "drain a scenario's grid as one fleet host and exit: a builtin name or .scenario path (needs a shared -store fs:DIR)")
 		host       = flag.String("host", "", "-drain: this host's name in lease claims (default hostname.pid)")
-		shardCells = flag.Int("shard-cells", 64, "-drain: cells per lease shard (every host draining a grid must agree)")
+		shardCells = flag.Int("shard-cells", fleet.DefaultShardCells, "-drain: cells per lease shard (every host draining a grid must agree)")
 		cellRange  = flag.String("cells", "", "-drain: restrict to cell range LO:HI (shard-aligned; default the whole grid)")
-		stalePolls = flag.Int("stale-polls", 30, "-drain: consecutive no-progress polls of a peer's claim before seizing it")
-		poll       = flag.Duration("poll", 2*time.Second, "-drain: pause between poll passes when every remaining shard is held by a live peer")
+		stalePolls = flag.Int("stale-polls", fleet.DefaultStalePolls, "-drain: consecutive no-progress polls of a peer's claim before seizing it")
+		poll       = flag.Duration("poll", fleet.DefaultPoll, "-drain: pause between poll passes when every remaining shard is held by a live peer")
 		warmup     = flag.Uint64("warmup", 0, "-drain: override the scenario's warmup µops (explicit 0 = no warmup)")
 		measure    = flag.Uint64("measure", 0, "-drain: override the scenario's measured µops")
 	)

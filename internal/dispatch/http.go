@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 
 	"repro/internal/sim"
@@ -122,14 +121,15 @@ func (h *HTTP) Execute(ctx context.Context, req sim.Request) (*sim.Result, error
 
 // Options returns the sim.New options that make h a runner's executor:
 // Execute itself, plus a worker-pool width matching the service rather
-// than this host. The service's capacity lives on the server (which
-// gates with its own runner), so the client just needs enough requests
-// in flight to keep a large remote pool fed — a local GOMAXPROCS gate
-// on a laptop would idle a 64-worker service.
+// than this host: a service's default admission width. The service's
+// capacity lives on the server (which gates with its own runner), so
+// the client just needs enough requests in flight to keep a large
+// remote pool fed — a local GOMAXPROCS gate on a laptop would idle a
+// 64-worker service.
 func (h *HTTP) Options() []sim.Option {
 	return []sim.Option{
 		sim.WithExecutor(h.Execute),
-		sim.WithWorkers(max(16, 4*runtime.GOMAXPROCS(0))),
+		sim.WithWorkers(defaultMaxInflight()),
 	}
 }
 

@@ -140,7 +140,7 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, rm *RequestMetri
 	return true
 }
 
-// handleRun executes one request synchronously.
+// handleRun executes one request synchronously, on the handler's goroutine.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	rm := s.met.accept(clientID(r))
 	// The body is exactly one request: data after it is an error, as
@@ -161,8 +161,9 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	// Stream-of-one instead of Run: the completion event carries the
-	// provenance (simulated / memory / store) the metrics record.
+	// A Stream of one instead of Run: the completion event carries the
+	// provenance (simulated / memory / store) the metrics record. A batch
+	// of one runs on this handler's goroutine and starts none.
 	var ev sim.Event
 	_, err = s.runner.Stream(r.Context(), []sim.Request{req}, func(e sim.Event) { ev = e })
 	if err != nil {

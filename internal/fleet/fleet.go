@@ -133,7 +133,7 @@ type Config struct {
 	Host string
 	// ShardCells is the lease granularity in cells. Every host draining
 	// a grid must use the same value (it is part of the grid ID).
-	// Default 64.
+	// Default DefaultShardCells.
 	ShardCells int
 	// Cells restricts draining to a cell range. Lo must be
 	// shard-aligned and Hi shard-aligned or the matrix total, so a
@@ -141,12 +141,36 @@ type Config struct {
 	// whole matrix.
 	Cells Range
 	// StalePolls is the number of consecutive no-progress observations
-	// of a held claim before this host seizes it. Default 5.
+	// of a held claim before this host seizes it. Default
+	// DefaultStalePolls.
 	StalePolls int
 	// Sleep paces the poll loop when every remaining shard is held by a
-	// live peer. Default: 500ms wall-clock sleep; tests inject
-	// something faster. Returning an error aborts the drain.
+	// live peer. Default: SleepFor(DefaultPoll); tests inject something
+	// faster. Returning an error aborts the drain.
 	Sleep func(ctx context.Context) error
+}
+
+// The defaults of a Config's zero fields. With them a host seizes a
+// peer's shard once the peer's claim has stood still for a minute.
+const (
+	DefaultShardCells = 64
+	DefaultStalePolls = 30
+	DefaultPoll       = 2 * time.Second
+)
+
+// SleepFor returns a Config.Sleep that waits d of wall-clock time, or
+// until ctx ends.
+func SleepFor(d time.Duration) func(ctx context.Context) error {
+	return func(ctx context.Context) error {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		case <-t.C:
+			return nil
+		}
+	}
 }
 
 // Summary reports what one host's Drain did, in the JSON shape
@@ -218,25 +242,16 @@ func Drain(ctx context.Context, m *scenario.Matrix, runner *sim.Runner, leases o
 		return nil, fmt.Errorf("fleet: config needs a host name")
 	}
 	if cfg.ShardCells == 0 {
-		cfg.ShardCells = 64
+		cfg.ShardCells = DefaultShardCells
 	}
 	if cfg.ShardCells < 1 {
 		return nil, fmt.Errorf("fleet: shard size %d must be positive", cfg.ShardCells)
 	}
 	if cfg.StalePolls == 0 {
-		cfg.StalePolls = 5
+		cfg.StalePolls = DefaultStalePolls
 	}
 	if cfg.Sleep == nil {
-		cfg.Sleep = func(ctx context.Context) error {
-			t := time.NewTimer(500 * time.Millisecond)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return context.Cause(ctx)
-			case <-t.C:
-				return nil
-			}
-		}
+		cfg.Sleep = SleepFor(DefaultPoll)
 	}
 	total := len(m.Cells)
 	if cfg.Cells == (Range{}) {

@@ -2,8 +2,7 @@
 // object-store interface over content-addressed entries, with two
 // implementations — fs (the sharded atomic temp+rename layout extracted
 // from sim, shared by every process and host that mounts its directory)
-// and mem (tests and single-process runs) — and the operation counters
-// New wraps around each of them.
+// and mem (tests and single-process runs).
 //
 // Entries are named by the 64-hex SHA-256 of their sim.Key and grouped
 // into 256 shards by the first digest byte; backends only ever see
@@ -16,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Object describes one stored entry as a backend reports it.
@@ -90,69 +88,29 @@ func errBadShard(shard string) error {
 	return fmt.Errorf("objstore: bad shard name %q: want two hex characters", shard)
 }
 
-// TierStats is a point-in-time snapshot of a store backend's
-// operation counters: how many reads, writes and shard listings the
-// store issued.
+// TierStats is a point-in-time snapshot of a store's operation
+// counters: how many reads, writes and shard listings sim.Store issued
+// to its backend.
 type TierStats struct {
-	Gets  int64 // Get calls observed
-	Puts  int64 // Put + PutIfAbsent calls observed
-	Lists int64 // List calls observed
-}
-
-// Metered wraps a Backend with operation counters. New returns one
-// around every backend it builds, so callers can always surface tier
-// stats in /metrics.
-type Metered struct {
-	Backend
-	gets, puts, lists atomic.Int64
-}
-
-// Meter wraps b with fresh counters. Wrapping an already-wired backend
-// (objstore.New output) double-counts; use it on bare backends.
-func Meter(b Backend) *Metered { return &Metered{Backend: b} }
-
-// Stats returns the current counter snapshot.
-func (m *Metered) Stats() TierStats {
-	return TierStats{Gets: m.gets.Load(), Puts: m.puts.Load(), Lists: m.lists.Load()}
-}
-
-func (m *Metered) Get(ctx context.Context, name string) ([]byte, error) {
-	m.gets.Add(1)
-	return m.Backend.Get(ctx, name)
-}
-
-func (m *Metered) Put(ctx context.Context, name string, data []byte) error {
-	m.puts.Add(1)
-	return m.Backend.Put(ctx, name, data)
-}
-
-func (m *Metered) PutIfAbsent(ctx context.Context, name string, data []byte) (bool, error) {
-	m.puts.Add(1)
-	return m.Backend.PutIfAbsent(ctx, name, data)
-}
-
-func (m *Metered) List(ctx context.Context, shard string) ([]Object, error) {
-	m.lists.Add(1)
-	return m.Backend.List(ctx, shard)
+	Gets  int64 // Get calls issued
+	Puts  int64 // Put calls issued
+	Lists int64 // List calls issued
 }
 
 // New builds a backend from its -store spec:
 //
 //	fs:DIR   sharded store in DIR, shared by every process that opens it
 //	mem:     in-process map (tests, results for this process only)
-//
-// The returned backend is always a *Metered, so callers can type-assert
-// for TierStats without tracking what spec produced it.
-func New(spec string) (*Metered, error) {
+func New(spec string) (Backend, error) {
 	switch {
 	case strings.HasPrefix(spec, "fs:"):
 		dir := strings.TrimPrefix(spec, "fs:")
 		if dir == "" {
 			return nil, fmt.Errorf("objstore: spec %q: fs: needs a directory", spec)
 		}
-		return Meter(NewFS(dir)), nil
+		return NewFS(dir), nil
 	case spec == "mem:":
-		return Meter(NewMem()), nil
+		return NewMem(), nil
 	default:
 		return nil, fmt.Errorf("objstore: bad store spec %q: want fs:DIR or mem:", spec)
 	}

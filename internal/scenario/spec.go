@@ -360,12 +360,12 @@ func resolveBenchList(list []string) ([]string, error) {
 			}
 			continue
 		}
-		canonical, err := workloads.CanonicalName(b)
+		spec, err := workloads.Resolve(b)
 		if err != nil {
 			return nil, fmt.Errorf("benchmark %q: not a workload and not a group (groups: %v): %w",
 				b, workloads.Groups(), err)
 		}
-		add(canonical)
+		add(spec.Name)
 	}
 	return names, nil
 }

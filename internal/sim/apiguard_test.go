@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +22,8 @@ import (
 // type-checked) trees, so the guard still fires in a plain `go test
 // ./...` with no vet step. The analyzer owns the allowlist of
 // sanctioned background-context shims; this test only maps directories
-// to import paths and sanity-checks that the scan still sees the API.
+// to import paths and checks that the scan sees exactly the entry
+// points the API has, so a scan that misses one fails.
 func TestContextFirstEntryPoints(t *testing.T) {
 	// Directories forming the execution spine, with the import path the
 	// analyzer scopes on.
@@ -36,7 +39,13 @@ func TestContextFirstEntryPoints(t *testing.T) {
 		{"../core", "repro/internal/core"},
 	}
 
-	found := 0
+	want := []string{
+		"core.Core.Run", "core.Core.RunContext",
+		"regshare.MustRun", "regshare.Run", "regshare.RunContext", "regshare.StreamSpecs",
+		"scenario.Matrix.Run",
+		"sim.Runner.Run", "sim.Runner.Stream",
+	}
+	var found []string
 	for _, sp := range spine {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, sp.dir, func(fi fs.FileInfo) bool {
@@ -51,7 +60,7 @@ func TestContextFirstEntryPoints(t *testing.T) {
 				files = append(files, f)
 				for _, decl := range f.Decls {
 					if fn, ok := decl.(*ast.FuncDecl); ok && ctxfirst.IsEntryPoint(fn) {
-						found++
+						found = append(found, funcName(pkg.Name, fn))
 					}
 				}
 			}
@@ -65,7 +74,20 @@ func TestContextFirstEntryPoints(t *testing.T) {
 			}
 		}
 	}
-	if found < 10 {
-		t.Fatalf("guard only saw %d Run/Stream entry points; the scan is broken", found)
+	slices.Sort(found)
+	if !slices.Equal(found, want) {
+		t.Fatalf("guard saw the entry points %q, want %q", found, want)
 	}
+}
+
+// funcName names fn as pkg.Func, or pkg.Type.Method for a method.
+func funcName(pkg string, fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return pkg + "." + fn.Name.Name
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	return pkg + "." + types.ExprString(typ) + "." + fn.Name.Name
 }

@@ -20,10 +20,11 @@ func TestCanonicalNameSharesEntry(t *testing.T) {
 		"gen:spill?depth=4&dist=16&seed=0",   // explicit default
 		"gen:spill?depth=4&dist=16&far=0.25", // another explicit default
 	}
-	canonical, err := workloads.CanonicalName(spellings[0])
+	spec, err := workloads.Resolve(spellings[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	canonical := spec.Name
 	if canonical != spellings[0] {
 		t.Fatalf("expected %q to be canonical, got %q", spellings[0], canonical)
 	}

@@ -80,7 +80,7 @@ func (s *Store) Manifest(ctx context.Context) (*Manifest, error) {
 // fails List, so an unreadable entry fails the scan rather than drop
 // out of the root.
 func (s *Store) shardState(ctx context.Context, shard string) (int, string, error) {
-	objs, err := s.backend.List(ctx, shard)
+	objs, err := s.list(ctx, shard)
 	if err != nil {
 		return 0, "", fmt.Errorf("sim: listing shard %s: %w", shard, err)
 	}

@@ -31,11 +31,11 @@ func randomGenName(t *testing.T, r *rng.RNG) string {
 	default:
 		shape = fmt.Sprintf("branchy?hard=%g&calls=%g", float64(r.Intn(11))/10, float64(r.Intn(11))/10)
 	}
-	name, err := workloads.CanonicalName(fmt.Sprintf("gen:%s&seed=%d", shape, r.Intn(1<<16)))
+	spec, err := workloads.Resolve(fmt.Sprintf("gen:%s&seed=%d", shape, r.Intn(1<<16)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return name
+	return spec.Name
 }
 
 // limitPair draws two trackers of one class, the first no looser than
@@ -95,7 +95,7 @@ func TestServedRequestsEqualTheirOwnSimulation(t *testing.T) {
 		desc := fmt.Sprintf("draw %d: %s, %+v then %+v", i, base.Bench, tight.Config.Tracker, loose.Config.Tracker)
 
 		runner := New(WithWorkers(2))
-		res, err := runner.RunAll(bg, []Request{tight, loose})
+		res, err := runner.Stream(bg, []Request{tight, loose}, nil)
 		if errors.Is(err, ErrSimFault) {
 			faulted++
 			continue
@@ -177,7 +177,7 @@ func TestEquivalentRequestsShareOneSimulation(t *testing.T) {
 	unl := isrb2
 	unl.Config.Tracker = core.TrackerConfig{Kind: core.TrackerUnlimited}
 	r = New()
-	res, err := r.RunAll(bg, []Request{a, b, isrb2, isrb64, unl})
+	res, err := r.Stream(bg, []Request{a, b, isrb2, isrb64, unl}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestStreamSharingIsDeterministic(t *testing.T) {
 	var wantRes []string
 	for i := 0; i < 20; i++ {
 		r := New(WithWorkers(4))
-		res, err := r.RunAll(bg, reqs)
+		res, err := r.Stream(bg, reqs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestStreamSharingAcrossConcurrentStreams(t *testing.T) {
 		core.TrackerConfig{Kind: core.TrackerCounters, CounterBits: 2},
 		core.TrackerConfig{Kind: core.TrackerCounters, CounterBits: 8},
 	)
-	alone, err := New().RunAll(bg, reqs)
+	alone, err := New().Stream(bg, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestStreamSharingAcrossConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := r.RunAll(ctx, order)
+			got, err := r.Stream(ctx, order, nil)
 			if err != nil {
 				t.Errorf("caller %d: %v", caller, err)
 				return

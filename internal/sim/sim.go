@@ -4,25 +4,27 @@
 // (cmd/regsim) and the public regshare API all obtain results through a
 // Runner rather than driving internal/core directly.
 //
-// The API is context-first and streaming: Run(ctx, req) executes one
-// request, Stream(ctx, reqs, sink) fans a batch out over the worker
-// pool and delivers a completion Event — request key, provenance
-// (simulated, in-memory, on-disk store), simulation speed — as each
-// request settles. Cancellation reaches into the core cycle loop
-// (core.RunContext checks the context every few thousand cycles), so a
-// deadline or SIGINT aborts a long grid mid-simulation; errors carry
-// the typed taxonomy of errors.go (ErrUnknownBenchmark, ErrBadConfig,
-// ErrCanceled, ErrSimFault).
+// The API is context-first and streaming: Stream(ctx, reqs, sink) fans
+// a batch out over the worker pool and delivers a completion Event —
+// request key, provenance (simulated, in-memory, on-disk store),
+// simulation speed — as each request settles, and Run(ctx, req) is a
+// Stream of one request, so every request takes one path through a
+// batch; a batch of one runs on its caller's goroutine. Cancellation
+// reaches into the core cycle loop (core.RunContext checks the context
+// every few thousand cycles), so a deadline or SIGINT aborts a long
+// grid mid-simulation; errors carry the typed taxonomy of errors.go
+// (ErrUnknownBenchmark, ErrBadConfig, ErrCanceled, ErrSimFault).
 //
 // A Runner owns
 //
 //   - a bounded worker pool sized off runtime.GOMAXPROCS, so arbitrarily
 //     wide fan-outs (a figure's grid asking for 36 benchmarks × 6
 //     configurations at once) never oversubscribe the machine: at most
-//     that many simulations execute at once, and Stream settles store
-//     hits on that many goroutines, whose stacks have already grown; a
-//     request that waits — after a store miss, or to join a call in
-//     flight — gets a goroutine of its own;
+//     that many simulations execute at once, and a larger batch than
+//     one settles store hits on that many goroutines, whose stacks have
+//     already grown; a request of such a batch that waits — after a
+//     store miss, or to join a call in flight — gets a goroutine of its
+//     own;
 //   - request deduplication with singleflight semantics, keyed by
 //     (benchmark, configuration, warmup, measure): concurrent callers
 //     asking for the same run block on one simulation instead of
@@ -30,11 +32,11 @@
 //     baseline sweep. A canceled leader does not poison the slot: the
 //     failed call is dropped and surviving waiters retry it themselves;
 //   - execution sharing by dominance: after a store miss, a request is
-//     served by a run of its tracker class (core.Config.TrackerClass) that
-//     is no looser in either tracker limit and never rejected a share on a
-//     limit the request raises (core.TrackerLimits.Serves) — that run is
-//     the request's own, share for share — and each request is stored
-//     under its own key;
+//     served by an executing call of its tracker class
+//     (core.Config.TrackerClass) that is no looser in either tracker
+//     limit and never rejected a share on a limit the request raises
+//     (core.TrackerLimits.Serves) — that run is the request's own, share
+//     for share — and each request is stored under its own key;
 //   - an in-memory result store (the simulator is deterministic, so a
 //     result never goes stale) with an optional sharded on-disk store
 //     (see Store) so separate invocations — and separate concurrent
@@ -165,31 +167,25 @@ type Runner struct {
 	exec    Executor
 
 	mu      sync.Mutex
-	calls   map[string]*call  // by request key: one slot per request
-	classes map[string][]*run // by tracker class key: the class's runs
+	calls   map[string]*call   // by request key: one slot per request
+	classes map[string][]*call // by tracker class key: the class's executing calls
 	ctr     Counters
 }
 
 // call is one singleflight slot: the first requester produces the
-// outcome, everyone else blocks on done.
+// outcome, everyone else blocks on done. A call that executes is also
+// registered under its tracker class (see Runner.claim), where once done
+// it serves every request of the class that its limits and statistics
+// allow; a failed call leaves the registry before done closes, so it
+// serves nobody.
 type call struct {
 	done  chan struct{}
-	batch *batch // the first requester's Stream batch; nil under Run
+	batch *batch // the first requester's Stream batch
+	class string // tracker class key and limits, once the call missed the store
+	lim   core.TrackerLimits
 	res   *Result
 	err   error
 	src   Source
-	cps   float64
-}
-
-// run is one execution in its tracker class's registry, in flight until
-// done closes. A completed run serves every request of its class that
-// its limits and statistics allow; a failed one leaves the registry
-// before done closes, so it serves nobody.
-type run struct {
-	lim   core.TrackerLimits
-	batch *batch // the executing request's Stream batch; nil under Run
-	done  chan struct{}
-	res   *Result // nil while in flight
 	cps   float64
 }
 
@@ -229,8 +225,8 @@ func (s Source) String() string {
 // Key), its result or typed error, where the result came from, and —
 // for freshly simulated requests — the simulation speed.
 type Event struct {
-	// Index is the request's position in the Stream call's slice (-1
-	// for single-request Run paths).
+	// Index is the request's position in the Stream call's slice (0
+	// under Run, a Stream of one request).
 	Index int
 	// Key is the request's deduplication key (empty if the request
 	// failed validation before keying).
@@ -257,7 +253,7 @@ func New(opts ...Option) *Runner {
 	r := &Runner{
 		workers: runtime.GOMAXPROCS(0),
 		calls:   make(map[string]*call),
-		classes: make(map[string][]*run),
+		classes: make(map[string][]*call),
 		exec:    Simulate,
 	}
 	for _, o := range opts {
@@ -353,16 +349,17 @@ func (r *Runner) Counters() Counters {
 // Canceling ctx aborts the simulation mid-cycle-loop (and the wait, if
 // this caller joined another caller's simulation); the error then wraps
 // ErrCanceled and the context's own cause. The returned Result is
-// shared: callers must not mutate it.
+// shared: callers must not mutate it. Run is a Stream of one request,
+// so it runs on the caller's goroutine.
 func (r *Runner) Run(ctx context.Context, req Request) (*Result, error) {
-	ev := r.do(ctx, nil, -1, req)
-	return ev.Res, ev.Err
+	res, err := r.Stream(ctx, []Request{req}, nil)
+	return res[0], err
 }
 
 // do executes one request and packages the outcome as an Event. It is
-// the single execution path under Run and Stream: validation, then the
+// the single execution path under Stream: validation, then the
 // request's singleflight slot, then fill. b is the request's Stream
-// batch and idx its index there (nil and -1 under Run).
+// batch and idx its index there.
 func (r *Runner) do(ctx context.Context, b *batch, idx int, req Request) Event {
 	req, nameErr := b.canonical(req)
 	ev := Event{Index: idx, Req: req}
@@ -412,10 +409,13 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 			r.calls[key] = c
 			r.mu.Unlock()
 
-			c.res, c.src, c.cps, c.err = r.fill(ctx, b, idx, key, req)
+			c.res, c.src, c.cps, c.err = r.fill(ctx, c, idx, key, req)
 			if c.err != nil {
 				r.mu.Lock()
 				delete(r.calls, key)
+				if i := slices.Index(r.classes[c.class], c); i >= 0 {
+					r.classes[c.class] = slices.Delete(r.classes[c.class], i, i+1)
+				}
 				r.mu.Unlock()
 			}
 			close(c.done)
@@ -423,15 +423,13 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 		}
 		r.mu.Unlock()
 
-		if b != nil {
-			select {
-			case <-c.done:
-			default:
-				if c.batch != b {
-					b.settle(idx, nil, 0)
-				}
-				b.leave(idx)
+		select {
+		case <-c.done:
+		default:
+			if c.batch != b {
+				b.settle(idx, nil, 0)
 			}
+			b.leave(idx)
 		}
 		select {
 		case <-c.done:
@@ -451,35 +449,37 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 	}
 }
 
-// fill produces the result for key: the on-disk store first, then a run
-// of the request's tracker class that serves it (core.TrackerLimits.Serves),
-// then an execution. The class is computed only here, after a store
-// miss, so a stored request stays a store hit. A served request gets the
-// run's result under its own tracker name, as a memory hit, and every
-// request's result is written back to the store under its own key.
+// fill produces the result for key: the on-disk store first, then an
+// executing call of the request's tracker class that serves it
+// (core.TrackerLimits.Serves), then an execution. The class is computed
+// only here, after a store miss, so a stored request stays a store hit.
+// A served request gets the executing call's result under its own
+// tracker name, as a memory hit, and every request's result is written
+// back to the store under its own key.
 //
 // Which requests of one batch execute never depends on goroutine
 // timing. A miss first waits, in index order, on the requests of its
 // class earlier in its batch that are no looser in either limit, and is
 // served by the first whose result serves it, however that result was
-// produced. Otherwise it takes a completed run of another caller, or
-// joins one in flight, that serves it; runs of its own batch serve it
-// only through that wait. Failing that, it registers its own run and
+// produced. Otherwise it takes a completed call of another batch, or
+// joins one in flight, that serves it; calls of its own batch serve it
+// only through that wait. Failing that, c registers in its class and
 // executes. A miss leaves its batch's hit path before any of this
 // (batch.leave).
-func (r *Runner) fill(ctx context.Context, b *batch, idx int, key string, req Request) (*Result, Source, float64, error) {
+func (r *Runner) fill(ctx context.Context, c *call, idx int, key string, req Request) (*Result, Source, float64, error) {
 	if res, ok := r.loadDisk(ctx, key); ok {
 		r.mu.Lock()
 		r.ctr.DiskHits++
 		r.mu.Unlock()
 		return res, SourceStore, 0, nil
 	}
+	b := c.batch
 	b.leave(idx)
-	class, lim, earlier := b.earlier(idx, req)
-	res, cps, err := b.serving(ctx, earlier, lim)
-	var own *run
+	var earlier []int
+	c.class, c.lim, earlier = b.earlier(idx)
+	res, cps, err := b.serving(ctx, earlier, c.lim)
 	if err == nil && res == nil {
-		res, cps, own, err = r.claim(ctx, b, class, lim)
+		res, cps, err = r.claim(ctx, c)
 	}
 	if err != nil {
 		return nil, 0, 0, canceledErr(req.Bench, err)
@@ -492,7 +492,6 @@ func (r *Runner) fill(ctx context.Context, b *batch, idx int, key string, req Re
 		r.mu.Unlock()
 	} else {
 		res, src, cps, err = r.execute(ctx, req)
-		r.finish(class, own, res, cps, err)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -501,54 +500,43 @@ func (r *Runner) fill(ctx context.Context, b *batch, idx int, key string, req Re
 	return res, src, cps, nil
 }
 
-// claim returns the result of a completed run of class that serves lim,
-// joining runs in flight that may serve it first; runs of batch b are
-// not considered. When none serves, it registers and returns the
-// caller's own run, for the caller to execute and finish. It fails only
-// when ctx ends.
-func (r *Runner) claim(ctx context.Context, b *batch, class string, lim core.TrackerLimits) (*Result, float64, *run, error) {
+// claim returns the result of a completed call of c's tracker class
+// that serves c's limits, joining calls in flight that may serve them
+// first; calls of c's batch are not considered. When none serves, it
+// registers c in the class, for the caller to execute, and returns nil.
+// It fails only when ctx ends. A call is complete once done is closed:
+// share writes its result without r.mu, so claim reads the result only
+// after receiving from done.
+func (r *Runner) claim(ctx context.Context, c *call) (*Result, float64, error) {
 	for {
-		var pending *run
+		var pending *call
 		r.mu.Lock()
-		for _, rn := range r.classes[class] {
-			switch {
-			case (b != nil && rn.batch == b) || !rn.lim.Within(lim):
-			case rn.res == nil:
-				pending = rn
-			case rn.lim.Serves(lim, &rn.res.Tracker):
-				r.mu.Unlock()
-				return rn.res, rn.cps, nil, nil
+		for _, o := range r.classes[c.class] {
+			if o.batch == c.batch || !o.lim.Within(c.lim) {
+				continue
+			}
+			select {
+			case <-o.done:
+				if o.lim.Serves(c.lim, &o.res.Tracker) {
+					r.mu.Unlock()
+					return o.res, o.cps, nil
+				}
+			default:
+				pending = o
 			}
 		}
 		if pending == nil {
-			own := &run{lim: lim, batch: b, done: make(chan struct{})}
-			r.classes[class] = append(r.classes[class], own)
+			r.classes[c.class] = append(r.classes[c.class], c)
 			r.mu.Unlock()
-			return nil, 0, own, nil
+			return nil, 0, nil
 		}
 		r.mu.Unlock()
 		select {
 		case <-pending.done:
 		case <-ctx.Done():
-			return nil, 0, nil, ctx.Err()
+			return nil, 0, ctx.Err()
 		}
 	}
-}
-
-// finish completes a run that claim registered: it keeps a successful run's
-// result in the registry, drops a failed run from it, and wakes the
-// run's joiners.
-func (r *Runner) finish(class string, rn *run, res *Result, cps float64, err error) {
-	r.mu.Lock()
-	if err == nil {
-		rn.res, rn.cps = res, cps
-	} else {
-		runs := r.classes[class]
-		i := slices.Index(runs, rn)
-		r.classes[class] = slices.Delete(runs, i, i+1)
-	}
-	r.mu.Unlock()
-	close(rn.done)
 }
 
 // classOf returns req's tracker class key, the key of its configuration
@@ -606,12 +594,16 @@ func (r *Runner) execute(ctx context.Context, req Request) (*Result, Source, flo
 // Stream fans the requests out over the worker pool and invokes sink —
 // serialized, so sinks need no locking — with a completion Event as
 // each request settles, in completion order. Results come back in
-// request order. Requests start in index order on at most WithWorkers
-// goroutines, which settle store hits one after another. A request
-// that is about to wait — after a store miss, or to join a call in
-// flight — first starts one more goroutine to take its place, and its
-// own goroutine exits once it settles: no goroutine idles while a
-// request is unstarted, and a batch of misses gets one goroutine per
+// request order. A batch of one request, Run's included, runs on the
+// caller's goroutine, sink call and all. A larger batch starts its
+// requests in index order on at most WithWorkers goroutines, which
+// settle store hits one after another, while the caller only waits: a
+// caller that also took requests would leave the goroutine it started
+// last queued in its own P's runnext slot until the caller blocked. A
+// request that is about to wait — after a store miss, or to join a
+// call in flight — first starts one more goroutine to take its place,
+// and its own goroutine exits once it settles: no goroutine idles while
+// a request is unstarted, and a batch of misses gets one goroutine per
 // waiting request. All requests settle before Stream returns; the
 // returned error is the first non-cancellation error in request order,
 // or the first cancellation error when the whole batch was interrupted.
@@ -649,8 +641,13 @@ func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) (
 		wg.Add(1)
 		go work()
 	}
-	for range min(r.workers, len(reqs)) {
-		b.start()
+	if len(reqs) == 1 {
+		wg.Add(1)
+		work()
+	} else {
+		for range min(r.workers, len(reqs)) {
+			b.start()
+		}
 	}
 	wg.Wait()
 	var firstCanceled error
@@ -695,9 +692,9 @@ type resolved struct {
 // leave takes request i off its batch's hit path before i waits: one
 // more goroutine takes i's place among the batch's workers, if any
 // request is unstarted, and i's own goroutine exits once i settles.
-// Later calls for i, and calls under Run (b nil), do nothing.
+// Later calls for i do nothing.
 func (b *batch) leave(i int) {
-	if b == nil || b.left[i] {
+	if b.left[i] {
 		return
 	}
 	b.left[i] = true
@@ -707,12 +704,9 @@ func (b *batch) leave(i int) {
 }
 
 // canonical is the package's canonical, memoized by workload name for
-// the batch's life, so a batch resolves each name it holds once. Under
-// Run (b nil) and in a batch of one, every call resolves.
+// the batch's life, so a batch resolves each name it holds once. In a
+// batch of one, every call resolves.
 func (b *batch) canonical(req Request) (Request, error) {
-	if b == nil {
-		return canonical(req)
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.canonicalLocked(req)
@@ -745,18 +739,14 @@ type member struct {
 	wake    chan struct{} // made by the first waiter, closed on settling
 }
 
-// earlier returns the class key and limits of request i, req, and the
+// earlier returns the class key and limits of request i and the
 // indices of the requests it waits on after a miss: those of its class
 // and no looser in either limit, before the first request with i's key
 // (so that every request with one key waits on the same ones, whichever
 // of them leads the call). Keys and classes are computed here, once per
 // request and in index order, so a batch that never misses computes
-// none. A nil batch, under Run, has no requests to wait on.
-func (b *batch) earlier(i int, req Request) (string, core.TrackerLimits, []int) {
-	if b == nil {
-		class, lim := classOf(req)
-		return class, lim, nil
-	}
+// none.
+func (b *batch) earlier(i int) (string, core.TrackerLimits, []int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.first == nil {
@@ -829,12 +819,6 @@ func (b *batch) settle(i int, res *Result, cps float64) {
 	if m.wake != nil {
 		close(m.wake)
 	}
-}
-
-// RunAll is Stream without a sink: results in request order, first
-// typed error after all requests settle.
-func (r *Runner) RunAll(ctx context.Context, reqs []Request) ([]*Result, error) {
-	return r.Stream(ctx, reqs, nil)
 }
 
 // Simulate is the in-process execution primitive: it validates req and

@@ -158,12 +158,12 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllOrderAndErrors: results come back in request order, and an
+// TestStreamOrderAndErrors: results come back in request order, and an
 // unknown benchmark surfaces as an error without poisoning the store.
-func TestRunAllOrderAndErrors(t *testing.T) {
+func TestStreamOrderAndErrors(t *testing.T) {
 	r := New()
 	reqs := []Request{quickReq("crafty"), quickReq("gcc"), quickReq("gobmk")}
-	results, err := r.RunAll(bg, reqs)
+	results, err := r.Stream(bg, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +179,9 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 	if _, err := r.Run(bg, quickReq("no-such-benchmark")); err == nil {
 		t.Fatal("unknown benchmark accepted on retry")
 	}
-	if _, err := r.RunAll(bg, []Request{quickReq("crafty"), quickReq("nope")}); err == nil ||
+	if _, err := r.Stream(bg, []Request{quickReq("crafty"), quickReq("nope")}, nil); err == nil ||
 		!strings.Contains(err.Error(), "nope") {
-		t.Fatalf("RunAll error = %v, want unknown-benchmark error naming nope", err)
+		t.Fatalf("Stream error = %v, want unknown-benchmark error naming nope", err)
 	}
 }
 
@@ -190,7 +190,7 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 func TestWorkerBound(t *testing.T) {
 	r := New(WithWorkers(1))
 	reqs := []Request{quickReq("crafty"), quickReq("gcc"), quickReq("gobmk"), quickReq("hmmer")}
-	results, err := r.RunAll(bg, reqs)
+	results, err := r.Stream(bg, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

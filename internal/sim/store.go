@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/objstore"
 	"repro/internal/wirejson"
@@ -44,6 +45,8 @@ const storeSchema = "rs1"
 type Store struct {
 	backend objstore.Backend
 	dir     string // fs root when filesystem-backed, "" otherwise
+
+	gets, puts, lists atomic.Int64 // backend operations issued (TierStats)
 }
 
 // envelope is the stored entry format: a versioned header wrapped
@@ -65,18 +68,12 @@ const envelopeSize = 2 << 10
 
 // NewStore opens (lazily — no I/O happens until the first access) the
 // filesystem-backed store rooted at dir.
-func NewStore(dir string) *Store {
-	return &Store{backend: objstore.Meter(objstore.NewFS(dir)), dir: dir}
-}
+func NewStore(dir string) *Store { return NewStoreWith(objstore.NewFS(dir)) }
 
 // NewStoreWith wraps an existing backend in a Store.
 func NewStoreWith(b objstore.Backend) *Store {
 	s := &Store{backend: b}
-	inner := b
-	if m, ok := b.(*objstore.Metered); ok {
-		inner = m.Backend
-	}
-	if f, ok := inner.(*objstore.FS); ok {
+	if f, ok := b.(*objstore.FS); ok {
 		s.dir = f.Root()
 	}
 	return s
@@ -89,23 +86,21 @@ func OpenStore(spec string) (*Store, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	m, err := objstore.New(spec)
+	b, err := objstore.New(spec)
 	if err != nil {
 		return nil, err
 	}
-	return NewStoreWith(m), nil
+	return NewStoreWith(b), nil
 }
 
 // Spec describes the store's backend in -store spec form.
 func (s *Store) Spec() string { return s.backend.String() }
 
-// TierStats returns the backend's operation counters when the backend
-// is metered (every Store built by NewStore / OpenStore is), or zeros.
+// TierStats returns the backend operations the store has issued: the
+// Gets of Load, the Puts of Put and the shard listings of Len and
+// Manifest.
 func (s *Store) TierStats() objstore.TierStats {
-	if m, ok := s.backend.(*objstore.Metered); ok {
-		return m.Stats()
-	}
-	return objstore.TierStats{}
+	return objstore.TierStats{Gets: s.gets.Load(), Puts: s.puts.Load(), Lists: s.lists.Load()}
 }
 
 // Close releases the backend's resources.
@@ -130,6 +125,7 @@ func (s *Store) Path(key string) string {
 // entry, unreadable or partial JSON, a backend error, or a header whose
 // schema, simulator version or key does not match.
 func (s *Store) Load(ctx context.Context, key string) (*Result, bool) {
+	s.gets.Add(1)
 	data, err := s.backend.Get(ctx, entryName(key))
 	if err != nil {
 		return nil, false
@@ -159,6 +155,7 @@ func (s *Store) Put(ctx context.Context, key string, res *Result) error {
 	if err != nil {
 		return err
 	}
+	s.puts.Add(1)
 	return s.backend.Put(ctx, entryName(key), data)
 }
 
@@ -168,10 +165,17 @@ func (s *Store) Put(ctx context.Context, key string, res *Result) error {
 func (s *Store) Len() int {
 	n := 0
 	for i := 0; i < ShardCount; i++ {
-		objs, err := s.backend.List(context.Background(), shardName(i))
+		objs, err := s.list(context.Background(), shardName(i))
 		if err == nil {
 			n += len(objs)
 		}
 	}
 	return n
+}
+
+// list returns a shard's entries, as the backend's List does, and counts
+// the listing.
+func (s *Store) list(ctx context.Context, shard string) ([]objstore.Object, error) {
+	s.lists.Add(1)
+	return s.backend.List(ctx, shard)
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,7 +219,7 @@ func TestSharedProgramConcurrentRuns(t *testing.T) {
 		}
 		want[i] = mustJSON(t, res)
 	}
-	got, err := New(WithWorkers(len(reqs))).RunAll(bg, reqs)
+	got, err := New(WithWorkers(len(reqs))).Stream(bg, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +456,7 @@ func TestStreamStoreHitsRunOnWorkers(t *testing.T) {
 	r := New(WithWorkers(2), WithStore(store), WithExecutor(func(context.Context, Request) (*Result, error) {
 		return nil, errors.New("must not execute: every request is stored")
 	}))
-	if _, err := r.RunAll(bg, reqs); err != nil {
+	if _, err := r.Stream(bg, reqs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c := r.Counters(); c.DiskHits != uint64(len(reqs)) {
@@ -492,7 +495,37 @@ func TestStreamWaitingMissNeverStallsItsBatch(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(bg, time.Minute)
 	defer cancel()
-	if _, err := New(WithWorkers(2), WithExecutor(exec)).RunAll(ctx, reqs); err != nil {
+	if _, err := New(WithWorkers(2), WithExecutor(exec)).Stream(ctx, reqs, nil); err != nil {
 		t.Fatalf("the batch stalled: %v", err)
+	}
+}
+
+// TestStreamOfOneRunsOnItsCaller: a Stream of one request, and Run,
+// execute on the caller's goroutine, whose stack holds this test's own
+// frame; a batch of two executes on goroutines the batch starts.
+func TestStreamOfOneRunsOnItsCaller(t *testing.T) {
+	var mu sync.Mutex
+	onCaller := make(map[string]bool)
+	exec := func(_ context.Context, req Request) (*Result, error) {
+		buf := make([]byte, 64<<10)
+		stack := string(buf[:runtime.Stack(buf, false)])
+		mu.Lock()
+		onCaller[req.Bench] = strings.Contains(stack, "sim.TestStreamOfOneRunsOnItsCaller(")
+		mu.Unlock()
+		return &Result{Bench: req.Bench}, nil
+	}
+	r := New(WithExecutor(exec))
+	if _, err := r.Stream(bg, []Request{quickReq("crafty")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(bg, quickReq("gcc")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Stream(bg, []Request{quickReq("gobmk"), quickReq("hmmer")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"crafty": true, "gcc": true, "gobmk": false, "hmmer": false}
+	if !maps.Equal(onCaller, want) {
+		t.Fatalf("executed on the caller's goroutine: %v, want %v", onCaller, want)
 	}
 }

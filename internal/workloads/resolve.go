@@ -41,26 +41,6 @@ func Resolve(name string) (Spec, error) {
 		name, strings.Join(tables().names, " "), strings.Join(Groups(), " "), generatorHint())
 }
 
-// CanonicalName validates name and returns its canonical spelling: the
-// name itself for catalog entries, the sorted/deduplicated/shortest
-// form for generator names. It is what content-addressed consumers (the
-// scenario matrix, the result-store envelope key) pin, so two spellings
-// of the same generator point share one store entry.
-func CanonicalName(name string) (string, error) {
-	if !strings.HasPrefix(name, GenPrefix) {
-		if _, ok := tables().byName[name]; ok {
-			return name, nil
-		}
-		s, err := Resolve(name)
-		return s.Name, err
-	}
-	s, err := resolveGen(name)
-	if err != nil {
-		return "", err
-	}
-	return s.Name, nil
-}
-
 // Param is one knob of a generator family's schema.
 type Param struct {
 	// Key is the parameter's name in the gen: grammar.

@@ -50,18 +50,18 @@ func TestCanonicalNameGolden(t *testing.T) {
 		{"lbm", "lbm"},
 	}
 	for _, c := range cases {
-		got, err := CanonicalName(c.in)
+		spec, err := Resolve(c.in)
 		if err != nil {
-			t.Errorf("CanonicalName(%q): %v", c.in, err)
+			t.Errorf("Resolve(%q): %v", c.in, err)
 			continue
 		}
-		if got != c.want {
-			t.Errorf("CanonicalName(%q) = %q, want %q", c.in, got, c.want)
+		if spec.Name != c.want {
+			t.Errorf("Resolve(%q).Name = %q, want %q", c.in, spec.Name, c.want)
 		}
 		// Canonicalization is a fixed point.
-		again, err := CanonicalName(got)
-		if err != nil || again != got {
-			t.Errorf("CanonicalName(%q) = %q, %v; not a fixed point", got, again, err)
+		again, err := Resolve(spec.Name)
+		if err != nil || again.Name != spec.Name {
+			t.Errorf("Resolve(%q).Name = %q, %v; not a fixed point", spec.Name, again.Name, err)
 		}
 	}
 }
@@ -113,22 +113,12 @@ func FuzzResolve(f *testing.F) {
 		if err != nil {
 			return
 		}
-		canonical, err := CanonicalName(name)
+		again, err := Resolve(spec.Name)
 		if err != nil {
-			t.Fatalf("Resolve(%q) ok but CanonicalName errs: %v", name, err)
-		}
-		if spec.Name != canonical {
-			t.Fatalf("Resolve(%q).Name = %q, CanonicalName = %q", name, spec.Name, canonical)
-		}
-		again, err := Resolve(canonical)
-		if err != nil {
-			t.Fatalf("canonical %q does not resolve: %v", canonical, err)
+			t.Fatalf("canonical %q does not resolve: %v", spec.Name, err)
 		}
 		if !reflect.DeepEqual(spec, again) {
-			t.Fatalf("Resolve(%q) and Resolve(%q) disagree:\n%+v\n%+v", name, canonical, spec, again)
-		}
-		if c2, err := CanonicalName(canonical); err != nil || c2 != canonical {
-			t.Fatalf("canonicalization not a fixed point: %q -> %q (%v)", canonical, c2, err)
+			t.Fatalf("Resolve(%q) and Resolve(%q) disagree:\n%+v\n%+v", name, spec.Name, spec, again)
 		}
 	})
 }

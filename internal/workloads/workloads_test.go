@@ -33,13 +33,10 @@ func TestCatalogShape(t *testing.T) {
 }
 
 // TestByNameUnknown: the catalog's by-name index rejects a name it does
-// not hold, through Resolve and through CanonicalName's fast path.
+// not hold.
 func TestByNameUnknown(t *testing.T) {
 	if _, err := Resolve("not-a-benchmark"); err == nil {
 		t.Fatal("Resolve accepted an unknown name")
-	}
-	if _, err := CanonicalName("not-a-benchmark"); err == nil {
-		t.Fatal("CanonicalName accepted an unknown name")
 	}
 }
 
