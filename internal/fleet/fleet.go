@@ -5,11 +5,13 @@
 // shared directory, simulates the shard's requests through the ordinary
 // sim.Runner (so results land in the shared store exactly as a
 // single-host run would write them), and marks the claim done. Progress
-// is a generation token bumped on every completed request: a challenger
-// that watches a claim's (epoch, generation) stand still across enough
-// polls seizes the lease with a higher epoch, so a crashed host's shard
-// is re-run — resumably, because the finished requests are already in
-// the store and come back as hits.
+// is a generation token bumped after every request the shard simulates,
+// the only work long enough to need a heartbeat; a hit writes nothing a
+// seizing host would not write byte for byte, so it bumps nothing. A
+// challenger that watches a claim's (epoch, generation) stand still
+// across enough polls seizes the lease with a higher epoch, so a crashed
+// host's shard is re-run — resumably, because the finished requests are
+// already in the store and come back as hits.
 //
 // Exactly-once settlement falls out of the matrix shape rather than
 // locking: scenario.Expand interns requests in cell order, so
@@ -33,7 +35,6 @@ import (
 	"io"
 	"io/fs"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/objstore"
@@ -65,9 +66,10 @@ type Claim struct {
 	// +1 per stale-lease takeover. A holder that observes a claim with
 	// an epoch above its own has lost the lease and must stand down.
 	Epoch int `json:"epoch"`
-	// Gen is the holder's progress token, bumped once per completed
-	// request. Challengers detect staleness by watching (Epoch, Gen)
-	// stand still, so liveness needs no clocks on the wire.
+	// Gen is the holder's progress token, bumped once per request the
+	// shard simulates: it counts the shard's simulations. Challengers
+	// detect staleness by watching (Epoch, Gen) stand still, so liveness
+	// needs no clocks on the wire.
 	Gen int `json:"gen"`
 	// Done marks the shard fully simulated; done claims are never
 	// seized.
@@ -222,7 +224,6 @@ type drainer struct {
 	// many consecutive polls it has stood still.
 	observed map[int]claimState
 
-	mu  sync.Mutex // guards sum counters written from Stream sinks
 	sum Summary
 }
 
@@ -387,9 +388,12 @@ func (d *drainer) visit(ctx context.Context, s int) (bool, error) {
 }
 
 // drainShard runs the shard's owned requests under the claim cl, which
-// this host holds. Every completed request bumps the claim's
-// generation after re-checking ownership; losing the lease mid-shard
-// cancels the remaining requests and leaves the shard pending.
+// this host holds. Every simulated request bumps the claim's generation
+// after re-checking ownership; losing the lease mid-shard cancels the
+// remaining requests and leaves the shard pending. A holder that lost
+// the lease while serving hits learns it at its next simulation or at
+// the done mark's re-read. Stream serializes sink calls, so the sink
+// needs no lock.
 func (d *drainer) drainShard(ctx context.Context, s int, cl Claim) (bool, error) {
 	reqs := make([]sim.Request, len(d.shardReqs[s]))
 	for i, at := range d.shardReqs[s] {
@@ -400,14 +404,14 @@ func (d *drainer) drainShard(ctx context.Context, s int, cl Claim) (bool, error)
 	defer cancel(nil)
 	var lost bool
 	var sinkErr error
-	var mu sync.Mutex
 	sink := func(ev sim.Event) {
-		mu.Lock()
-		defer mu.Unlock()
 		if ev.Err != nil || lost || sinkErr != nil {
 			return
 		}
 		d.count(ev)
+		if ev.Source != sim.SourceSimulated {
+			return
+		}
 		ok, err := d.bump(ctx, s, &cl)
 		if err != nil {
 			sinkErr = err
@@ -450,8 +454,6 @@ func (d *drainer) drainShard(ctx context.Context, s int, cl Claim) (bool, error)
 
 // count folds one completion event into the summary counters.
 func (d *drainer) count(ev sim.Event) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch ev.Source {
 	case sim.SourceSimulated:
 		d.sum.Simulated++

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,6 +162,52 @@ func TestDrainSingleHostAndResume(t *testing.T) {
 	}
 	if sum3.PeerDone != 4 || sum3.Claimed != 0 || sum3.Simulated != 0 {
 		t.Fatalf("done claims not honored: %+v", sum3)
+	}
+}
+
+// countingLeases counts the lease operations a drain issues.
+type countingLeases struct {
+	objstore.Backend
+	ops atomic.Int64
+}
+
+func (c *countingLeases) Get(ctx context.Context, name string) ([]byte, error) {
+	c.ops.Add(1)
+	return c.Backend.Get(ctx, name)
+}
+
+func (c *countingLeases) Put(ctx context.Context, name string, data []byte) error {
+	c.ops.Add(1)
+	return c.Backend.Put(ctx, name, data)
+}
+
+func (c *countingLeases) PutIfAbsent(ctx context.Context, name string, data []byte) (bool, error) {
+	c.ops.Add(1)
+	return c.Backend.PutIfAbsent(ctx, name, data)
+}
+
+// TestDrainLeaseOpsPerSimulation: an uncontested shard costs four lease
+// operations (the first read, the claim, the done mark's read and
+// write) plus a read and a write per simulation; hits bump nothing, so
+// an all-hit re-drain costs four per shard whatever its request count.
+func TestDrainLeaseOpsPerSimulation(t *testing.T) {
+	m := expandFleet(t)
+	dir := t.TempDir()
+	for _, pass := range []string{"cold", "warm"} {
+		leases := &countingLeases{Backend: objstore.NewMem()}
+		sum, err := Drain(bg, m, sim.New(sim.WithStore(sim.NewStore(dir)), sim.WithWorkers(2)), leases,
+			Config{Host: "a", ShardCells: 2, Sleep: fastSleep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 4*sum.Shards + 2*sum.Simulated
+		if pass == "warm" && (sum.Simulated != 0 || sum.StoreHits != len(m.Requests)) {
+			t.Fatalf("warm re-drain did not hit the store for every request: %+v", sum)
+		}
+		if got := int(leases.ops.Load()); got != want {
+			t.Errorf("%s drain: %d lease operations for %d shards and %d simulations, want %d",
+				pass, got, sum.Shards, sum.Simulated, want)
+		}
 	}
 }
 

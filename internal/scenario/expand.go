@@ -90,7 +90,12 @@ type Matrix struct {
 // values × the benchmark list, as one deduplicated request matrix.
 // Requests shared between cells — every cell's baseline against an
 // unmodified machine, identical configs reached along different axis
-// paths — appear exactly once.
+// paths — appear exactly once. A config depends only on its config-axis
+// combination, so each combination's baseline and optimized configs are
+// built, checked and digested once, in the first workload combination;
+// every request is interned under the key sim.KeyOf assembles from its
+// config's digest. Requests of one config share its slices (the TAGE
+// geometries), which nothing writes.
 func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 	m := &Matrix{Spec: s, Warmup: s.Warmup, Measure: s.Measure}
 	if ov.Warmup != nil {
@@ -117,16 +122,15 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 
 	index := make(map[string]int)      // sim.Key -> Requests index
 	benchSeen := make(map[string]bool) // union membership for m.Benches
-	intern := func(benches []string, cfg core.Config) []int {
+	intern := func(benches []string, c *comboConfig) []int {
 		idxs := make([]int, len(benches))
 		for i, b := range benches {
-			req := sim.Request{Bench: b, Config: cfg, Warmup: m.Warmup, Measure: m.Measure}
-			key := sim.Key(req)
+			key := sim.KeyOf(b, m.Warmup, m.Measure, c.digest)
 			at, ok := index[key]
 			if !ok {
 				at = len(m.Requests)
 				index[key] = at
-				m.Requests = append(m.Requests, req)
+				m.Requests = append(m.Requests, sim.Request{Bench: b, Config: c.cfg, Warmup: m.Warmup, Measure: m.Measure})
 				m.Keys = append(m.Keys, key)
 				m.FirstUse = append(m.FirstUse, len(m.Cells))
 			}
@@ -134,6 +138,11 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 		}
 		return idxs
 	}
+	// configs holds each config-axis combination's baseline and
+	// optimized configs, in odometer order: built, checked and digested
+	// during the first workload combination and reused by every later
+	// one, since workload-axis values never patch a config.
+	var configs [][2]comboConfig
 
 	// Row-major walk: workload axes outermost, config axes within.
 	wCombo := make([]int, len(s.WorkloadAxes))
@@ -159,34 +168,42 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 		}
 
 		combo := make([]int, len(s.Axes))
-		for {
+		for ci := 0; ; ci++ {
 			cell := Cell{
 				Labels:  append(append([]string{}, wLabels...), make([]string, len(s.Axes))...),
 				Benches: benches,
 			}
-			baseCfg := core.DefaultConfig()
-			s.Base.Apply(&baseCfg)
 			for ai, vi := range combo {
 				cell.Labels[len(wLabels)+ai] = s.Axes[ai].Values[vi].Label
-				if s.Axes[ai].Shared {
-					s.Axes[ai].Values[vi].Patch.Apply(&baseCfg)
+			}
+			if ci == len(configs) {
+				baseCfg := core.DefaultConfig()
+				s.Base.Apply(&baseCfg)
+				for ai, vi := range combo {
+					if s.Axes[ai].Shared {
+						s.Axes[ai].Values[vi].Patch.Apply(&baseCfg)
+					}
 				}
-			}
-			optCfg := baseCfg
-			s.Opt.Apply(&optCfg)
-			for ai, vi := range combo {
-				if !s.Axes[ai].Shared {
-					s.Axes[ai].Values[vi].Patch.Apply(&optCfg)
+				optCfg := baseCfg
+				s.Opt.Apply(&optCfg)
+				for ai, vi := range combo {
+					if !s.Axes[ai].Shared {
+						s.Axes[ai].Values[vi].Patch.Apply(&optCfg)
+					}
 				}
+				if err := baseCfg.Check(); err != nil {
+					return nil, fmt.Errorf("scenario %q cell %v: baseline config: %w", s.Name, cell.Labels, err)
+				}
+				if err := optCfg.Check(); err != nil {
+					return nil, fmt.Errorf("scenario %q cell %v: optimized config: %w", s.Name, cell.Labels, err)
+				}
+				configs = append(configs, [2]comboConfig{
+					{baseCfg, sim.DigestOf(&baseCfg)},
+					{optCfg, sim.DigestOf(&optCfg)},
+				})
 			}
-			if err := baseCfg.Check(); err != nil {
-				return nil, fmt.Errorf("scenario %q cell %v: baseline config: %w", s.Name, cell.Labels, err)
-			}
-			if err := optCfg.Check(); err != nil {
-				return nil, fmt.Errorf("scenario %q cell %v: optimized config: %w", s.Name, cell.Labels, err)
-			}
-			cell.Base = intern(benches, baseCfg)
-			cell.Opt = intern(benches, optCfg)
+			cell.Base = intern(benches, &configs[ci][0])
+			cell.Opt = intern(benches, &configs[ci][1])
 			m.Cells = append(m.Cells, cell)
 
 			// Advance the config odometer, last axis fastest.
@@ -217,6 +234,13 @@ func (s *Spec) Expand(ov Overrides) (*Matrix, error) {
 		}
 	}
 	return m, nil
+}
+
+// comboConfig is one config-axis combination's baseline or optimized
+// config, with its sim.DigestOf.
+type comboConfig struct {
+	cfg    core.Config
+	digest sim.ConfigDigest
 }
 
 // MustExpand is Expand for harness code where a spec error is a bug.

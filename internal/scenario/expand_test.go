@@ -227,22 +227,29 @@ cell chase/unlimited benches=[crafty gen:chase?mix=0.5] base=[0 6] opt=[4 8]
 // TestExpandRejectsUnsizedTracker: a cell whose composed patches select
 // an entry-based tracker but never size it must fail loudly —
 // core.NewTracker would otherwise silently coerce it to 32 entries /
-// 3 bits, a configuration the spec never named.
+// 3 bits, a configuration the spec never named. Under a workload axis
+// the configs are checked in the first workload combination, so the
+// error carries that combination's labels.
 func TestExpandRejectsUnsizedTracker(t *testing.T) {
-	for _, patch := range []string{
-		`{"tracker": "isrb", "ctrbits": 3}`, // no entries
-		`{"tracker": "isrb", "entries": 8}`, // no counter bits
-		`{"tracker": "rda"}`,                // no entries
+	for _, tc := range []struct{ spec, cell string }{
+		{gridSpec, `scenario "g" cell [96 ISRB-8]: optimized config: `},
+		{wgSpec, `scenario "wg" cell [spill8 ISRB-8]: optimized config: `},
 	} {
-		spec := strings.Replace(gridSpec,
-			`{"tracker": "isrb", "entries": 8, "ctrbits": 3}`, patch, 1)
-		s, err := ParseBytes([]byte(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = s.Expand(Overrides{})
-		if err == nil || !strings.Contains(err.Error(), "tracker") {
-			t.Fatalf("unsized tracker patch %s expanded without error (err=%v)", patch, err)
+		for _, patch := range []string{
+			`{"tracker": "isrb", "ctrbits": 3}`, // no entries
+			`{"tracker": "isrb", "entries": 8}`, // no counter bits
+			`{"tracker": "rda"}`,                // no entries
+		} {
+			spec := strings.Replace(tc.spec,
+				`{"tracker": "isrb", "entries": 8, "ctrbits": 3}`, patch, 1)
+			s, err := ParseBytes([]byte(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Expand(Overrides{})
+			if err == nil || !strings.HasPrefix(err.Error(), tc.cell) || !strings.Contains(err.Error(), "tracker") {
+				t.Fatalf("unsized tracker patch %s: err=%v, want a tracker error starting %q", patch, err, tc.cell)
+			}
 		}
 	}
 }
@@ -267,5 +274,68 @@ func TestExpandDedupAcrossAxisPaths(t *testing.T) {
 		if len(c.Base) != 2 || len(c.Opt) != 2 {
 			t.Fatalf("cell %v has wrong index widths", c)
 		}
+	}
+}
+
+// perfbenchShapedSpec has the shape of perfbench's grid: seven workload
+// shapes × five schemes × two shared ROB sizes × two tracker sizes, 140
+// cells over 20 config-axis combinations.
+const perfbenchShapedSpec = `{
+  "name": "pb",
+  "title": "PB",
+  "warmup": 20000,
+  "measure": 80000,
+  "opt": {"me": true, "smb": true},
+  "workload_axes": [
+    {"name": "shape", "values": [
+      {"label": "spill-d4",       "benchmarks": ["gen:spill?depth=4"]},
+      {"label": "spill-d16-far",  "benchmarks": ["gen:spill?depth=16&far=0.5"]},
+      {"label": "chase-256k",     "benchmarks": ["gen:chase?nodes=262144"]},
+      {"label": "vector-w2",      "benchmarks": ["gen:vector?width=2"]},
+      {"label": "vector-w6-t128", "benchmarks": ["gen:vector?trip=128&width=6"]},
+      {"label": "branchy-easy",   "benchmarks": ["gen:branchy?hard=0.2"]},
+      {"label": "branchy-hard",   "benchmarks": ["gen:branchy?hard=0.9"]}
+    ]}
+  ],
+  "axes": [
+    {"name": "scheme", "values": [
+      {"label": "isrb",      "patch": {"tracker": "isrb", "entries": 32, "ctrbits": 3}},
+      {"label": "mit",       "patch": {"tracker": "mit", "entries": 32, "ctrbits": 4}},
+      {"label": "rda",       "patch": {"tracker": "rda", "entries": 32, "ctrbits": 4}},
+      {"label": "counters",  "patch": {"tracker": "counters", "ctrbits": 8}},
+      {"label": "unlimited", "patch": {"tracker": "unlimited", "ctrbits": 8}}
+    ]},
+    {"name": "ROB", "shared": true, "values": [
+      {"label": "rob128", "patch": {"rob": 128}},
+      {"label": "rob256", "patch": {"rob": 256}}
+    ]},
+    {"name": "entries", "values": [
+      {"label": "e16", "patch": {"entries": 16}},
+      {"label": "e64", "patch": {"entries": 64}}
+    ]}
+  ],
+  "report": {"kind": "cells"}
+}`
+
+// BenchmarkExpand times Expand over the committed fleet-grid and over a
+// grid of perfbench's shape.
+func BenchmarkExpand(b *testing.B) {
+	fleet, err := Builtin("fleet-grid")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pb, err := ParseBytes([]byte(perfbenchShapedSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range []*Spec{fleet, pb} {
+		b.Run(s.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.Expand(Overrides{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -306,31 +306,49 @@ var cacheVersion = sync.OnceValue(func() string {
 // serve its entries.
 func Version() string { return cacheVersion() }
 
-// Key returns the deduplication key of req: the benchmark name, a digest
-// of the full configuration (which is pure data, so its JSON encoding is
-// deterministic) and the run lengths. The digest is a SHA-256 of the
-// bytes json.Marshal writes for the config, which configJSON writes
-// without encoding/json; the encoding and the key are built in stack
-// buffers, so Key allocates only the string it returns. The simulator
-// version tag is NOT part of this key — in-memory results can never be
-// stale — the on-disk Store instead records it in each entry's envelope
-// header and treats a mismatch as a miss (see Store.Load).
+// Key returns the deduplication key of req: the benchmark name, the run
+// lengths and the digest of the full configuration, assembled as
+// KeyOf(req.Bench, req.Warmup, req.Measure, DigestOf(&req.Config)). The
+// encoding, the digest and the key are built in stack buffers, so Key
+// allocates only the string it returns. The simulator version tag is NOT
+// part of this key — in-memory results can never be stale — the on-disk
+// Store instead records it in each entry's envelope header and treats a
+// mismatch as a miss (see Store.Load).
 func Key(req Request) string {
+	return KeyOf(req.Bench, req.Warmup, req.Measure, DigestOf(&req.Config))
+}
+
+// ConfigDigest identifies a configuration inside a Key: the first 8
+// bytes of the SHA-256 of the bytes json.Marshal writes for it.
+type ConfigDigest [8]byte
+
+// DigestOf returns cfg's digest. A config is pure data, so its JSON
+// encoding is deterministic; configJSON writes it without encoding/json,
+// into a stack buffer. A caller keying many requests of one config, as
+// scenario.Expand does, digests it once and assembles each key with
+// KeyOf.
+func DigestOf(cfg *core.Config) ConfigDigest {
 	var buf [configSize]byte
-	cfg, err := configJSON.Append(buf[:0], &req.Config)
+	enc, err := configJSON.Append(buf[:0], cfg)
 	if err != nil {
 		panic(fmt.Sprintf("sim: config not encodable: %v", err))
 	}
-	h := sha256.Sum256(cfg)
+	h := sha256.Sum256(enc)
+	return ConfigDigest(h[:8])
+}
+
+// KeyOf assembles the Key of a request for bench with the given run
+// lengths and config digest, allocating only the string it returns.
+func KeyOf(bench string, warmup, measure uint64, d ConfigDigest) string {
 	var kb [128]byte
-	k := append(kb[:0], req.Bench...)
-	k = strconv.AppendUint(append(k, '-'), req.Warmup, 10)
-	k = strconv.AppendUint(append(k, '-'), req.Measure, 10)
-	k = hex.AppendEncode(append(k, '-'), h[:8])
+	k := append(kb[:0], bench...)
+	k = strconv.AppendUint(append(k, '-'), warmup, 10)
+	k = strconv.AppendUint(append(k, '-'), measure, 10)
+	k = hex.AppendEncode(append(k, '-'), d[:])
 	return string(k)
 }
 
-// configJSON writes the config Key hashes; configSize holds the about
+// configJSON writes the config DigestOf hashes; configSize holds the about
 // 1.9 KB it writes for the paper's Table 1 machine.
 var configJSON = wirejson.For[core.Config]()
 

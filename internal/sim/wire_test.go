@@ -198,6 +198,8 @@ func reencodes[T any](t *testing.T, p *wirejson.Plan[T], data []byte) {
 // '&', and an SMB machine whose distance predictor has no geometry
 // (nil: the default TAGE) and an empty one (the PC-only predictor).
 // Store entries, manifest roots and fleet grid IDs all derive from them.
+// KeyOf over DigestOf, which scenario.Expand interns by, assembles the
+// same strings.
 func TestKeyIsPinned(t *testing.T) {
 	smb := core.DefaultConfig()
 	smb.SMB.Enabled = true
@@ -214,6 +216,9 @@ func TestKeyIsPinned(t *testing.T) {
 	} {
 		if got := sim.Key(c.req); got != c.want {
 			t.Errorf("Key(%s …) = %s, want %s", c.req.Bench, got, c.want)
+		}
+		if got := sim.KeyOf(c.req.Bench, c.req.Warmup, c.req.Measure, sim.DigestOf(&c.req.Config)); got != c.want {
+			t.Errorf("KeyOf(%s …, DigestOf) = %s, want %s", c.req.Bench, got, c.want)
 		}
 	}
 }
