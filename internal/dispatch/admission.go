@@ -176,11 +176,12 @@ func (a *admission) dropClientLocked(i int) {
 	}
 }
 
-// depth reports the current queue depth.
-func (a *admission) depth() int {
+// depth reports the requests holding an execution slot and those
+// queued for one.
+func (a *admission) depth() (inflight, queued int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.queued
+	return a.inflight, a.queued
 }
 
 // retryAfter estimates, in whole seconds, when a rejected client should

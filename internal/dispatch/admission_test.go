@@ -79,7 +79,7 @@ func TestAdmissionQueueOverflow429(t *testing.T) {
 		_, err := h2.Execute(ctx, smallReq("crafty", 3500))
 		done2 <- err
 	}()
-	waitFor(t, "request 2 to queue", func() bool { return svc.adm.depth() == 1 })
+	waitFor(t, "request 2 to queue", func() bool { return queued(svc.adm) == 1 })
 
 	// The jam is observable: /metrics reports the live gauges.
 	hm := NewHTTP(ts.URL)
@@ -153,7 +153,7 @@ func TestAdmissionFairDequeue(t *testing.T) {
 	var wg sync.WaitGroup
 	enqueue := func(client string) {
 		wg.Add(1)
-		before := a.depth()
+		before := queued(a)
 		go func() {
 			defer wg.Done()
 			if err := a.acquire(ctx, client); err != nil {
@@ -166,7 +166,7 @@ func TestAdmissionFairDequeue(t *testing.T) {
 			a.release()
 		}()
 		// Serialize enqueue order so the FIFO contents are deterministic.
-		waitFor(t, "waiter to enqueue", func() bool { return a.depth() == before+1 })
+		waitFor(t, "waiter to enqueue", func() bool { return queued(a) == before+1 })
 	}
 	for range perClient {
 		enqueue("A")
@@ -203,12 +203,12 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- a.acquire(ctx, "quitter") }()
-	waitFor(t, "waiter to enqueue", func() bool { return a.depth() == 1 })
+	waitFor(t, "waiter to enqueue", func() bool { return queued(a) == 1 })
 	cancel()
 	if err := <-errc; !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("canceled waiter: got %v, want ErrCanceled", err)
 	}
-	if d := a.depth(); d != 0 {
+	if d := queued(a); d != 0 {
 		t.Fatalf("queue depth %d after cancellation, want 0", d)
 	}
 
@@ -218,4 +218,10 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 		t.Fatalf("acquire after drain: %v", err)
 	}
 	a.release()
+}
+
+// queued is a's queue depth.
+func queued(a *admission) int {
+	_, q := a.depth()
+	return q
 }

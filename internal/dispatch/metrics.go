@@ -185,7 +185,6 @@ type metrics struct {
 
 	mu              sync.Mutex
 	seq             uint64
-	inFlight        int
 	accepted        uint64
 	completed       uint64
 	errored         uint64
@@ -223,14 +222,8 @@ func (m *metrics) accept(client string) *RequestMetrics {
 // queued stamps the admission-queue entry.
 func (m *metrics) queued(rm *RequestMetrics) { rm.QueuedNS = nowNS() }
 
-// dispatched stamps the hand-off to the runner and raises the in-flight
-// gauge.
-func (m *metrics) dispatched(rm *RequestMetrics) {
-	rm.DispatchedNS = nowNS()
-	m.mu.Lock()
-	m.inFlight++
-	m.mu.Unlock()
-}
+// dispatched stamps the hand-off to the runner.
+func (m *metrics) dispatched(rm *RequestMetrics) { rm.DispatchedNS = nowNS() }
 
 // settled stamps the outcome (simulated / memory join / store hit).
 func (m *metrics) settled(rm *RequestMetrics, source string) {
@@ -247,9 +240,6 @@ func (m *metrics) finish(rm *RequestMetrics, status int, cycles uint64) {
 	rm.Status = status
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if rm.DispatchedNS != 0 {
-		m.inFlight--
-	}
 	switch {
 	case status == 429:
 		m.rejected++
@@ -271,9 +261,9 @@ func (m *metrics) finish(rm *RequestMetrics, status int, cycles uint64) {
 }
 
 // snapshot assembles the /metrics response from the aggregator, the
-// runner's provenance counters, the admission queue depth and the
-// store's backend operation counters.
-func (m *metrics) snapshot(ctr sim.Counters, queueDepth int, tier objstore.TierStats) MetricsSnapshot {
+// runner's provenance counters, the admission gate's in-flight count
+// and queue depth, and the store's backend operation counters.
+func (m *metrics) snapshot(ctr sim.Counters, inFlight, queueDepth int, tier objstore.TierStats) MetricsSnapshot {
 	now := nowNS()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -284,7 +274,7 @@ func (m *metrics) snapshot(ctr sim.Counters, queueDepth int, tier objstore.TierS
 		Completed:       m.completed,
 		Errors:          m.errored,
 		Rejected:        m.rejected,
-		InFlight:        m.inFlight,
+		InFlight:        inFlight,
 		QueueDepth:      queueDepth,
 		Simulated:       ctr.Simulated,
 		MemHits:         ctr.MemHits,

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -127,13 +126,12 @@ const maxRequestBody = 16 << 20
 func (s *Service) admit(w http.ResponseWriter, r *http.Request, rm *RequestMetrics) bool {
 	s.met.queued(rm)
 	if err := s.adm.acquire(r.Context(), rm.Client); err != nil {
-		status := http.StatusServiceUnavailable
-		if errors.Is(err, ErrOverloaded) {
-			status = http.StatusTooManyRequests
+		c := classify(err)
+		if c.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfter()))
 		}
-		writeError(w, status, errorKind(err), err.Error())
-		s.met.finish(rm, status, 0)
+		writeError(w, c.status, c.kind, err.Error())
+		s.met.finish(rm, c.status, 0)
 		return false
 	}
 	s.met.dispatched(rm)
@@ -168,9 +166,9 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	_, err = s.runner.Stream(r.Context(), []sim.Request{req}, func(e sim.Event) { ev = e })
 	if err != nil {
 		s.met.settled(rm, "")
-		status := statusFor(err)
-		writeError(w, status, errorKind(err), err.Error())
-		s.met.finish(rm, status, 0)
+		c := classify(err)
+		writeError(w, c.status, c.kind, err.Error())
+		s.met.finish(rm, c.status, 0)
 		return
 	}
 	rm.Key = ev.Key
@@ -185,7 +183,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.store != nil {
 		tier = s.store.TierStats()
 	}
-	writeJSON(w, s.met.snapshot(s.runner.Counters(), s.adm.depth(), tier))
+	inFlight, queued := s.adm.depth()
+	writeJSON(w, s.met.snapshot(s.runner.Counters(), inFlight, queued, tier))
 }
 
 // handleRecent serves the last-N finished requests, newest first.
@@ -200,26 +199,6 @@ func (s *Service) handleRecent(w http.ResponseWriter, r *http.Request) {
 		n = v
 	}
 	writeJSON(w, s.met.recent(n))
-}
-
-// statusFor maps the sim error taxonomy onto HTTP statuses: client
-// mistakes are 400s, a simulator fault 422 (the request is well formed,
-// but the fault is deterministic for it, so a retry cannot help), a
-// cancellation (the server shutting down, or the client going away
-// mid-run) 503, an admission refusal 429.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, sim.ErrUnknownBenchmark), errors.Is(err, sim.ErrBadConfig):
-		return http.StatusBadRequest
-	case errors.Is(err, sim.ErrSimFault):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, sim.ErrCanceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 // writeError emits the service's JSON error shape.

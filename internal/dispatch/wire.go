@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 
 	"repro/internal/sim"
@@ -43,22 +44,37 @@ func comparableSimver(v string) bool {
 	return v != "" && v != "s1-unversioned" && !strings.HasPrefix(v, "s1-x")
 }
 
-// errorKind classifies err for the wire.
-func errorKind(err error) string {
-	switch {
-	case errors.Is(err, sim.ErrUnknownBenchmark):
-		return kindUnknownBenchmark
-	case errors.Is(err, sim.ErrBadConfig):
-		return kindBadConfig
-	case errors.Is(err, sim.ErrCanceled):
-		return kindCanceled
-	case errors.Is(err, sim.ErrSimFault):
-		return kindSimFault
-	case errors.Is(err, ErrOverloaded):
-		return kindOverloaded
-	default:
-		return kindInternal
+// errorClass is one row of the error taxonomy on the wire: a sentinel,
+// its wire kind and the HTTP status the service answers it with.
+type errorClass struct {
+	sentinel error
+	kind     string
+	status   int
+}
+
+// errorClasses maps the taxonomy onto the wire, both ways, in the order
+// classify tests it. Client mistakes are 400s; a cancellation (the
+// server shutting down, or the client going away mid-run) is 503; a
+// simulator fault is 422, because the request is well formed but the
+// fault is deterministic for it, so a retry cannot help; an admission
+// refusal is 429.
+var errorClasses = []errorClass{
+	{sim.ErrUnknownBenchmark, kindUnknownBenchmark, http.StatusBadRequest},
+	{sim.ErrBadConfig, kindBadConfig, http.StatusBadRequest},
+	{sim.ErrCanceled, kindCanceled, http.StatusServiceUnavailable},
+	{sim.ErrSimFault, kindSimFault, http.StatusUnprocessableEntity},
+	{ErrOverloaded, kindOverloaded, http.StatusTooManyRequests},
+}
+
+// classify returns err's class: the first whose sentinel err wraps, or
+// internal, 500, when none does.
+func classify(err error) errorClass {
+	for _, c := range errorClasses {
+		if errors.Is(err, c.sentinel) {
+			return c
+		}
 	}
+	return errorClass{kind: kindInternal, status: http.StatusInternalServerError}
 }
 
 // remoteError carries a remote side's error message while keeping the
@@ -80,23 +96,15 @@ func (e *remoteError) Unwrap() error { return e.sentinel }
 // kinds (a newer peer) likewise degrade to an untyped error with the
 // message intact.
 func wireError(kind, msg string) error {
-	var sentinel error
-	switch kind {
-	case kindUnknownBenchmark:
-		sentinel = sim.ErrUnknownBenchmark
-	case kindBadConfig:
-		sentinel = sim.ErrBadConfig
-	case kindSimFault:
-		sentinel = sim.ErrSimFault
-	case kindOverloaded:
-		sentinel = ErrOverloaded
-	case kindCanceled:
+	if kind == kindCanceled {
 		return fmt.Errorf("dispatch: run canceled remotely (the backend shut down or aborted it): %s", msg)
 	}
-	if sentinel == nil {
-		return errors.New(msg)
+	for _, c := range errorClasses {
+		if c.kind == kind {
+			return &remoteError{msg: msg, sentinel: c.sentinel}
+		}
 	}
-	return &remoteError{msg: msg, sentinel: sentinel}
+	return errors.New(msg)
 }
 
 // canceledErr wraps a local context cancellation into the sim taxonomy

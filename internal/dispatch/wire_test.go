@@ -3,6 +3,7 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,7 +11,7 @@ import (
 
 // TestSentinelsSurviveWireRoundTrip pins the error-taxonomy contract
 // across the wire: a typed sim error classified on one side
-// (errorKind) and reconstructed on the other (wireError) must still
+// (classify) and reconstructed on the other (wireError) must still
 // satisfy errors.Is for its sentinel, no matter how many layers of
 // fmt.Errorf wrapping it picked up before crossing. This is what lets
 // commands and retry logic treat local and remote backends uniformly.
@@ -48,7 +49,7 @@ func TestSentinelsSurviveWireRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := wireError(errorKind(tc.err), tc.err.Error())
+			rt := wireError(classify(tc.err).kind, tc.err.Error())
 			if !errors.Is(rt, tc.sentinel) {
 				t.Errorf("errors.Is lost the sentinel across the wire: %v", rt)
 			}
@@ -59,14 +60,33 @@ func TestSentinelsSurviveWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClassifyTakesOneRow: the wire kind and the HTTP status of an
+// error come from one row of errorClasses, the first whose sentinel it
+// wraps, so an error wrapping a fault and a cancellation is answered
+// as a cancellation on both counts; an error wrapping none is internal.
+func TestClassifyTakesOneRow(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		kind   string
+		status int
+	}{
+		{fmt.Errorf("%w: %w", sim.ErrSimFault, sim.ErrCanceled), kindCanceled, http.StatusServiceUnavailable},
+		{errors.New("plain"), kindInternal, http.StatusInternalServerError},
+	} {
+		if c := classify(tc.err); c.kind != tc.kind || c.status != tc.status {
+			t.Errorf("%v: classified %q, %d; want %q, %d", tc.err, c.kind, c.status, tc.kind, tc.status)
+		}
+	}
+}
+
 // TestCanceledDeliberatelyDegrades documents the one asymmetry:
 // a remote cancellation does NOT come back as sim.ErrCanceled, because
 // the local context is still live and only a local interrupt may carry
 // the "interrupted"/exit-130 signature (see wireError's comment).
 func TestCanceledDeliberatelyDegrades(t *testing.T) {
 	src := fmt.Errorf("sim: bench: %w: ctx done", sim.ErrCanceled)
-	if kind := errorKind(src); kind != kindCanceled {
-		t.Fatalf("errorKind = %q, want %q", kind, kindCanceled)
+	if kind := classify(src).kind; kind != kindCanceled {
+		t.Fatalf("classify(...).kind = %q, want %q", kind, kindCanceled)
 	}
 	rt := wireError(kindCanceled, src.Error())
 	if errors.Is(rt, sim.ErrCanceled) {

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"slices"
 	"strings"
 	"time"
 
@@ -213,9 +214,6 @@ type drainer struct {
 	cfg    Config
 	grid   string
 
-	// shardReqs maps shard index -> indices into m.Requests owned by
-	// the shard (FirstUse within the shard's cells).
-	shardReqs map[int][]int
 	// claims maps shard index -> the name of its claim object
 	// (claimName), derived once per drain.
 	claims map[int]string
@@ -269,10 +267,9 @@ func Drain(ctx context.Context, m *scenario.Matrix, runner *sim.Runner, leases o
 
 	d := &drainer{
 		m: m, runner: runner, leases: leases, cfg: cfg,
-		grid:      GridID(m, cfg.ShardCells),
-		shardReqs: make(map[int][]int),
-		claims:    make(map[int]string),
-		observed:  make(map[int]claimState),
+		grid:     GridID(m, cfg.ShardCells),
+		claims:   make(map[int]string),
+		observed: make(map[int]claimState),
 	}
 	d.sum = Summary{
 		Schema:     SummarySchema,
@@ -283,22 +280,13 @@ func Drain(ctx context.Context, m *scenario.Matrix, runner *sim.Runner, leases o
 		ShardCells: cfg.ShardCells,
 	}
 
-	// Partition the range's requests by owning shard. FirstUse is
-	// nondecreasing, so each shard's set is a contiguous slice of the
-	// request list and their union covers the range exactly once.
 	var pending []int
 	for s := r.Lo / cfg.ShardCells; s*cfg.ShardCells < r.Hi; s++ {
 		pending = append(pending, s)
 		d.claims[s] = claimName(d.grid, s)
 	}
 	d.sum.Shards = len(pending)
-	for i, cell := range m.FirstUse {
-		if cell >= r.Lo && cell < r.Hi {
-			s := cell / cfg.ShardCells
-			d.shardReqs[s] = append(d.shardReqs[s], i)
-			d.sum.Requests++
-		}
-	}
+	d.sum.Requests = len(d.requests(r.Lo, r.Hi))
 
 	for len(pending) > 0 {
 		progressed := false
@@ -395,11 +383,6 @@ func (d *drainer) visit(ctx context.Context, s int) (bool, error) {
 // the done mark's re-read. Stream serializes sink calls, so the sink
 // needs no lock.
 func (d *drainer) drainShard(ctx context.Context, s int, cl Claim) (bool, error) {
-	reqs := make([]sim.Request, len(d.shardReqs[s]))
-	for i, at := range d.shardReqs[s] {
-		reqs[i] = d.m.Requests[at]
-	}
-
 	shardCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	var lost bool
@@ -423,7 +406,7 @@ func (d *drainer) drainShard(ctx context.Context, s int, cl Claim) (bool, error)
 			cancel(fmt.Errorf("fleet: shard %d lease lost to a takeover", s))
 		}
 	}
-	_, err := d.runner.Stream(shardCtx, reqs, sink)
+	_, err := d.runner.Stream(shardCtx, d.requests(s*d.cfg.ShardCells, (s+1)*d.cfg.ShardCells), sink)
 	if sinkErr != nil {
 		return false, sinkErr
 	}
@@ -450,6 +433,15 @@ func (d *drainer) drainShard(ctx context.Context, s int, cl Claim) (bool, error)
 	}
 	d.sum.Claimed++
 	return true, nil
+}
+
+// requests returns the requests the cells [lo, hi) own: those they use
+// first. FirstUse is nondecreasing, so they are one run of m.Requests,
+// and the runs of disjoint cell ranges are disjoint.
+func (d *drainer) requests(lo, hi int) []sim.Request {
+	i, _ := slices.BinarySearch(d.m.FirstUse, lo)
+	j, _ := slices.BinarySearch(d.m.FirstUse, hi)
+	return d.m.Requests[i:j]
 }
 
 // count folds one completion event into the summary counters.

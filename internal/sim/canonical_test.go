@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/workloads"
@@ -76,11 +77,11 @@ func TestCanonicalNameSharesEntry(t *testing.T) {
 	_, err = New(WithStore(store)).Stream(bg, reqs, func(ev Event) {
 		switch {
 		case reqs[ev.Index].Bench == unknown:
-			if !errors.Is(ev.Err, ErrUnknownBenchmark) || ev.Req.Bench != unknown {
-				t.Errorf("request %d: %q, %v; want %q and ErrUnknownBenchmark", ev.Index, ev.Req.Bench, ev.Err, unknown)
+			if !errors.Is(ev.Err, ErrUnknownBenchmark) || ev.Key != "" {
+				t.Errorf("request %d: key %q, %v; want no key and ErrUnknownBenchmark", ev.Index, ev.Key, ev.Err)
 			}
-		case ev.Err != nil || ev.Req.Bench != canonical || ev.Res.Bench != canonical || ev.Source == SourceSimulated:
-			t.Errorf("request %d: %q, %v from %v; want the stored %q", ev.Index, ev.Req.Bench, ev.Err, ev.Source, canonical)
+		case ev.Err != nil || !strings.HasPrefix(ev.Key, canonical+"-") || ev.Res.Bench != canonical || ev.Source == SourceSimulated:
+			t.Errorf("request %d: key %q, %v from %v; want the stored %q", ev.Index, ev.Key, ev.Err, ev.Source, canonical)
 		}
 	})
 	if !errors.Is(err, ErrUnknownBenchmark) {

@@ -6,10 +6,12 @@
 //
 // The API is context-first and streaming: Stream(ctx, reqs, sink) fans
 // a batch out over the worker pool and delivers a completion Event —
-// request key, provenance (simulated, in-memory, on-disk store),
-// simulation speed — as each request settles, and Run(ctx, req) is a
-// Stream of one request, so every request takes one path through a
-// batch; a batch of one runs on its caller's goroutine. Cancellation
+// the request's index and key, its result or typed error, and its
+// provenance (simulated, in-memory, on-disk store) — as each request
+// settles, and Run(ctx, req) is a Stream of one request, so every
+// request takes one path through a batch; a batch of one runs on its
+// caller's goroutine. The runner reads no clock: a caller that wants
+// timing keeps its own (Progress does). Cancellation
 // reaches into the core cycle loop (core.RunContext checks the context
 // every few thousand cycles), so a deadline or SIGINT aborts a long
 // grid mid-simulation; errors carry the typed taxonomy of errors.go
@@ -59,7 +61,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/refcount"
@@ -114,6 +115,8 @@ type Result struct {
 }
 
 // Counters reports what the Runner did, for tests and -v diagnostics.
+// Each counts requests that settled with a result; a failed request
+// counts in none.
 type Counters struct {
 	Simulated uint64 // runs actually executed
 	MemHits   uint64 // served from memory: singleflight waits, repeats, and runs of the request's tracker class
@@ -166,10 +169,12 @@ type Runner struct {
 	store   *Store
 	exec    Executor
 
+	// The Counters, each bumped where a request's source is decided.
+	simulated, memHits, diskHits atomic.Uint64
+
 	mu      sync.Mutex
 	calls   map[string]*call   // by request key: one slot per request
 	classes map[string][]*call // by tracker class key: the class's executing calls
-	ctr     Counters
 }
 
 // call is one singleflight slot: the first requester produces the
@@ -185,8 +190,6 @@ type call struct {
 	lim   core.TrackerLimits
 	res   *Result
 	err   error
-	src   Source
-	cps   float64
 }
 
 // Source is the provenance of a completed request: where its result
@@ -222,8 +225,8 @@ func (s Source) String() string {
 
 // Event is one per-request completion notification from Stream: which
 // request settled (Index into the request slice, plus its deduplication
-// Key), its result or typed error, where the result came from, and —
-// for freshly simulated requests — the simulation speed.
+// Key), its result or typed error, and where the result came from. The
+// request itself is the caller's, at Index.
 type Event struct {
 	// Index is the request's position in the Stream call's slice (0
 	// under Run, a Stream of one request).
@@ -231,21 +234,12 @@ type Event struct {
 	// Key is the request's deduplication key (empty if the request
 	// failed validation before keying).
 	Key string
-	// Req echoes the request.
-	Req Request
 	// Res is the completed result (nil when Err is set).
 	Res *Result
 	// Err is the request's typed error, if any (see errors.go).
 	Err error
 	// Source is the result's provenance.
 	Source Source
-	// CyclesPerSec is the simulated-cycles-per-wall-second rate of the
-	// simulation that produced the result. In-memory joins carry the
-	// original simulation's rate; results loaded from the on-disk store
-	// report zero (the producing process is gone). Aggregate throughput
-	// should therefore only sum events with Source == SourceSimulated
-	// (as Progress does).
-	CyclesPerSec float64
 }
 
 // New builds a Runner.
@@ -356,9 +350,7 @@ const configSize = 2 << 10
 
 // Counters returns a snapshot of the Runner's activity counters.
 func (r *Runner) Counters() Counters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ctr
+	return Counters{Simulated: r.simulated.Load(), MemHits: r.memHits.Load(), DiskHits: r.diskHits.Load()}
 }
 
 // Run returns the result for req, simulating it at most once per Runner
@@ -374,19 +366,18 @@ func (r *Runner) Run(ctx context.Context, req Request) (*Result, error) {
 	return res[0], err
 }
 
-// do executes one request and packages the outcome as an Event. It is
-// the single execution path under Stream: validation, then the
-// request's singleflight slot, then fill. b is the request's Stream
-// batch and idx its index there.
-func (r *Runner) do(ctx context.Context, b *batch, idx int, req Request) Event {
-	req, nameErr := b.canonical(req)
-	ev := Event{Index: idx, Req: req}
+// do executes request idx of batch b and packages the outcome as an
+// Event. It is the single execution path under Stream: validation, then
+// the request's singleflight slot, then fill.
+func (r *Runner) do(ctx context.Context, b *batch, idx int) Event {
+	req, nameErr := b.canonical(b.reqs[idx])
+	ev := Event{Index: idx}
 	if err := req.validate(nameErr); err != nil {
 		ev.Err = err
 		return ev
 	}
 	ev.Key = Key(req)
-	ev.Res, ev.Source, ev.CyclesPerSec, ev.Err = r.share(ctx, b, idx, ev.Key, req)
+	ev.Res, ev.Source, ev.Err = r.share(ctx, b, idx, ev.Key, req)
 	return ev
 }
 
@@ -418,7 +409,7 @@ func canonical(req Request) (Request, error) {
 // wait only on calls of their own batch, so two batches can never wait
 // on each other. A request that joins a call in flight leaves its
 // batch's hit path first (batch.leave).
-func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req Request) (*Result, Source, float64, error) {
+func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req Request) (*Result, Source, error) {
 	for {
 		r.mu.Lock()
 		c, ok := r.calls[key]
@@ -427,7 +418,8 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 			r.calls[key] = c
 			r.mu.Unlock()
 
-			c.res, c.src, c.cps, c.err = r.fill(ctx, c, idx, key, req)
+			var src Source
+			c.res, src, c.err = r.fill(ctx, c, idx, key, req)
 			if c.err != nil {
 				r.mu.Lock()
 				delete(r.calls, key)
@@ -437,7 +429,7 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 				r.mu.Unlock()
 			}
 			close(c.done)
-			return c.res, c.src, c.cps, c.err
+			return c.res, src, c.err
 		}
 		r.mu.Unlock()
 
@@ -445,25 +437,25 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 		case <-c.done:
 		default:
 			if c.batch != b {
-				b.settle(idx, nil, 0)
+				b.settle(idx, nil)
 			}
-			b.leave(idx)
+			b.leave(ctx, idx)
 		}
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			return nil, 0, 0, canceledErr(req.Bench, ctx.Err())
+			return nil, 0, canceledErr(req.Bench, ctx.Err())
 		}
 		if c.err != nil && errors.Is(c.err, ErrCanceled) && ctx.Err() == nil {
 			continue // the leader was canceled, this caller was not: retry
 		}
-		// Count the hit only for a join that actually yields the call's
-		// outcome — a retry after a canceled leader is not served from
-		// memory, so it must not inflate the hit counters.
-		r.mu.Lock()
-		r.ctr.MemHits++
-		r.mu.Unlock()
-		return c.res, SourceMemory, c.cps, c.err
+		// Count the hit only for a join that yields a result: a retry
+		// after a canceled leader is not served from memory, and a failed
+		// call serves nobody.
+		if c.err == nil {
+			r.memHits.Add(1)
+		}
+		return c.res, SourceMemory, c.err
 	}
 }
 
@@ -484,38 +476,44 @@ func (r *Runner) share(ctx context.Context, b *batch, idx int, key string, req R
 // only through that wait. Failing that, c registers in its class and
 // executes. A miss leaves its batch's hit path before any of this
 // (batch.leave).
-func (r *Runner) fill(ctx context.Context, c *call, idx int, key string, req Request) (*Result, Source, float64, error) {
-	if res, ok := r.loadDisk(ctx, key); ok {
-		r.mu.Lock()
-		r.ctr.DiskHits++
-		r.mu.Unlock()
-		return res, SourceStore, 0, nil
+func (r *Runner) fill(ctx context.Context, c *call, idx int, key string, req Request) (*Result, Source, error) {
+	if r.store != nil {
+		if res, ok := r.store.Load(ctx, key); ok {
+			r.diskHits.Add(1)
+			return res, SourceStore, nil
+		}
 	}
 	b := c.batch
-	b.leave(idx)
+	b.leave(ctx, idx)
 	var earlier []int
 	c.class, c.lim, earlier = b.earlier(idx)
-	res, cps, err := b.serving(ctx, earlier, c.lim)
+	res, err := b.serving(ctx, earlier, c.lim)
 	if err == nil && res == nil {
-		res, cps, err = r.claim(ctx, c)
+		res, err = r.claim(ctx, c)
 	}
 	if err != nil {
-		return nil, 0, 0, canceledErr(req.Bench, err)
+		return nil, 0, canceledErr(req.Bench, err)
 	}
 	src := SourceMemory
 	if res != nil {
 		res = renamed(res, req)
-		r.mu.Lock()
-		r.ctr.MemHits++
-		r.mu.Unlock()
+		r.memHits.Add(1)
 	} else {
-		res, src, cps, err = r.execute(ctx, req)
-		if err != nil {
-			return nil, 0, 0, err
+		if res, err = r.execute(ctx, req); err != nil {
+			return nil, 0, err
 		}
+		src = SourceSimulated
+		r.simulated.Add(1)
 	}
-	r.storeDisk(ctx, key, res)
-	return res, src, cps, nil
+	if r.store != nil {
+		// A failed write is ignored: the in-memory result is already
+		// correct. The write runs with the caller's cancellation
+		// stripped: the result is complete, and dropping it because the
+		// requester went away would waste the work for every future
+		// requester.
+		_ = r.store.Put(context.WithoutCancel(ctx), key, res)
+	}
+	return res, src, nil
 }
 
 // claim returns the result of a completed call of c's tracker class
@@ -525,7 +523,7 @@ func (r *Runner) fill(ctx context.Context, c *call, idx int, key string, req Req
 // It fails only when ctx ends. A call is complete once done is closed:
 // share writes its result without r.mu, so claim reads the result only
 // after receiving from done.
-func (r *Runner) claim(ctx context.Context, c *call) (*Result, float64, error) {
+func (r *Runner) claim(ctx context.Context, c *call) (*Result, error) {
 	for {
 		var pending *call
 		r.mu.Lock()
@@ -537,7 +535,7 @@ func (r *Runner) claim(ctx context.Context, c *call) (*Result, float64, error) {
 			case <-o.done:
 				if o.lim.Serves(c.lim, &o.res.Tracker) {
 					r.mu.Unlock()
-					return o.res, o.cps, nil
+					return o.res, nil
 				}
 			default:
 				pending = o
@@ -546,13 +544,13 @@ func (r *Runner) claim(ctx context.Context, c *call) (*Result, float64, error) {
 		if pending == nil {
 			r.classes[c.class] = append(r.classes[c.class], c)
 			r.mu.Unlock()
-			return nil, 0, nil
+			return nil, nil
 		}
 		r.mu.Unlock()
 		select {
 		case <-pending.done:
 		case <-ctx.Done():
-			return nil, 0, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -583,30 +581,14 @@ func renamed(res *Result, req Request) *Result {
 // honored while queuing for the slot and, through core.RunContext,
 // inside the simulation itself, so only a completed simulation reaches
 // the on-disk store.
-func (r *Runner) execute(ctx context.Context, req Request) (*Result, Source, float64, error) {
+func (r *Runner) execute(ctx context.Context, req Request) (*Result, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, 0, 0, canceledErr(req.Bench, ctx.Err())
+		return nil, canceledErr(req.Bench, ctx.Err())
 	}
 	defer func() { <-r.sem }()
-
-	start := time.Now() //repro:allow nodeterm -- wall-clock measurement metadata, not a simulated result
-	res, err := r.exec(ctx, req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	secs := time.Since(start).Seconds() //repro:allow nodeterm -- wall-clock measurement metadata, not a simulated result
-	if secs <= 0 {
-		// A sub-clock-resolution run must not produce a +Inf rate:
-		// Event.CyclesPerSec is public, and an infinite rate poisons any
-		// sum a caller takes over events and cannot be JSON-encoded.
-		secs = 1e-9
-	}
-	r.mu.Lock()
-	r.ctr.Simulated++
-	r.mu.Unlock()
-	return res, SourceSimulated, float64(res.S.Cycles) / secs, nil
+	return r.exec(ctx, req)
 }
 
 // Stream fans the requests out over the worker pool and invokes sink —
@@ -625,51 +607,25 @@ func (r *Runner) execute(ctx context.Context, req Request) (*Result, Source, flo
 // waiting request. All requests settle before Stream returns; the
 // returned error is the first non-cancellation error in request order,
 // or the first cancellation error when the whole batch was interrupted.
-// sink may be nil.
+// Stream never writes reqs, so a caller may pass a run of a slice it
+// keeps. sink may be nil.
 func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) ([]*Result, error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
-	b := &batch{reqs: reqs, members: make([]member, len(reqs)), left: make([]bool, len(reqs))}
+	b := &batch{r: r, reqs: reqs, sink: sink, results: make([]*Result, len(reqs)), members: make([]member, len(reqs))}
 	if len(reqs) > 1 {
 		b.names = make(map[string]resolved) // a batch of one has no name to share
 	}
-	var sinkMu sync.Mutex
-	var wg sync.WaitGroup
-	work := func() {
-		defer wg.Done()
-		for {
-			i := int(b.next.Add(1)) - 1
-			if i >= len(reqs) {
-				return
-			}
-			ev := r.do(ctx, b, i, reqs[i])
-			b.settle(i, ev.Res, ev.CyclesPerSec)
-			results[i], errs[i] = ev.Res, ev.Err
-			if sink != nil {
-				sinkMu.Lock()
-				sink(ev)
-				sinkMu.Unlock()
-			}
-			if b.left[i] {
-				return
-			}
-		}
-	}
-	b.start = func() {
-		wg.Add(1)
-		go work()
-	}
 	if len(reqs) == 1 {
-		wg.Add(1)
-		work()
+		b.wg.Add(1)
+		b.work(ctx)
 	} else {
 		for range min(r.workers, len(reqs)) {
-			b.start()
+			b.start(ctx)
 		}
 	}
-	wg.Wait()
+	b.wg.Wait()
 	var firstCanceled error
-	for _, err := range errs {
+	for i := range b.members {
+		err := b.members[i].err
 		if err == nil {
 			continue
 		}
@@ -679,19 +635,22 @@ func (r *Runner) Stream(ctx context.Context, reqs []Request, sink func(Event)) (
 			}
 			continue
 		}
-		return results, err
+		return b.results, err
 	}
-	return results, firstCanceled
+	return b.results, firstCanceled
 }
 
-// batch is one Stream call's requests: the goroutines that take them in
-// index order, and the requests as the misses among them see each other
-// (see Runner.fill).
+// batch is one Stream call: its requests, the goroutines that take them
+// in index order and settle each into results and the sink, and the
+// requests as the misses among them see each other (see Runner.fill).
 type batch struct {
-	reqs  []Request
-	next  atomic.Int64 // the index the next goroutine to ask takes
-	start func()       // starts one more goroutine taking requests
-	left  []bool       // left[i]: i left the hit path; only i's goroutine touches it
+	r       *Runner
+	reqs    []Request
+	sink    func(Event) // may be nil
+	sinkMu  sync.Mutex  // serializes sink calls
+	results []*Result
+	next    atomic.Int64   // the index the next goroutine to ask takes
+	wg      sync.WaitGroup // the goroutines taking requests
 
 	mu      sync.Mutex
 	names   map[string]resolved // workload name → its canonical spelling and error; nil in a batch of one
@@ -707,17 +666,50 @@ type resolved struct {
 	err   error
 }
 
+// start starts one more goroutine taking the batch's requests.
+func (b *batch) start(ctx context.Context) {
+	b.wg.Add(1)
+	go b.work(ctx)
+}
+
+// work takes the batch's requests in index order and settles each: in
+// its member, in the results and through the sink. It returns when no
+// request is left, or once a request it took that left the hit path
+// (batch.leave) settles.
+func (b *batch) work(ctx context.Context) {
+	defer b.wg.Done()
+	for {
+		i := int(b.next.Add(1)) - 1
+		if i >= len(b.reqs) {
+			return
+		}
+		ev := b.r.do(ctx, b, i)
+		b.settle(i, ev.Res)
+		m := &b.members[i]
+		m.err, b.results[i] = ev.Err, ev.Res
+		if b.sink != nil {
+			b.sinkMu.Lock()
+			b.sink(ev)
+			b.sinkMu.Unlock()
+		}
+		if m.left {
+			return
+		}
+	}
+}
+
 // leave takes request i off its batch's hit path before i waits: one
 // more goroutine takes i's place among the batch's workers, if any
 // request is unstarted, and i's own goroutine exits once i settles.
 // Later calls for i do nothing.
-func (b *batch) leave(i int) {
-	if b.left[i] {
+func (b *batch) leave(ctx context.Context, i int) {
+	m := &b.members[i]
+	if m.left {
 		return
 	}
-	b.left[i] = true
+	m.left = true
 	if b.next.Load() < int64(len(b.reqs)) {
-		b.start()
+		b.start(ctx)
 	}
 }
 
@@ -745,15 +737,19 @@ func (b *batch) canonicalLocked(req Request) (Request, error) {
 	return req, n.err
 }
 
-// member is one request of a batch.
+// member is one request of a batch. Only the request's own goroutine
+// writes left and err, and Stream reads err once every goroutine is
+// done; b.mu guards the rest.
 type member struct {
+	left bool  // the request left the hit path (batch.leave)
+	err  error // once settled: the request's error
+
 	class string
 	lim   core.TrackerLimits
 	rank  int // the first index with the request's key
 
 	settled bool
-	res     *Result // once settled: its result, nil when it serves nobody here
-	cps     float64
+	res     *Result       // once settled: its result, nil when it serves nobody here
 	wake    chan struct{} // made by the first waiter, closed on settling
 }
 
@@ -798,7 +794,7 @@ func (b *batch) earlier(i int) (string, core.TrackerLimits, []int) {
 // serving waits on the batch's requests at idxs in order and returns the
 // first result that serves lim, or nil when none does. It fails only
 // when ctx ends.
-func (b *batch) serving(ctx context.Context, idxs []int, lim core.TrackerLimits) (*Result, float64, error) {
+func (b *batch) serving(ctx context.Context, idxs []int, lim core.TrackerLimits) (*Result, error) {
 	for _, j := range idxs {
 		b.mu.Lock()
 		m := &b.members[j]
@@ -811,29 +807,29 @@ func (b *batch) serving(ctx context.Context, idxs []int, lim core.TrackerLimits)
 			select {
 			case <-wake:
 			case <-ctx.Done():
-				return nil, 0, ctx.Err()
+				return nil, ctx.Err()
 			}
 			b.mu.Lock()
 		}
-		res, cps, from := m.res, m.cps, m.lim
+		res, from := m.res, m.lim
 		b.mu.Unlock()
 		if res != nil && from.Serves(lim, &res.Tracker) {
-			return res, cps, nil
+			return res, nil
 		}
 	}
-	return nil, 0, nil
+	return nil, nil
 }
 
 // settle records request i's outcome, the first time only: its result,
 // or nil when it serves nobody in the batch. It wakes i's waiters.
-func (b *batch) settle(i int, res *Result, cps float64) {
+func (b *batch) settle(i int, res *Result) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	m := &b.members[i]
 	if m.settled {
 		return
 	}
-	m.settled, m.res, m.cps = true, res, cps
+	m.settled, m.res = true, res
 	if m.wake != nil {
 		close(m.wake)
 	}
@@ -917,25 +913,5 @@ func Snapshot(bench string, staticUops int, c *core.Core, st *core.Stats) *Resul
 			L2Misses:    h.L2.Misses,
 			DRAMReads:   h.Mem.Reads,
 		},
-	}
-}
-
-// --- on-disk cache ------------------------------------------------------
-
-func (r *Runner) loadDisk(ctx context.Context, key string) (*Result, bool) {
-	if r.store == nil {
-		return nil, false
-	}
-	return r.store.Load(ctx, key)
-}
-
-// storeDisk writes res to the attached store, if any. Cache write
-// failures are ignored: the in-memory result is already correct. The
-// write runs with the caller's cancellation stripped: the simulation
-// already completed, and dropping its result because the requester
-// went away would waste the work for every future requester.
-func (r *Runner) storeDisk(ctx context.Context, key string, res *Result) {
-	if r.store != nil {
-		r.store.Put(context.WithoutCancel(ctx), key, res)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"path/filepath"
 	"runtime"
@@ -31,10 +32,10 @@ func streamReqs(n int) []Request {
 	return reqs
 }
 
-// TestStreamEventsAndProvenance: every request yields exactly one event;
-// fresh simulations are tagged SourceSimulated with a positive
-// cycles/sec, repeats SourceMemory, and a new runner on the same store
-// dir SourceStore.
+// TestStreamEventsAndProvenance: every request yields exactly one event
+// under its request's key; fresh simulations are tagged
+// SourceSimulated, repeats SourceMemory, and a new runner on the same
+// store dir SourceStore.
 func TestStreamEventsAndProvenance(t *testing.T) {
 	dir := t.TempDir()
 	r := New(WithStore(NewStore(dir)))
@@ -60,10 +61,7 @@ func TestStreamEventsAndProvenance(t *testing.T) {
 		if ev.Source != SourceSimulated {
 			t.Fatalf("fresh request %d has provenance %v", ev.Index, ev.Source)
 		}
-		if ev.CyclesPerSec <= 0 {
-			t.Fatalf("fresh request %d has cycles/sec %v", ev.Index, ev.CyclesPerSec)
-		}
-		if ev.Key != Key(ev.Req) {
+		if ev.Key != Key(reqs[ev.Index]) {
 			t.Fatalf("event key %q does not match its request", ev.Key)
 		}
 		if ev.Res != results[ev.Index] {
@@ -380,6 +378,77 @@ func TestCanceledLeaderDoesNotFailLiveJoiner(t *testing.T) {
 		if err := <-resB; err != nil {
 			t.Fatalf("caller B inherited the leader's fate: %v", err)
 		}
+	}
+}
+
+// TestJoinedFailureCountsNoHit: a request that joins a call in flight
+// whose execution then faults gets the call's error, and counts as no
+// memory hit: a runner that served nothing reads zero on every counter.
+func TestJoinedFailureCountsNoHit(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	calls := 0
+	r := New(WithExecutor(func(_ context.Context, req Request) (*Result, error) {
+		calls++
+		close(entered)
+		<-release
+		return nil, fmt.Errorf("sim: %s: %w: injected", req.Bench, ErrSimFault)
+	}))
+	req := quickReq("crafty")
+	errs := make(chan error, 2)
+	go func() {
+		_, err := r.Run(bg, req)
+		errs <- err
+	}()
+	<-entered // the leader executes
+	joiner := &doneProbe{Context: bg, waiting: make(chan struct{})}
+	go func() {
+		_, err := r.Run(joiner, req)
+		errs <- err
+	}()
+	<-joiner.waiting // the joiner waits on the leader's call
+	close(release)
+	for range 2 {
+		if err := <-errs; !errors.Is(err, ErrSimFault) {
+			t.Fatalf("got %v, want ErrSimFault", err)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("executor ran %d times, want 1 (the second request joins)", calls)
+	}
+	if c := r.Counters(); c != (Counters{}) {
+		t.Fatalf("counters %+v after two failed requests, want all zero", c)
+	}
+}
+
+// doneProbe is a context that closes waiting the first time Done is
+// called: a runner request calls it first when it is about to wait.
+type doneProbe struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (p *doneProbe) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.waiting) })
+	return p.Context.Done()
+}
+
+// TestRunMemoryHitAllocations pins the cost of a batch of one: a memory
+// hit through Run allocates the request slice, the batch with its
+// member and result slices, and the request's key.
+func TestRunMemoryHitAllocations(t *testing.T) {
+	r := New()
+	req := quickReq("crafty")
+	if _, err := r.Run(bg, req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.Run(bg, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("a memory hit through Run allocates %v objects, want at most 5", allocs)
 	}
 }
 

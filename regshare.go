@@ -141,8 +141,8 @@ var (
 )
 
 // Event is one per-spec completion notification from StreamSpecs (see
-// sim.Event): the spec's index, its result or typed error, provenance
-// and simulation speed.
+// sim.Event): the spec's index and key, its result or typed error, and
+// its provenance. The spec itself is specs[ev.Index].
 type Event = sim.Event
 
 // RunSpec names one simulation.
